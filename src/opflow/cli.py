@@ -5,8 +5,11 @@ the output directory and is deterministic given its flags and ``--seed``.
 Exit codes: 0 success, 1 assertion/threshold failure, 2 usage error.
 
 A flat key-value config file (``key = value`` lines, ``#`` comments) can
-preset any flag; explicit flags win.  The config path comes from ``--config``
-or the ``OPFLOW_CONFIG`` environment variable.
+preset any flag of the chosen command.  Each value is parsed exactly like
+the flag it names (same type and choice checks, exit 2 on a bad value);
+keys that are not flags of that command are ignored, and explicit flags win.
+The config path comes from ``--config`` or the ``OPFLOW_CONFIG`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .homotopy import (
 from .linalg import HermOp
 from .manifest import RunManifest
 from .specflow import OperatorPath, spectral_flow
-from .sturm import dichotomy_row, robin_generator, spectral_graph
+from .sturm import MIN_GRID, dichotomy_row, robin_generator, spectral_graph
 from .transforms import identity_suite
 from .classify import surgery_bound_trials
 
@@ -61,75 +64,77 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill flags the user left unset from the config file, if any."""
-    path = args.config or os.environ.get(CONFIG_ENV)
+def _config_path(args: argparse.Namespace) -> str | None:
+    return args.config or os.environ.get(CONFIG_ENV)
+
+
+def _parse_with_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv, with the config file's values as the subcommand's defaults.
+
+    Each known ``key = value`` pair is parsed by the subcommand's parser as
+    ``--flag=value``, so it meets the same type and choice checks as the flag.
+    """
+    args = parser.parse_args(argv)
+    path = _config_path(args)
     if not path:
-        return
+        return args
     try:
         values = _read_config(path)
     except (OSError, ValueError) as exc:
         parser.error(f"bad config file: {exc}")
-    for key, raw in values.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue
-        kind = args._option_types.get(key, str)
-        try:
-            setattr(args, key, kind(raw))
-        except ValueError:
-            parser.error(f"config value for {key!r} is not a valid {kind.__name__}: {raw!r}")
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subs.choices[args.command]
+    flags = {a.dest: a.option_strings[-1] for a in sub._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    known = [key for key in values if key in flags]
+    preset = sub.parse_args([f"{flags[key]}={values[key]}" for key in known])
+    sub.set_defaults(**{key: getattr(preset, key) for key in known})
+    return parser.parse_args(argv)
 
 
-def _resolve(args: argparse.Namespace, **defaults) -> None:
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+# Namespace entries that are not parameters of the computation.
+_NOT_PARAMETERS = ("command", "func", "out", "config")
 
 
-def _outdir(args: argparse.Namespace) -> Path:
-    out = Path(args.out or ".")
+def _emit(args: argparse.Namespace, filename: str, payload) -> Path:
+    """Write one data file plus ``manifest.json`` into ``--out``.
+
+    A dict is written as sorted JSON, a ``(header, rows)`` pair as CSV.
+    """
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _manifest(args: argparse.Namespace, command: str, params: dict) -> RunManifest:
-    inputs = {}
-    cfg = args.config or os.environ.get(CONFIG_ENV)
-    if cfg:
-        inputs["config"] = cfg
-    return RunManifest.create(command, params, __version__, inputs)
-
-
-def _write_rows(path: Path, header: str, rows) -> None:
+    path = out / filename
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        if isinstance(payload, dict):
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        else:
+            header, rows = payload
+            handle.write(header + "\n")
+            handle.writelines(",".join(row) + "\n" for row in rows)
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    config = _config_path(args)
+    manifest = RunManifest.create(args.command, params, __version__,
+                                  {"config": config} if config else None)
+    manifest.record_output(path, out)
+    manifest.write(out / "manifest.json")
+    return path
 
 
 def cmd_specgraph(args, parser) -> int:
-    _resolve(args, samples=128, grid=800, window=50.0, seed=0)
     if args.samples < 16:
         parser.error("--samples must be at least 16")
-    if args.grid < 16:
-        parser.error("--grid must be at least 16")
+    if args.grid < MIN_GRID:
+        parser.error(f"--grid must be at least {MIN_GRID}")
     if args.window <= 0:
         parser.error("--window must be positive")
-    out = _outdir(args)
-    records = spectral_graph(args.samples, args.grid, args.window, workers=args.workers)
+    records = spectral_graph(args.samples, args.grid, args.window)
     rows = (
         (_fmt(theta), str(int(k)), _fmt(lam))
         for theta, indices, values in records
         for k, lam in zip(indices, values)
     )
-    csv_path = out / "specgraph.csv"
-    _write_rows(csv_path, "theta,branch_index,lambda", rows)
-    manifest = _manifest(args, "specgraph", {
-        "samples": args.samples, "grid": args.grid, "window": args.window,
-        "seed": args.seed,
-    })
-    manifest.record_output(csv_path, out)
-    manifest.write(out / "manifest.json")
+    csv_path = _emit(args, "specgraph.csv", ("theta,branch_index,lambda", rows))
     print(f"wrote {csv_path}")
     return 0
 
@@ -147,86 +152,59 @@ def _builtin_path(name: str, grid: int, samples: int) -> OperatorPath:
 
 
 def cmd_specflow(args, parser) -> int:
-    _resolve(args, path="robin", grid=800, samples=64, window=1.0, max_depth=24, seed=0)
     if args.samples < 2:
         parser.error("--samples must be at least 2")
-    out = _outdir(args)
+    if args.path == "robin" and args.grid < MIN_GRID:
+        parser.error(f"--grid must be at least {MIN_GRID}")
+    if args.window <= 0:
+        parser.error("--window must be positive")
     path = _builtin_path(args.path, args.grid, args.samples)
     try:
-        report = spectral_flow(path, window0=args.window, max_depth=args.max_depth,
-                               workers=args.workers)
+        report = spectral_flow(path, window0=args.window, max_depth=args.max_depth)
     except (NonConvergenceError, ConditioningError) as exc:
         print(f"spectral flow did not converge: {exc}", file=sys.stderr)
         return 1
-    json_path = out / "specflow.json"
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    manifest = _manifest(args, "specflow", {
-        "path": args.path, "grid": args.grid, "samples": args.samples,
-        "window": args.window, "max_depth": args.max_depth, "seed": args.seed,
-    })
-    manifest.record_output(json_path, out)
-    manifest.write(out / "manifest.json")
+    json_path = _emit(args, "specflow.json", report.to_json_dict())
     print(f"flow = {report.flow} ({len(report.crossings)} crossing brackets); wrote {json_path}")
     return 0
 
 
 def cmd_dichotomy(args, parser) -> int:
-    _resolve(args, grid=400, points=9, x1_min=1e-4, x1_max=0.9, seed=0)
+    if args.grid < MIN_GRID:
+        parser.error(f"--grid must be at least {MIN_GRID}")
     if args.points < 2:
         parser.error("--points must be at least 2")
     if not (0 < args.x1_min < args.x1_max):
         parser.error("need 0 < --x1-min < --x1-max")
-    out = _outdir(args)
     sweep = np.geomspace(args.x1_min, args.x1_max, args.points)
     rows = []
     for x1 in sweep:
         riesz_lower, gap = dichotomy_row(float(x1), args.grid)
         rows.append((_fmt(x1), _fmt(riesz_lower), _fmt(gap)))
-    csv_path = out / "dichotomy.csv"
-    _write_rows(csv_path, "x1,riesz_lower_bound,gap_dist", rows)
-    manifest = _manifest(args, "dichotomy", {
-        "grid": args.grid, "points": args.points,
-        "x1_min": args.x1_min, "x1_max": args.x1_max, "seed": args.seed,
-    })
-    manifest.record_output(csv_path, out)
-    manifest.write(out / "manifest.json")
+    csv_path = _emit(args, "dichotomy.csv", ("x1,riesz_lower_bound,gap_dist", rows))
     print(f"wrote {csv_path}")
     return 0
 
 
 def cmd_identities(args, parser) -> int:
-    _resolve(args, dim=16, trials=500, tolerance=1e-9, seed=0)
     if args.dim < 2 or args.trials < 1:
         parser.error("--dim must be >= 2 and --trials >= 1")
-    out = _outdir(args)
     deviations = identity_suite(dim=args.dim, trials=args.trials, seed=args.seed)
     worst = max(deviations.values())
     for name in sorted(deviations):
         print(f"{name:32s} max deviation {deviations[name]:.3e}")
-    json_path = out / "identities.json"
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump({"deviations": deviations, "tolerance": args.tolerance},
-                  handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    manifest = _manifest(args, "identities", {
-        "dim": args.dim, "trials": args.trials,
-        "tolerance": args.tolerance, "seed": args.seed,
-    })
-    manifest.record_output(json_path, out)
-    manifest.write(out / "manifest.json")
+    _emit(args, "identities.json", {"deviations": deviations, "tolerance": args.tolerance})
     ok = worst <= args.tolerance
     print(f"worst deviation {worst:.3e} {'<=' if ok else '>'} tolerance {args.tolerance:g}")
     return 0 if ok else 1
 
 
 def cmd_homotopy_demo(args, parser) -> int:
-    _resolve(args, grids="128,256,512", modes=12, seed=0)
-    out = _outdir(args)
     grids = [int(g) for g in str(args.grids).split(",") if g.strip()]
     if len(grids) < 2 or any(g < 8 for g in grids):
         parser.error("--grids needs at least two grid sizes >= 8")
+    if args.modes < 1:
+        parser.error("--modes must be positive")
     deltas = {n: discretization_tolerance(n, modes=args.modes) for n in grids}
     monotone = all(deltas[a] > deltas[b] for a, b in zip(grids, grids[1:]))
 
@@ -240,7 +218,7 @@ def cmd_homotopy_demo(args, parser) -> int:
     odd = odd_retraction_defect(n0 if n0 % 2 == 0 else n0 + 1, seed=args.seed)
     A = HermOp(np.diag(np.linspace(1.0, 3.0, 8)))
     comp_exact = bool(compactify_homotopy(0.0, A, default_compact_factor(8)) is A)
-    report = {
+    _emit(args, "homotopy_demo.json", {
         "delta_by_grid": {str(n): deltas[n] for n in grids},
         "delta_monotone_decreasing": monotone,
         "measured_c": {str(n): deltas[n] * n for n in grids},
@@ -249,16 +227,7 @@ def cmd_homotopy_demo(args, parser) -> int:
         "odd_unitary_retraction_defect": odd,
         "isometry_defect_t_half": isometry_defect(
             shrink_isometry(0.5, grid), grid, args.modes),
-    }
-    json_path = out / "homotopy_demo.json"
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    manifest = _manifest(args, "homotopy-demo", {
-        "grids": args.grids, "modes": args.modes, "seed": args.seed,
     })
-    manifest.record_output(json_path, out)
-    manifest.write(out / "manifest.json")
     for n in grids:
         print(f"n={n}: delta={deltas[n]:.5f} (C ~ {deltas[n]*n:.1f})")
     ok = monotone and endpoint_exact and inj > 1e-8 and odd <= 1e-9
@@ -267,38 +236,28 @@ def cmd_homotopy_demo(args, parser) -> int:
 
 
 def cmd_surgery(args, parser) -> int:
-    _resolve(args, instances=100, eps="0.5,0.1,0.02", seed=0)
     if args.instances < 1:
         parser.error("--instances must be positive")
     eps_values = [float(e) for e in str(args.eps).split(",") if e.strip()]
     if not eps_values or any(e <= 0 for e in eps_values):
         parser.error("--eps needs positive values")
-    out = _outdir(args)
     records = surgery_bound_trials(eps_values, instances=args.instances, seed=args.seed)
     rows = (
         (_fmt(r["eps"]), str(r["instance"]), str(r["dim"]), _fmt(r["c"]),
          _fmt(r["arc_radius"]), _fmt(r["deviation"]), str(int(r["holds"])))
         for r in records
     )
-    csv_path = out / "surgery.csv"
-    _write_rows(csv_path, "eps,instance,dim,c,arc_radius,deviation,holds", rows)
-    manifest = _manifest(args, "surgery", {
-        "instances": args.instances, "eps": args.eps, "seed": args.seed,
-    })
-    manifest.record_output(csv_path, out)
-    manifest.write(out / "manifest.json")
+    csv_path = _emit(args, "surgery.csv", ("eps,instance,dim,c,arc_radius,deviation,holds", rows))
     violations = [r for r in records if not r["holds"]]
     print(f"{len(records)} instances, {len(violations)} bound violations; wrote {csv_path}")
     return 0 if not violations else 1
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, metavar="DIR", help="output directory (default: .)")
-    sub.add_argument("--seed", type=int, default=None, metavar="N")
+    sub.add_argument("--out", default=".", metavar="DIR", help="output directory (default: .)")
+    sub.add_argument("--seed", type=int, default=0, metavar="N")
     sub.add_argument("--config", default=None, metavar="PATH",
                      help=f"flat key=value preset file (or ${CONFIG_ENV})")
-    sub.add_argument("--workers", type=int, default=None, metavar="K",
-                     help="thread workers for the parallel sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,65 +269,54 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sg = subs.add_parser("specgraph", help="Sweep the boundary family and emit its spectral graph.")
-    sg.add_argument("--samples", type=int, default=None, metavar="N")
-    sg.add_argument("--grid", type=int, default=None, metavar="N")
-    sg.add_argument("--window", type=float, default=None, metavar="W")
+    sg.add_argument("--samples", type=int, default=128, metavar="N")
+    sg.add_argument("--grid", type=int, default=800, metavar="N")
+    sg.add_argument("--window", type=float, default=50.0, metavar="W")
     _add_common(sg)
     sg.set_defaults(func=cmd_specgraph)
 
     sf = subs.add_parser("specflow", help="Spectral flow of a builtin operator path.")
-    sf.add_argument("--path", choices=["robin", "const", "cross"], default=None)
-    sf.add_argument("--grid", type=int, default=None, metavar="N")
-    sf.add_argument("--samples", type=int, default=None, metavar="N")
-    sf.add_argument("--window", type=float, default=None, metavar="W")
-    sf.add_argument("--max-depth", type=int, default=None, dest="max_depth", metavar="D")
+    sf.add_argument("--path", choices=["robin", "const", "cross"], default="robin")
+    sf.add_argument("--grid", type=int, default=800, metavar="N")
+    sf.add_argument("--samples", type=int, default=64, metavar="N")
+    sf.add_argument("--window", type=float, default=1.0, metavar="W")
+    sf.add_argument("--max-depth", type=int, default=24, dest="max_depth", metavar="D")
     _add_common(sf)
     sf.set_defaults(func=cmd_specflow)
 
     di = subs.add_parser("dichotomy", help="Transform-vs-graph distance sweep toward Dirichlet.")
-    di.add_argument("--grid", type=int, default=None, metavar="N")
-    di.add_argument("--points", type=int, default=None, metavar="N")
-    di.add_argument("--x1-min", type=float, default=None, dest="x1_min", metavar="X")
-    di.add_argument("--x1-max", type=float, default=None, dest="x1_max", metavar="X")
+    di.add_argument("--grid", type=int, default=400, metavar="N")
+    di.add_argument("--points", type=int, default=9, metavar="N")
+    di.add_argument("--x1-min", type=float, default=1e-4, dest="x1_min", metavar="X")
+    di.add_argument("--x1-max", type=float, default=0.9, dest="x1_max", metavar="X")
     _add_common(di)
     di.set_defaults(func=cmd_dichotomy)
 
     idn = subs.add_parser("identities", help="Randomized transform identity suite.")
-    idn.add_argument("--dim", type=int, default=None, metavar="N")
-    idn.add_argument("--trials", type=int, default=None, metavar="N")
-    idn.add_argument("--tolerance", type=float, default=None, metavar="T")
+    idn.add_argument("--dim", type=int, default=16, metavar="N")
+    idn.add_argument("--trials", type=int, default=500, metavar="N")
+    idn.add_argument("--tolerance", type=float, default=1e-9, metavar="T")
     _add_common(idn)
     idn.set_defaults(func=cmd_identities)
 
     hd = subs.add_parser("homotopy-demo", help="Discretization tolerances of the homotopy formulas.")
-    hd.add_argument("--grids", default=None, metavar="N1,N2,...")
-    hd.add_argument("--modes", type=int, default=None, metavar="J")
+    hd.add_argument("--grids", default="128,256,512", metavar="N1,N2,...")
+    hd.add_argument("--modes", type=int, default=12, metavar="J")
     _add_common(hd)
     hd.set_defaults(func=cmd_homotopy_demo)
 
     su = subs.add_parser("surgery", help="Cayley-distance bound for window surgery.")
-    su.add_argument("--instances", type=int, default=None, metavar="N")
-    su.add_argument("--eps", default=None, metavar="E1,E2,...")
+    su.add_argument("--instances", type=int, default=100, metavar="N")
+    su.add_argument("--eps", default="0.5,0.1,0.02", metavar="E1,E2,...")
     _add_common(su)
     su.set_defaults(func=cmd_surgery)
 
     return parser
 
 
-# flag -> type, for config coercion (string flags stay str)
-_OPTION_TYPES = {
-    "samples": int, "grid": int, "window": float, "seed": int, "workers": int,
-    "max_depth": int, "points": int, "x1_min": float, "x1_max": float,
-    "dim": int, "trials": int, "tolerance": float, "modes": int,
-    "instances": int, "out": str, "path": str, "grids": str, "eps": str,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args._option_types = _OPTION_TYPES
-    _apply_config(args, parser)
+    args = _parse_with_config(parser, argv)
     return args.func(args, parser)
 
 

@@ -8,6 +8,7 @@ the operator norm, which everything else in the package is built from.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Union
 
@@ -73,9 +74,10 @@ class HermOp:
     def __init__(self, matrix, rtol: float = HERMITICITY_RTOL):
         A = as_matrix(matrix)
         defect = hermiticity_defect(A)
-        if defect > rtol:
+        if not defect <= rtol:  # a NaN or inf entry makes the defect NaN
+            reason = "has non-finite entries" if math.isnan(defect) else "is not Hermitian"
             raise ValidationError(
-                f"matrix is not Hermitian: relative Frobenius defect "
+                f"matrix {reason}: relative Frobenius defect "
                 f"||M - M*||/||M|| = {defect:.3e} exceeds {rtol:g}"
             )
         A = (A + adjoint(A)) / 2.0
@@ -154,7 +156,7 @@ def func_calc(M: MatrixLike, f: Callable[[float], complex]) -> np.ndarray:
     value is reported as a domain error naming the offending eigenvalue.
     """
     op = as_hermop(M)
-    w, V = op.eigenvalues, op.eigenvectors
+    w = op.eigenvalues
     values = np.empty(w.shape, dtype=complex)
     for i, lam in enumerate(w):
         try:
@@ -164,7 +166,7 @@ def func_calc(M: MatrixLike, f: Callable[[float], complex]) -> np.ndarray:
         if not np.isfinite(y.real) or not np.isfinite(y.imag):
             raise DomainError(f"function not finite at eigenvalue {lam!r} (got {y!r})")
         values[i] = y
-    return (V * values) @ adjoint(V)
+    return spectral_weights(op, values)
 
 
 def spectral_weights(op: HermOp, fvals: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import HermOp, MatrixLike, as_hermop, matrix_of, op_norm
+from .linalg import HermOp, MatrixLike, as_hermop, op_norm
 from .transforms import bounded_transform, graph_projection
 
 
@@ -41,6 +41,5 @@ def weyl_gap(A: MatrixLike, B: MatrixLike) -> float:
     lower bound on the operator-norm distance of Hermitian matrices.
     """
     _check_dims(A, B)
-    wa = as_hermop(matrix_of(A)).eigenvalues if not isinstance(A, HermOp) else A.eigenvalues
-    wb = as_hermop(matrix_of(B)).eigenvalues if not isinstance(B, HermOp) else B.eigenvalues
+    wa, wb = as_hermop(A).eigenvalues, as_hermop(B).eigenvalues
     return float(np.max(np.abs(wa - wb))) if wa.size else 0.0

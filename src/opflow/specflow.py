@@ -21,7 +21,6 @@ the crossing eigenvalue is counted rather than chased.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,6 +33,19 @@ WINDOW_FLOOR = 1e-7
 ZERO_ATOL = 1e-9
 ENDPOINT_MATCH_RTOL = 1e-9
 MIDPOINT_OFFSETS = (0.5, 0.5 + 1.0 / 16.0, 0.5 - 1.0 / 16.0, 0.5 + 1.0 / 8.0)
+
+
+def _check_match(left: HermOp, right: HermOp, what: str) -> None:
+    """Raise unless two operators agree to ENDPOINT_MATCH_RTOL relative to scale.
+
+    The scale ``1 + ||left||`` is at least 1, so it is computed only when the
+    mismatch already exceeds the bare tolerance.
+    """
+    mismatch = op_norm(left.matrix - right.matrix)
+    if mismatch > ENDPOINT_MATCH_RTOL:
+        tol = ENDPOINT_MATCH_RTOL * (1.0 + op_norm(left.matrix))
+        if mismatch > tol:
+            raise ValidationError(f"{what} differ by {mismatch:.3e} (tol {tol:.3e})")
 
 
 @dataclass(frozen=True)
@@ -64,10 +76,7 @@ class OperatorPath:
         if len(dims) != 1:
             raise ValidationError(f"mixed operator dimensions {sorted(dims)}")
         if self.closed:
-            lhs, rhs = self.operators[0], self.operators[-1]
-            tol = ENDPOINT_MATCH_RTOL * (1.0 + op_norm(lhs.matrix))
-            if op_norm(lhs.matrix - rhs.matrix) > tol:
-                raise ValidationError("closed path endpoints do not match")
+            _check_match(self.operators[0], self.operators[-1], "closed path endpoints")
         th.setflags(write=False)
         object.__setattr__(self, "thetas", th)
         object.__setattr__(self, "operators", tuple(self.operators))
@@ -184,7 +193,6 @@ def spectral_flow(
     path: OperatorPath,
     window0: float = 1.0,
     max_depth: int = 24,
-    workers: int | None = None,
 ) -> SpecFlowReport:
     """Net signed count of eigenvalues crossing zero along the path.
 
@@ -205,10 +213,6 @@ def spectral_flow(
             eigs[t] = (op if op is not None else path.generator(t)).eigenvalues
         return eigs[t]
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda p: p[1].eigenvalues,
-                          zip(path.thetas, path.operators)))
     for t, op in zip(path.thetas, path.operators):
         eig_at(t, op)
 
@@ -276,11 +280,7 @@ def concat(path1: OperatorPath, path2: OperatorPath) -> OperatorPath:
         raise ValidationError(
             f"parameter domains do not abut: {path1.domain[1]} vs {path2.domain[0]}"
         )
-    left, right = path1.operators[-1], path2.operators[0]
-    tol = ENDPOINT_MATCH_RTOL * (1.0 + op_norm(left.matrix))
-    mismatch = op_norm(left.matrix - right.matrix)
-    if mismatch > tol:
-        raise ValidationError(f"junction operators differ by {mismatch:.3e} (tol {tol:.3e})")
+    _check_match(path1.operators[-1], path2.operators[0], "junction operators")
     junction = path1.domain[1]
 
     def gen(theta: float) -> HermOp:

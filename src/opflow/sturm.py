@@ -25,7 +25,6 @@ and lambda = 0 exactly at [1:1].
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,14 +201,12 @@ def spectral_graph(
     loop_samples: int,
     n: int,
     window: float = 50.0,
-    workers: int | None = None,
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Windowed eigenvalues of the family over theta_j = j pi / loop_samples.
 
     Returns one record (theta, indices, values) per sample, where ``indices``
     are positions in the full ascending spectrum and ``values`` the
-    eigenvalues inside [-window, window].  The sweep is an embarrassingly
-    parallel map; pass ``workers`` to run it on a thread pool.
+    eigenvalues inside [-window, window].
     """
     if loop_samples < 16:
         raise ValidationError(f"need at least 16 loop samples, got {loop_samples}")
@@ -223,9 +220,6 @@ def spectral_graph(
         mask = np.abs(w) <= window
         return theta, np.nonzero(mask)[0], w[mask]
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve, thetas))
     return [solve(theta) for theta in thetas]
 
 

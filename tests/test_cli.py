@@ -163,6 +163,66 @@ class TestConfig:
         assert exc.value.code == 2
 
 
+    def test_bad_value_names_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text("grid = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["specgraph", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+
+    def test_other_commands_keys_ignored(self, tmp_path):
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text("samples = 16\ngrid = 32\nx1_min = 0.5\n")
+        rc = main(["specgraph", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        assert "x1_min" not in load_manifest(tmp_path)["parameters"]
+
+
+@pytest.mark.parametrize("argv, preset", [
+    pytest.param(["specflow", "--window", "0"], None, id="specflow-window-zero"),
+    pytest.param(["specflow", "--window", "-1"], None, id="specflow-window-negative"),
+    pytest.param(["specflow", "--grid", "8"], None, id="specflow-grid"),
+    pytest.param(["dichotomy", "--grid", "8"], None, id="dichotomy-grid"),
+    pytest.param(["homotopy-demo", "--modes", "0"], None, id="homotopy-modes"),
+    pytest.param(["specflow"], "path = bogus\n", id="preset-path-choice"),
+    pytest.param(["specgraph", "--workers", "2"], None, id="workers-removed"),
+])
+def test_bad_value_is_usage_error(tmp_path, argv, preset):
+    if preset is not None:
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text(preset)
+        argv = [*argv, "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+# Tiny flags per command, and the manifest parameters each must record:
+# every flag of the command except --out and --config.
+TINY_RUNS = {
+    "specgraph": (["--samples", "16", "--grid", "32"],
+                  {"samples", "grid", "window", "seed"}),
+    "specflow": (["--path", "cross", "--samples", "8"],
+                 {"path", "grid", "samples", "window", "max_depth", "seed"}),
+    "dichotomy": (["--grid", "32", "--points", "2"],
+                  {"grid", "points", "x1_min", "x1_max", "seed"}),
+    "identities": (["--dim", "4", "--trials", "2"],
+                   {"dim", "trials", "tolerance", "seed"}),
+    "homotopy-demo": (["--grids", "16,32", "--modes", "2"],
+                      {"grids", "modes", "seed"}),
+    "surgery": (["--instances", "1", "--eps", "0.5"],
+                {"instances", "eps", "seed"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_RUNS))
+def test_manifest_parameters_are_the_flags(tmp_path, command):
+    flags, expected = TINY_RUNS[command]
+    main([command, *flags, "--out", str(tmp_path)])
+    assert set(load_manifest(tmp_path)["parameters"]) == expected
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -39,6 +39,11 @@ class TestHermEig:
         with pytest.raises(ValidationError, match="defect"):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            HermOp(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_eigenvalues_cached_once(self):
         op = HermOp(np.diag([1.0, 2.0]))
         assert op.eigenvalues is op.eigenvalues
