@@ -139,7 +139,7 @@ def cmd_specgraph(args, parser) -> int:
     return 0
 
 
-def _builtin_path(name: str, grid: int, samples: int) -> OperatorPath:
+def _builtin_path(name: str, grid: int | None, samples: int) -> OperatorPath:
     if name == "robin":
         return OperatorPath.sample(robin_generator(grid), 0.0, math.pi, samples, closed=True)
     if name == "const":
@@ -158,6 +158,8 @@ def cmd_specflow(args, parser) -> int:
         parser.error(f"--grid must be at least {MIN_GRID}")
     if args.window <= 0:
         parser.error("--window must be positive")
+    if args.path != "robin":
+        args.grid = None  # only the robin path has a grid; the manifest says so
     path = _builtin_path(args.path, args.grid, args.samples)
     try:
         report = spectral_flow(path, window0=args.window, max_depth=args.max_depth)

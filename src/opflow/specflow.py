@@ -16,6 +16,17 @@ crossings the first gap is (0, min |eigenvalue|), which reduces to "half the
 smallest windowed eigenvalue magnitude"; while a crossing is in progress
 that gap collapses and the rule steps over it to the next spectral gap, so
 the crossing eigenvalue is counted rather than chased.
+
+Windowed solves: every parameter's spectrum is solved only on the window
+[-2 window0, 2 window0] (``HermOp.spectrum``, cached per parameter), and the
+eigenvalues of two endpoints are paired by their global index in the full
+ascending spectrum.  Levels never exceed 1.1 window0 and movement is only read
+for eigenvalues within window0, so nothing outside the solve radius could
+change a decision, with one exception handled by the missing-partner rule: an
+index inside window0 at one endpoint but beyond the radius at the other has
+moved by more than window0, and is recorded as a movement of window0.  That
+forces the bisection the full spectrum would force, since a level is placed
+only when movement < window0 / 2.
 """
 
 from __future__ import annotations
@@ -38,9 +49,12 @@ MIDPOINT_OFFSETS = (0.5, 0.5 + 1.0 / 16.0, 0.5 - 1.0 / 16.0, 0.5 + 1.0 / 8.0)
 def _check_match(left: HermOp, right: HermOp, what: str) -> None:
     """Raise unless two operators agree to ENDPOINT_MATCH_RTOL relative to scale.
 
-    The scale ``1 + ||left||`` is at least 1, so it is computed only when the
-    mismatch already exceeds the bare tolerance.
+    The same object always matches, without building its matrix.  The scale
+    ``1 + ||left||`` is at least 1, so it is computed only when the mismatch
+    already exceeds the bare tolerance.
     """
+    if left is right:
+        return
     mismatch = op_norm(left.matrix - right.matrix)
     if mismatch > ENDPOINT_MATCH_RTOL:
         tol = ENDPOINT_MATCH_RTOL * (1.0 + op_norm(left.matrix))
@@ -152,8 +166,21 @@ class SpecFlowReport:
         }
 
 
+# A windowed spectrum: (global index of the first eigenvalue, the eigenvalues).
+Spectrum = tuple[int, np.ndarray]
+
+
+def _pair(left: Spectrum, right: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of both endpoints paired by global index, and the unpaired rest."""
+    (fl, wl), (fr, wr) = left, right
+    lo = max(fl, fr)
+    hi = max(lo, min(fl + wl.size, fr + wr.size))
+    unpaired = np.concatenate([wl[:lo - fl], wl[hi - fl:], wr[:lo - fr], wr[hi - fr:]])
+    return wl[lo - fl:hi - fl], wr[lo - fr:hi - fr], unpaired
+
+
 def _pick_level(
-    el: np.ndarray, er: np.ndarray, window0: float
+    left: Spectrum, right: Spectrum, window0: float
 ) -> tuple[float | None, float]:
     """Counting level for one subinterval, or None if it must be bisected.
 
@@ -161,11 +188,13 @@ def _pick_level(
     > movement that is free of endpoint spectrum, and the spec criterion
     movement < level/2 is enforced on top.
     """
+    el, er, unpaired = _pair(left, right)
     relevant = (np.abs(el) <= window0) | (np.abs(er) <= window0)
     movement = float(np.max(np.abs(el - er)[relevant])) if relevant.any() else 0.0
-    mags = np.concatenate([np.abs(el[np.abs(el) <= window0]),
-                           np.abs(er[np.abs(er) <= window0])])
-    ladder = np.concatenate([[0.0], np.sort(mags), [window0]])
+    if np.any(np.abs(unpaired) <= window0):  # the missing-partner rule
+        movement = max(movement, window0)
+    mags = np.abs(np.concatenate([left[1], right[1]]))
+    ladder = np.concatenate([[0.0], np.sort(mags[mags <= window0]), [window0]])
     for u, v in zip(ladder[:-1], ladder[1:]):
         if v - u <= max(2.0 * movement, 4.0 * WINDOW_FLOOR):
             continue
@@ -175,18 +204,19 @@ def _pick_level(
     return None, movement
 
 
-def _guard_level(el: np.ndarray, er: np.ndarray, level: float) -> float:
+def _guard_level(left: Spectrum, right: Spectrum, level: float) -> float:
     """Nudge the level by +-10% if an endpoint eigenvalue is pinned at it."""
+    mags = np.abs(np.concatenate([left[1], right[1]]))
     for cand in (level, 1.1 * level, 0.9 * level):
-        pinned = min(
-            float(np.min(np.abs(np.abs(el) - cand))),
-            float(np.min(np.abs(np.abs(er) - cand))),
-        )
-        if pinned >= ZERO_ATOL:
+        if float(np.min(np.abs(mags - cand), initial=np.inf)) >= ZERO_ATOL:
             return cand
     raise ConditioningError(
         f"an eigenvalue stays pinned at the counting level {level!r} under +-10% perturbation"
     )
+
+
+def _near_zero(spectrum: Spectrum) -> bool:
+    return float(np.min(np.abs(spectrum[1]), initial=np.inf)) < ZERO_ATOL
 
 
 def spectral_flow(
@@ -198,27 +228,29 @@ def spectral_flow(
 
     ``window0`` bounds the spectral region inspected for movement and level
     placement; eigenvalues that stay outside it are ignored, which is what
-    lets families with branches escaping to +-infinity be handled.  Open
-    paths must not have endpoint spectrum within 1e-9 of zero.  Raises a
-    non-convergence error naming the offending bracket when bisection depth
-    is exhausted.
+    lets families with branches escaping to +-infinity be handled.  Each
+    parameter's spectrum is solved only within twice that radius (and never
+    within less than the zero tolerance).  Open paths must not have endpoint
+    spectrum within 1e-9 of zero.  Raises a non-convergence error naming the
+    offending bracket when bisection depth is exhausted.
     """
     if window0 <= 0:
         raise ValidationError("window0 must be positive")
-    eigs: dict[float, np.ndarray] = {}
+    radius = 2.0 * max(window0, ZERO_ATOL)
+    spectra: dict[float, Spectrum] = {}
 
-    def eig_at(theta: float, op: HermOp | None = None) -> np.ndarray:
+    def spectrum_at(theta: float, op: HermOp | None = None) -> Spectrum:
         t = float(theta)
-        if t not in eigs:
-            eigs[t] = (op if op is not None else path.generator(t)).eigenvalues
-        return eigs[t]
+        if t not in spectra:
+            spectra[t] = (op if op is not None else path.generator(t)).spectrum(-radius, radius)
+        return spectra[t]
 
     for t, op in zip(path.thetas, path.operators):
-        eig_at(t, op)
+        spectrum_at(t, op)
 
     if not path.closed:
         for t in path.domain:
-            if float(np.min(np.abs(eig_at(t)))) < ZERO_ATOL:
+            if _near_zero(spectrum_at(t)):
                 raise ValidationError(
                     f"open-path endpoint at theta={t} has an eigenvalue within {ZERO_ATOL:g} of 0"
                 )
@@ -227,7 +259,7 @@ def spectral_flow(
         """Interior evaluation point whose spectrum avoids exact zero."""
         for frac in MIDPOINT_OFFSETS:
             mid = lo + frac * (hi - lo)
-            if float(np.min(np.abs(eig_at(mid)))) >= ZERO_ATOL:
+            if not _near_zero(spectrum_at(mid)):
                 return mid
         raise ConditioningError(
             f"every candidate split of [{lo}, {hi}] has an eigenvalue at zero"
@@ -242,8 +274,8 @@ def spectral_flow(
     ]
     while stack:
         lo, hi, depth = stack.pop()
-        el, er = eig_at(lo), eig_at(hi)
-        level, movement = _pick_level(el, er, window0)
+        left, right = spectrum_at(lo), spectrum_at(hi)
+        level, movement = _pick_level(left, right, window0)
         if level is None:
             if depth >= max_depth:
                 raise NonConvergenceError(
@@ -254,9 +286,9 @@ def spectral_flow(
             stack.append((lo, mid, depth + 1))
             stack.append((mid, hi, depth + 1))
             continue
-        level = _guard_level(el, er, level)
-        count_l = int(np.sum((el >= 0.0) & (el < level)))
-        count_r = int(np.sum((er >= 0.0) & (er < level)))
+        level = _guard_level(left, right, level)
+        count_l = int(np.sum((left[1] >= 0.0) & (left[1] < level)))
+        count_r = int(np.sum((right[1] >= 0.0) & (right[1] < level)))
         if count_r != count_l:
             crossings.append(Crossing(lo, hi, count_r - count_l))
         flow += count_r - count_l

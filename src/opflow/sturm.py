@@ -97,25 +97,20 @@ class RobinOperator:
 
 
 def assemble_robin_operator(x: ProjectivePoint, n: int) -> RobinOperator:
-    """Finite-difference matrix of the boundary family at parameter x."""
+    """Finite-difference operator of the boundary family at parameter x, as tridiagonal bands."""
     if n < MIN_GRID:
         raise ValidationError(f"grid must have at least {MIN_GRID} points, got {n}")
-    if x.is_dirichlet:
-        h = 1.0 / (n + 1)
-        M = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
-             + np.diag(np.full(n - 1, -1.0), -1)) / h**2
-        nodes = h * np.arange(1, n + 1)
-        weights = np.full(n, h)
-        return RobinOperator(x, n, HermOp(M), SCHEME_DIRICHLET, nodes, weights)
-    h = 1.0 / n
-    M = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
-         + np.diag(np.full(n - 1, -1.0), -1)) / h**2
-    M[n - 1, n - 1] = 2.0 / h**2 - 2.0 * (x.x0 / x.x1) / h
-    M[n - 1, n - 2] = M[n - 2, n - 1] = -math.sqrt(2.0) / h**2
+    h = 1.0 / (n + 1) if x.is_dirichlet else 1.0 / n
+    d = np.full(n, 2.0 / h**2)
+    e = np.full(n - 1, -1.0 / h**2)
     nodes = h * np.arange(1, n + 1)
     weights = np.full(n, h)
+    if x.is_dirichlet:
+        return RobinOperator(x, n, HermOp.tridiagonal(d, e), SCHEME_DIRICHLET, nodes, weights)
+    d[-1] = 2.0 / h**2 - 2.0 * (x.x0 / x.x1) / h
+    e[-1] = -math.sqrt(2.0) / h**2
     weights[-1] = h / 2.0
-    return RobinOperator(x, n, HermOp(M), SCHEME_GHOST, nodes, weights)
+    return RobinOperator(x, n, HermOp.tridiagonal(d, e), SCHEME_GHOST, nodes, weights)
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -216,9 +211,8 @@ def spectral_graph(
 
     def solve(theta: float) -> tuple[float, np.ndarray, np.ndarray]:
         op = assemble_robin_operator(ProjectivePoint.from_angle(theta), n)
-        w = op.matrix.eigenvalues
-        mask = np.abs(w) <= window
-        return theta, np.nonzero(mask)[0], w[mask]
+        first, values = op.matrix.spectrum(-window, window)
+        return theta, first + np.arange(values.size), values
 
     return [solve(theta) for theta in thetas]
 

@@ -80,6 +80,14 @@ class TestSpecflow:
         assert rc == 0
         assert json.loads(read(tmp_path / "specflow.json"))["flow"] == 1
 
+    @pytest.mark.parametrize("flags, grid", [
+        (["--path", "cross"], None),
+        (["--path", "robin", "--grid", "100"], 100),
+    ])
+    def test_manifest_grid_only_for_robin(self, tmp_path, flags, grid):
+        assert main(["specflow", *flags, "--samples", "16", "--out", str(tmp_path)]) == 0
+        assert load_manifest(tmp_path)["parameters"]["grid"] == grid
+
 
 class TestDichotomy:
     def test_header_and_thresholds(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ class TestHermEig:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
             HermOp(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                HermOp(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_eigenvalues_cached_once(self):
         op = HermOp(np.diag([1.0, 2.0]))
@@ -171,3 +179,140 @@ def test_projection_differences_bounded_by_one():
     for i, p in enumerate(projections):
         for q in projections[i + 1:]:
             assert op_norm(p - q) <= 1.0 + 1e-10
+
+
+def dense_tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@st.composite
+def tridiagonal_bands(draw):
+    """Real symmetric tridiagonal bands of a few shapes, plus exact edge values.
+
+    ``edges`` are eigenvalues known in closed form: the cosine ladder of the
+    Dirichlet matrix, or the diagonal entries of a diagonal matrix.
+    """
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["random", "clustered", "repeated", "dirichlet", "diagonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    e = rng.standard_normal(n - 1)
+    edges = np.empty(0)
+    if kind == "random":
+        d = rng.standard_normal(n)
+    elif kind == "clustered":
+        d = rng.choice([-1.0, 0.0, 1.0], n) + 1e-9 * rng.standard_normal(n)
+        e *= 1e-6
+    elif kind == "repeated":
+        d = np.full(n, float(rng.standard_normal()))
+    elif kind == "dirichlet":
+        d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
+        edges = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    else:
+        d, e = rng.integers(-3, 4, n).astype(float), np.zeros(n - 1)
+        edges = d
+    return scale * d, scale * e, scale * edges
+
+
+class TestTridiagonal:
+    @settings(max_examples=300, deadline=None)
+    @given(bands=tridiagonal_bands(), data=st.data())
+    def test_spectrum_matches_masked_dense(self, bands, data):
+        d, e, edges = bands
+        op = HermOp.tridiagonal(d, e)
+        w = np.linalg.eigvalsh(dense_tridiagonal(d, e))
+        norm = float(np.max(np.abs(w)))
+        tol = 1e-12 * (1.0 + norm)
+        window = data.draw(st.sampled_from(
+            ["random", "gap", "beyond", "whole", "reversed", "edge"]))
+        u = lambda a, b: data.draw(st.floats(a, b))
+        if window == "random":
+            lo, hi = sorted((u(-1.5 * norm - 1, 1.5 * norm + 1), u(-1.5 * norm - 1, 1.5 * norm + 1)))
+        elif window == "gap" and np.any(np.diff(w) > 4 * tol):
+            k = int(np.argmax(np.diff(w)))
+            mid, width = 0.5 * (w[k] + w[k + 1]), w[k + 1] - w[k]
+            lo, hi = mid - width / 4, mid + width / 4
+        elif window == "beyond":
+            lo, hi = w[-1] + 1.0 + norm, w[-1] + 2.0 + 2 * norm
+        elif window == "reversed":
+            lo, hi = 0.5, -0.5
+        elif window == "edge" and edges.size:
+            at = float(edges[data.draw(st.integers(0, edges.size - 1))])
+            lo, hi = data.draw(st.sampled_from([(at, at), (at, at + 1.0), (at - 1.0, at)]))
+        else:
+            lo, hi = w[0] - 1.0, w[-1] + 1.0
+        first, values = op.spectrum(lo, hi)
+        assert not values.flags.writeable
+        # an eigenvalue within rounding of an edge may fall on either side of it,
+        # in the dense solve as in the banded one; every other one must agree
+        below = lambda x: int(np.searchsorted(w, x, side="left"))
+        not_above = lambda x: int(np.searchsorted(w, x, side="right"))
+        assert below(lo - tol) <= first <= below(lo + tol)
+        end = first + values.size
+        if lo <= hi:
+            assert not_above(hi - tol) <= end <= not_above(hi + tol)
+        else:
+            assert values.size == 0
+        exact_first, exact_end = below(lo), max(below(lo), not_above(hi))
+        lo_clear = below(lo - tol) == below(lo + tol)
+        hi_clear = lo > hi or not_above(hi - tol) == not_above(hi + tol)
+        if lo_clear:
+            assert first == exact_first
+        if lo_clear and hi_clear:
+            assert values.size == exact_end - exact_first
+        shared = slice(max(first, exact_first), min(end, exact_end))
+        np.testing.assert_allclose(values[shared.start - first:shared.stop - first],
+                                   w[shared], rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("lo, hi, first, count", [
+        (1.0, 1.0, 2, 2), (1.0, 2.0, 2, 3), (-1.0, 1.0, 0, 4), (0.0, 0.0, 1, 1),
+        (2.5, 9.0, 5, 0), (3.0, -3.0, 5, 0),
+    ])
+    def test_exact_eigenvalues_on_the_edges_are_inside(self, lo, hi, first, count):
+        op = HermOp.tridiagonal([1.0, -1.0, 2.0, 0.0, 1.0], [0.0] * 4)
+        got_first, values = op.spectrum(lo, hi)
+        assert (got_first, values.size) == (first, count)
+        w = np.array([-1.0, 0.0, 1.0, 1.0, 2.0])
+        assert np.array_equal(values, w[first:first + count])
+
+    def test_dense_storage_slices_its_spectrum(self):
+        op = HermOp(np.diag([3.0, -1.0, 0.5, 2.0]))
+        first, values = op.spectrum(0.5, 2.0)
+        assert first == 1 and np.array_equal(values, [0.5, 2.0])
+        assert op.spectrum(5.0, 6.0)[0] == 4 and op.spectrum(5.0, 6.0)[1].size == 0
+
+    @pytest.mark.parametrize("band", ["d", "e"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bands_rejected(self, band, bad):
+        d, e = np.ones(4), np.ones(3)
+        (d if band == "d" else e)[1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            HermOp.tridiagonal(d, e)
+
+    def test_band_shapes_checked(self):
+        with pytest.raises(ValidationError, match="shapes"):
+            HermOp.tridiagonal(np.ones(4), np.ones(4))
+
+    def test_nan_window_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            HermOp.tridiagonal(np.ones(3), np.ones(2)).spectrum(math.nan, 1.0)
+
+    def test_matrix_is_lazy_read_only_and_equals_diag_assembly(self):
+        n, h, x0, x1 = 64, 1.0 / 64, math.cos(0.4), math.sin(0.4)
+        M = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
+             + np.diag(np.full(n - 1, -1.0), -1)) / h**2
+        M[n - 1, n - 1] = 2.0 / h**2 - 2.0 * (x0 / x1) / h
+        M[n - 1, n - 2] = M[n - 2, n - 1] = -math.sqrt(2.0) / h**2
+        op = HermOp.tridiagonal(np.diag(M), np.diag(M, 1))
+        assert op.dim == n and op._matrix is None
+        assert np.array_equal(op.matrix, HermOp(M).matrix)
+        assert op.matrix.dtype == complex and not op.matrix.flags.writeable
+        assert op.matrix is op.matrix
+
+    def test_eigenvalues_and_vectors_match_dense(self):
+        rng = np.random.default_rng(9)
+        d, e = rng.standard_normal(12), rng.standard_normal(11)
+        op, dense = HermOp.tridiagonal(d, e), HermOp(dense_tridiagonal(d, e))
+        np.testing.assert_allclose(op.eigenvalues, dense.eigenvalues, atol=1e-12)
+        V = op.eigenvectors
+        assert op_norm((V * op.eigenvalues) @ adjoint(V) - dense.matrix) < 1e-12

@@ -201,3 +201,49 @@ class TestRobinLoop:
         for samples in (32, 64):
             path = OperatorPath.sample(robin_generator(200), 0.0, math.pi, samples, closed=True)
             assert spectral_flow(path, window0=1.0).flow == 1
+
+
+def dense_twin(path: OperatorPath) -> OperatorPath:
+    """The same path with every operator re-wrapped in dense storage."""
+    dense = lambda op: HermOp(op.matrix)
+    gen = lambda t: dense(path.generator(t))
+    ops = tuple(dense(op) for op in path.operators[:-1])
+    last = ops[0] if path.closed else dense(path.operators[-1])
+    return OperatorPath(path.thetas, ops + (last,), gen, closed=path.closed)
+
+
+def banded_diag_gen(*funcs):
+    return lambda t: HermOp.tridiagonal([f(t) for f in funcs], [0.0] * (len(funcs) - 1))
+
+
+class TestWindowedSpectra:
+    def test_robin_loop_banded_equals_dense(self):
+        path = OperatorPath.sample(robin_generator(200), 0.0, math.pi, 32, closed=True)
+        assert path.operators[0].bands is not None
+        banded = spectral_flow(path, window0=1.0)
+        dense = spectral_flow(dense_twin(path), window0=1.0)
+        assert banded.to_json_dict() == dense.to_json_dict()
+        np.testing.assert_allclose(banded.window_radii, dense.window_radii, rtol=1e-8)
+
+    def test_eigenvalue_leaving_the_solve_radius_forces_bisection(self):
+        # one eigenvalue ramps from 0.5 to 5 inside the sample step [0.25, 0.375];
+        # at 5 it lies beyond the solve radius 2 * window0 and has no partner,
+        # while the eigenvalue at 10 stays out of every window
+        ramp = lambda t: 0.5 + 4.5 * min(max((t - 0.3) / 0.02, 0.0), 1.0)
+        path = OperatorPath.sample(
+            banded_diag_gen(ramp, lambda t: t - 0.5, lambda t: 10.0), 0.0, 1.0, 8)
+        report = spectral_flow(path, window0=1.0)
+        assert report.flow == 1
+        assert np.any((report.partition > 0.25) & (report.partition < 0.375))
+        assert report.to_json_dict() == spectral_flow(dense_twin(path), window0=1.0).to_json_dict()
+
+    @pytest.mark.parametrize("storage", [diag_gen, banded_diag_gen])
+    def test_empty_windows(self, storage):
+        path = OperatorPath.sample(storage(lambda t: 5.0 + t, lambda t: -6.0), 0.0, 1.0, 4)
+        report = spectral_flow(path, window0=1.0)
+        assert report.flow == 0 and report.partition.size == 5
+
+    def test_closed_path_never_builds_its_matrix(self):
+        path = OperatorPath.sample(robin_generator(64), 0.0, math.pi, 16, closed=True)
+        spectral_flow(path, window0=1.0)
+        assert all(op._matrix is None for op in path.operators)
