@@ -18,6 +18,7 @@ homotopy assertions carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -70,6 +71,13 @@ def _cell_average_rows(intervals: list[tuple[float, float]], n: int) -> np.ndarr
     return M
 
 
+def _dilation(start: float, length: float, grid: GridSpace) -> np.ndarray:
+    """Compression onto [start, start + length]: f |-> f((s - start)/length)/sqrt(length)."""
+    h = 1.0 / grid.n
+    ivals = [((i * h - start) / length, ((i + 1) * h - start) / length) for i in range(grid.n)]
+    return (np.sqrt(length) / h) * _cell_average_rows(ivals, grid.n)
+
+
 def shrink_isometry(t: float, grid: GridSpace) -> np.ndarray:
     """Compression onto [0, t]: f |-> (1/sqrt t) f(s/t), cell-averaged.
 
@@ -78,12 +86,7 @@ def shrink_isometry(t: float, grid: GridSpace) -> np.ndarray:
     """
     if not 0.0 < t <= 1.0:
         raise ValidationError(f"shrink parameter must be in (0, 1], got {t}")
-    n = grid.n
-    if t == 1.0:
-        return np.eye(n)
-    h = 1.0 / n
-    ivals = [(i * h / t, (i + 1) * h / t) for i in range(n)]
-    return (np.sqrt(t) / h) * _cell_average_rows(ivals, n)
+    return np.eye(grid.n) if t == 1.0 else _dilation(0.0, t, grid)
 
 
 def stretch_isometry(t: float, grid: GridSpace) -> np.ndarray:
@@ -93,12 +96,7 @@ def stretch_isometry(t: float, grid: GridSpace) -> np.ndarray:
     """
     if not 0.0 <= t < 1.0:
         raise ValidationError(f"stretch parameter must be in [0, 1), got {t}")
-    n = grid.n
-    if t == 0.0:
-        return np.eye(n)
-    h = 1.0 / n
-    ivals = [((i * h - t) / (1.0 - t), ((i + 1) * h - t) / (1.0 - t)) for i in range(n)]
-    return (np.sqrt(1.0 - t) / h) * _cell_average_rows(ivals, n)
+    return np.eye(grid.n) if t == 0.0 else _dilation(t, 1.0 - t, grid)
 
 
 def smooth_band(grid: GridSpace, modes: int = SMOOTH_MODES) -> np.ndarray:
@@ -129,6 +127,29 @@ def _min_singular(M: np.ndarray) -> float:
     return float(s[-1]) if s.size else 0.0
 
 
+def _zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float], np.ndarray]:
+    """t -> ``zk_contraction(t, a, b, grid)``, with the operands checked once."""
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape[0] != grid.n or b.shape[0] != grid.n:
+        raise ValidationError("operands must live on the grid space")
+    for name, M in (("a", a), ("b", b)):
+        smin = _min_singular(M)
+        if smin < INJECTIVITY_ATOL:
+            raise DegeneracyError(f"operand {name} is not injective: min singular value {smin:.3e}")
+
+    def at(t: float) -> np.ndarray:
+        if not 0.0 <= t <= 1.0:
+            raise ValidationError(f"t must be in [0, 1], got {t}")
+        if t == 0.0:
+            return a.copy()
+        if t == 1.0:
+            return b.copy()
+        U, W = shrink_isometry(t, grid), stretch_isometry(t, grid)
+        return t * (U @ a @ adjoint(U)) + (1.0 - t) * (W @ b @ adjoint(W))
+
+    return at
+
+
 def zk_contraction(t: float, a: MatrixLike, b: MatrixLike, grid: GridSpace) -> np.ndarray:
     """t u_t a u_t* + (1-t) v_t b v_t*: contraction of the injective compacts.
 
@@ -136,22 +157,7 @@ def zk_contraction(t: float, a: MatrixLike, b: MatrixLike, grid: GridSpace) -> n
     (min singular value above 1e-10); the direct-sum structure of the two
     ranges keeps the interpolant injective up to discretization tolerance.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[0] != grid.n or b.shape[0] != grid.n:
-        raise ValidationError("operands must live on the grid space")
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t must be in [0, 1], got {t}")
-    for name, M in (("a", a), ("b", b)):
-        smin = _min_singular(M)
-        if smin < INJECTIVITY_ATOL:
-            raise DegeneracyError(f"operand {name} is not injective: min singular value {smin:.3e}")
-    if t == 0.0:
-        return a.copy()
-    if t == 1.0:
-        return b.copy()
-    U = shrink_isometry(t, grid)
-    W = stretch_isometry(t, grid)
-    return t * (U @ a @ adjoint(U)) + (1.0 - t) * (W @ b @ adjoint(W))
+    return _zk_path(a, b, grid)(t)
 
 
 def rk_contraction(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> HermOp:
@@ -291,7 +297,8 @@ def zk_injectivity_margin(
     grid = GridSpace.make(n)
     a = compact_injective_sample(rng, n)
     b = compact_injective_sample(rng, n)
-    return min(_min_singular(zk_contraction(t, a, b, grid)) for t in ts)
+    path = _zk_path(a, b, grid)
+    return min(_min_singular(path(t)) for t in ts)
 
 
 def odd_retraction_defect(

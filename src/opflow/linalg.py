@@ -97,10 +97,10 @@ class HermOp:
     A dense input must be Hermitian to relative tolerance ``rtol``
     (Frobenius); it is then symmetrized, so downstream code may rely on
     ``matrix`` being exactly equal to its adjoint.  ``HermOp.tridiagonal``
-    stores real bands instead, checked finite once.  The full
-    eigendecomposition and the dense matrix of a banded operator are each
-    computed at most once, under a lock, so instances are safe to share
-    between threads.
+    stores real bands instead, checked once to be finite with a finite
+    squared off-diagonal.  The full eigendecomposition and the dense matrix
+    of a banded operator are each computed at most once, under a lock, so
+    instances are safe to share between threads.
     """
 
     __slots__ = ("bands", "_matrix", "_lock", "_eigvals", "_eigvecs")
@@ -136,6 +136,9 @@ class HermOp:
             )
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
             raise ValidationError("tridiagonal bands have non-finite entries")
+        big = np.flatnonzero(np.abs(e) > math.sqrt(np.finfo(float).max))  # e * e overflows
+        if big.size:  # the Sturm count and stebz square the off-diagonal
+            raise ValidationError(f"off-diagonal e[{big[0]}] = {e[big[0]]:g} overflows when squared")
         d.setflags(write=False)
         e.setflags(write=False)
         op = cls.__new__(cls)

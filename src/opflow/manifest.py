@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,14 +57,7 @@ class RunManifest:
         self.output_files.append({"path": str(rel), "sha256": sha256_file(path)})
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-            "input_hashes": self.input_hashes,
-            "output_files": self.output_files,
-        }
+        return asdict(self)
 
     def write(self, path: Path | str) -> None:
         payload = self.to_dict()

@@ -4,6 +4,8 @@
 through their graph projections.  Operator norms (never Frobenius) are used
 throughout: the dichotomy phenomena this package reproduces live in the norm
 topology.  ``weyl_gap`` is the certified eigenvalue lower bound for either.
+For two ``HermOp``s the gap is 1/2 ||kappa(A) - kappa(B)|| with kappa the Cayley
+transform, as ``v_lag`` conjugates 2p - 1 to [[0, kappa*], [kappa, 0]] (Kato, IV 2).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import HermOp, MatrixLike, as_hermop, op_norm
-from .transforms import bounded_transform, graph_projection
+from .transforms import bounded_transform, cayley, graph_projection
 
 
 def _check_dims(A: MatrixLike, B: MatrixLike) -> None:
@@ -31,6 +33,8 @@ def riesz_dist(A: MatrixLike, B: MatrixLike) -> float:
 def gap_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Operator-norm distance of the graph projections; always <= 1."""
     _check_dims(A, B)
+    if isinstance(A, HermOp) and isinstance(B, HermOp):  # no doubled space needed
+        return 0.5 * op_norm(cayley(A) - cayley(B))
     return op_norm(graph_projection(A).matrix - graph_projection(B).matrix)
 
 

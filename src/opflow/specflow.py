@@ -32,7 +32,7 @@ only when movement < window0 / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -155,14 +155,7 @@ class SpecFlowReport:
         return {
             "flow": int(self.flow),
             "partition": [float(t) for t in self.partition],
-            "crossings": [
-                {
-                    "theta_lo": float(c.theta_lo),
-                    "theta_hi": float(c.theta_hi),
-                    "direction": int(c.direction),
-                }
-                for c in self.crossings
-            ],
+            "crossings": [asdict(c) for c in self.crossings],
         }
 
 
@@ -239,14 +232,14 @@ def spectral_flow(
     radius = 2.0 * max(window0, ZERO_ATOL)
     spectra: dict[float, Spectrum] = {}
 
-    def spectrum_at(theta: float, op: HermOp | None = None) -> Spectrum:
-        t = float(theta)
+    def spectrum_at(t: float) -> Spectrum:
         if t not in spectra:
-            spectra[t] = (op if op is not None else path.generator(t)).spectrum(-radius, radius)
+            spectra[t] = path.generator(t).spectrum(-radius, radius)
         return spectra[t]
 
+    first = path.operators[0].spectrum(-radius, radius)  # a closed path ends on it again
     for t, op in zip(path.thetas, path.operators):
-        spectrum_at(t, op)
+        spectra[float(t)] = first if op is path.operators[0] else op.spectrum(-radius, radius)
 
     if not path.closed:
         for t in path.domain:

@@ -243,7 +243,7 @@ def dichotomy_row(x1: float, n: int) -> tuple[float, float]:
     The lower bound is max(0, -min eig of the bounded transform at [1:x1]),
     valid because the Dirichlet comparison operator is verified positive, so
     sorted-eigenvalue pairing already forces the transform distance above it.
-    The graph distance is computed from the two graph projections directly.
+    The graph distance is half the Cayley distance, 1/2 ||kappa(A) - kappa(B)||.
     """
     robin = assemble_robin_operator(ProjectivePoint(1.0, x1), n)
     dirichlet = assemble_robin_operator(ProjectivePoint(1.0, 0.0), n)

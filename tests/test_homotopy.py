@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opflow import homotopy
 from opflow.errors import BranchCutError, DegeneracyError, ValidationError
 from opflow.homotopy import (
     GridSpace,
@@ -122,6 +123,32 @@ class TestZkContraction:
         mins = [np.linalg.svd(zk_contraction(t, a, b, g), compute_uv=False)[-1]
                 for t in T_SAMPLES]
         assert min(mins) > 1e-8
+
+    def test_operands_checked_once_per_path(self, monkeypatch):
+        calls = []
+        min_singular = homotopy._min_singular
+
+        def counting(M):
+            calls.append(M.shape)
+            return min_singular(M)
+
+        monkeypatch.setattr(homotopy, "_min_singular", counting)
+        margin = zk_injectivity_margin(32, seed=0, ts=T_SAMPLES)
+        assert len(calls) == 2 + len(T_SAMPLES)
+        monkeypatch.undo()
+        assert margin == zk_injectivity_margin(32, seed=0, ts=T_SAMPLES)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    def test_t_outside_unit_interval_rejected(self, t):
+        g = GridSpace.make(16)
+        a = compact_injective_sample(np.random.default_rng(3), 16)
+        with pytest.raises(ValidationError, match="t must be"):
+            zk_contraction(t, a, a, g)
+
+    def test_operand_off_the_grid_rejected(self):
+        a = compact_injective_sample(np.random.default_rng(4), 16)
+        with pytest.raises(ValidationError, match="grid space"):
+            zk_contraction(0.5, a, a, GridSpace.make(32))
 
     def test_degenerate_input_rejected(self):
         g = GridSpace.make(32)

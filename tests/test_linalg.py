@@ -289,6 +289,20 @@ class TestTridiagonal:
         with pytest.raises(ValidationError, match="non-finite"):
             HermOp.tridiagonal(d, e)
 
+    @pytest.mark.parametrize("e, entry", [([1e200, 1.0], r"e\[0\] = 1e\+200"),
+                                          ([1.0, -2e154], r"e\[1\] = -2e\+154")],
+                             ids=["1e200", "-2e154"])
+    def test_off_diagonal_whose_square_overflows_rejected(self, e, entry):
+        with pytest.raises(ValidationError, match=entry):
+            HermOp.tridiagonal([0.0, 0.0, 0.0], e)
+
+    def test_largest_off_diagonal_with_a_finite_square_accepted(self):
+        e = math.sqrt(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, values = HermOp.tridiagonal([0.0, 0.0, 0.0], [e, 1.0]).spectrum(-2 * e, 2 * e)
+        assert first == 0 and values.size == 3
+
     def test_band_shapes_checked(self):
         with pytest.raises(ValidationError, match="shapes"):
             HermOp.tridiagonal(np.ones(4), np.ones(4))

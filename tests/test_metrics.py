@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from opflow import metrics, transforms
 from opflow.errors import ValidationError
 from opflow.linalg import HermOp, op_norm
 from opflow.metrics import gap_dist, riesz_dist, weyl_gap
+from opflow.sturm import ProjectivePoint, assemble_robin_operator
 from opflow.transforms import (
     ball_projection,
     bounded_transform,
@@ -74,6 +76,35 @@ class TestGapDist:
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
             gap_dist(np.eye(2), np.eye(3))
+
+    @staticmethod
+    def doubled_space(A, B):
+        return op_norm(graph_projection(A).matrix - graph_projection(B).matrix)
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 1e2, 1e3, 1e4])
+    def test_hermitian_pairs_match_the_doubled_space(self, scale):
+        rng = np.random.default_rng(int(scale))
+        for _ in range(20):
+            dim = int(rng.integers(2, 9))
+            A, B = random_hermitian(rng, dim, scale), random_hermitian(rng, dim, scale)
+            assert abs(gap_dist(A, B) - self.doubled_space(A, B)) < 1e-12
+
+    @pytest.mark.parametrize("x1", [1e-4, 1e-2, 0.3, 1.0, 5.0])
+    def test_robin_dirichlet_pairs_match_the_doubled_space(self, x1):
+        robin = assemble_robin_operator(ProjectivePoint(1.0, x1), 64).matrix
+        dirichlet = assemble_robin_operator(ProjectivePoint(1.0, 0.0), 64).matrix
+        assert robin.bands is not None and dirichlet.bands is not None
+        assert abs(gap_dist(robin, dirichlet) - self.doubled_space(robin, dirichlet)) < 1e-12
+
+    def test_hermitian_pairs_build_no_graph_projection(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("graph projection built")
+
+        monkeypatch.setattr(transforms, "graph_projection", refuse)
+        monkeypatch.setattr(metrics, "graph_projection", refuse)
+        rng = np.random.default_rng(7)
+        A, B = random_hermitian(rng, 6, 3.0), random_hermitian(rng, 6, 3.0)
+        assert 0.0 < gap_dist(A, B) <= 1.0
 
 
 class TestWeylGap:

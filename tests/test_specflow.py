@@ -243,6 +243,21 @@ class TestWindowedSpectra:
         report = spectral_flow(path, window0=1.0)
         assert report.flow == 0 and report.partition.size == 5
 
+    def test_closed_path_solves_each_operator_once(self, monkeypatch):
+        solved = []  # the operators themselves, so no id is reused after garbage collection
+        spectrum = HermOp.spectrum
+
+        def recording(self, lo, hi):
+            solved.append(self)
+            return spectrum(self, lo, hi)
+
+        monkeypatch.setattr(HermOp, "spectrum", recording)
+        path = OperatorPath.sample(robin_generator(200), 0.0, math.pi, 32, closed=True)
+        assert path.operators[-1] is path.operators[0]
+        spectral_flow(path, window0=1.0)
+        ids = [id(op) for op in solved]
+        assert len(ids) == len(set(ids)) and len(ids) >= len(path.operators) - 1
+
     def test_closed_path_never_builds_its_matrix(self):
         path = OperatorPath.sample(robin_generator(64), 0.0, math.pi, 16, closed=True)
         spectral_flow(path, window0=1.0)
