@@ -28,6 +28,8 @@ from .transforms import cayley
 DEFAULT_GAP = 1e-6
 MEMBERSHIP_GAP = 1e-9
 BOUNDARY_ATOL = 1e-9
+# surgery trials draw c above sqrt(16/eps^2 - 1), a positive half-width only for eps < 4
+EPS_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -186,11 +188,14 @@ def surgery_bound_trials(
 
     For each instance, c is drawn so that ``|cayley(c) - 1| < eps/2`` and the
     replacement block keeps its spectrum outside [-c, c]; the recorded
-    deviation ``||cayley(A') - cayley(A)||`` must then stay below eps.
+    deviation ``||cayley(A') - cayley(A)||`` must then stay below eps.  Each
+    eps must lie in (0, 4), where such a c is positive.
     """
     rng = np.random.default_rng(seed)
     records = []
     for eps in eps_values:
+        if not 0.0 < eps < EPS_MAX:
+            raise ValidationError(f"eps must lie in (0, {EPS_MAX:g}), got eps = {eps!r}")
         c_min = np.sqrt(max(16.0 / eps**2 - 1.0, 0.0))
         for i in range(instances):
             d = int(rng.integers(dim_range[0], dim_range[1] + 1))

@@ -41,7 +41,7 @@ from .manifest import RunManifest
 from .specflow import OperatorPath, spectral_flow
 from .sturm import MIN_GRID, dichotomy_row, robin_generator, spectral_graph
 from .transforms import identity_suite
-from .classify import surgery_bound_trials
+from .classify import EPS_MAX, surgery_bound_trials
 
 CONFIG_ENV = "OPFLOW_CONFIG"
 
@@ -126,7 +126,7 @@ def cmd_specgraph(args, parser) -> int:
         parser.error("--samples must be at least 16")
     if args.grid < MIN_GRID:
         parser.error(f"--grid must be at least {MIN_GRID}")
-    if args.window <= 0:
+    if not args.window > 0:
         parser.error("--window must be positive")
     records = spectral_graph(args.samples, args.grid, args.window)
     rows = (
@@ -156,7 +156,7 @@ def cmd_specflow(args, parser) -> int:
         parser.error("--samples must be at least 2")
     if args.path == "robin" and args.grid < MIN_GRID:
         parser.error(f"--grid must be at least {MIN_GRID}")
-    if args.window <= 0:
+    if not args.window > 0:
         parser.error("--window must be positive")
     if args.path != "robin":
         args.grid = None  # only the robin path has a grid; the manifest says so
@@ -176,8 +176,8 @@ def cmd_dichotomy(args, parser) -> int:
         parser.error(f"--grid must be at least {MIN_GRID}")
     if args.points < 2:
         parser.error("--points must be at least 2")
-    if not (0 < args.x1_min < args.x1_max):
-        parser.error("need 0 < --x1-min < --x1-max")
+    if not (0 < args.x1_min < args.x1_max < math.inf):
+        parser.error("need 0 < --x1-min < --x1-max < inf")
     sweep = np.geomspace(args.x1_min, args.x1_max, args.points)
     rows = []
     for x1 in sweep:
@@ -191,6 +191,8 @@ def cmd_dichotomy(args, parser) -> int:
 def cmd_identities(args, parser) -> int:
     if args.dim < 2 or args.trials < 1:
         parser.error("--dim must be >= 2 and --trials >= 1")
+    if math.isnan(args.tolerance):
+        parser.error("--tolerance must be a number")
     deviations = identity_suite(dim=args.dim, trials=args.trials, seed=args.seed)
     worst = max(deviations.values())
     for name in sorted(deviations):
@@ -202,7 +204,10 @@ def cmd_identities(args, parser) -> int:
 
 
 def cmd_homotopy_demo(args, parser) -> int:
-    grids = [int(g) for g in str(args.grids).split(",") if g.strip()]
+    try:
+        grids = [int(g) for g in str(args.grids).split(",") if g.strip()]
+    except ValueError:
+        parser.error(f"--grids: expected comma-separated integers, got {args.grids!r}")
     if len(grids) < 2 or any(g < 8 for g in grids):
         parser.error("--grids needs at least two grid sizes >= 8")
     if args.modes < 1:
@@ -240,9 +245,12 @@ def cmd_homotopy_demo(args, parser) -> int:
 def cmd_surgery(args, parser) -> int:
     if args.instances < 1:
         parser.error("--instances must be positive")
-    eps_values = [float(e) for e in str(args.eps).split(",") if e.strip()]
-    if not eps_values or any(e <= 0 for e in eps_values):
-        parser.error("--eps needs positive values")
+    try:
+        eps_values = [float(e) for e in str(args.eps).split(",") if e.strip()]
+    except ValueError:
+        parser.error(f"--eps: expected comma-separated numbers, got {args.eps!r}")
+    if not eps_values or not all(0 < e < EPS_MAX for e in eps_values):
+        parser.error(f"--eps needs values in (0, {EPS_MAX:g})")
     records = surgery_bound_trials(eps_values, instances=args.instances, seed=args.seed)
     rows = (
         (_fmt(r["eps"]), str(r["instance"]), str(r["dim"]), _fmt(r["c"]),

@@ -225,30 +225,40 @@ def compactify_homotopy(t: float, A: HermOp, k: HermOp) -> HermOp:
     return HermOp((H + adjoint(H)) / 2.0)
 
 
-def unitary_log_retraction(t: float, u: np.ndarray) -> np.ndarray:
-    """exp(t log u) along the principal branch; contracts unitaries to 1.
-
-    Defined for unitaries with no spectrum within 1e-8 of -1 (the branch
-    point).  Eigenvalue arguments scale linearly in t, endpoints are exact,
-    and the odd-unitary constraint J u J = u* is preserved for every t.
-    """
+def _log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
+    """t -> ``unitary_log_retraction(t, u)``, with u checked and Schur-factored once."""
     u = as_matrix(u)
     n = u.shape[0]
     defect = op_norm(adjoint(u) @ u - np.eye(n))
     if defect > 1e-10:
         raise ValidationError(f"input is not unitary: ||u*u - 1|| = {defect:.3e}")
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t must be in [0, 1], got {t}")
-    if t == 0.0:
-        return np.eye(n, dtype=complex)
-    if t == 1.0:
-        return u.copy()
     T, Q = scipy.linalg.schur(u, output="complex")
     lam = np.diag(T)
-    if float(np.min(np.abs(lam + 1.0))) < 1e-8:
-        raise BranchCutError("unitary has an eigenvalue at the branch point -1")
+    on_branch_cut = bool(np.any(np.abs(lam + 1.0) < 1e-8))
     args = np.angle(lam)
-    return (Q * np.exp(1j * t * args)) @ adjoint(Q)
+
+    def at(t: float) -> np.ndarray:
+        if not 0.0 <= t <= 1.0:
+            raise ValidationError(f"t must be in [0, 1], got {t}")
+        if t == 0.0:
+            return np.eye(n, dtype=complex)
+        if t == 1.0:
+            return u.copy()
+        if on_branch_cut:
+            raise BranchCutError("unitary has an eigenvalue at the branch point -1")
+        return (Q * np.exp(1j * t * args)) @ adjoint(Q)
+
+    return at
+
+
+def unitary_log_retraction(t: float, u: np.ndarray) -> np.ndarray:
+    """exp(t log u) along the principal branch; contracts unitaries to 1.
+
+    Defined for unitaries with no spectrum within 1e-8 of -1 (the branch
+    point).  Eigenvalue arguments scale linearly in t, endpoints are exact for
+    every unitary, and the constraint J u J = u* is preserved for every t.
+    """
+    return _log_path(u)(t)
 
 
 def block_double(M: np.ndarray) -> np.ndarray:
@@ -321,5 +331,5 @@ def odd_retraction_defect(
     C = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
     C *= 2.5 / np.linalg.norm(C, 2)  # keeps spec(H) inside (-pi, pi)
     H = odd_embedding(C)
-    u = func_calc(H, lambda lam: np.exp(1j * lam))
-    return max(odd_unitary_defect(unitary_log_retraction(t, u)) for t in ts)
+    path = _log_path(func_calc(H, lambda lam: np.exp(1j * lam)))
+    return max(odd_unitary_defect(path(t)) for t in ts)

@@ -70,24 +70,22 @@ class GraphProjection:
 
 
 class Symplectics:
-    """The fixed block symmetries and conjugators of the doubled space.
+    """The fixed block symmetries and conjugators of the doubled space, as dense matrices.
 
     ``sym_i`` and ``grading`` are the two symmetries; ``v_lag`` conjugates the
-    first to the second; ``v_odd`` squares to the grading.  All four are built
-    from the pinned 2x2 block representatives, tensored with the identity.
+    first to the second; ``v_odd`` squares to the grading.  All four are the
+    pinned 2x2 block representatives tensored with the identity.  This is the
+    dense reference only: the transforms apply the 2x2 blocks directly.
     """
 
     def __init__(self, half_dim: int):
         if half_dim < 1:
             raise ValidationError("half_dim must be positive")
         eye = np.eye(half_dim, dtype=complex)
-        zero = np.zeros((half_dim, half_dim), dtype=complex)
-        self.half_dim = half_dim
-        self.dim = 2 * half_dim
-        self.sym_i = np.block([[zero, -1j * eye], [1j * eye, zero]])
-        self.grading = np.block([[eye, zero], [zero, -eye]])
-        self.v_lag = np.block([[-eye, 1j * eye], [eye, 1j * eye]]) / np.sqrt(2.0)
-        self.v_odd = np.block([[eye, zero], [zero, 1j * eye]])
+        self.sym_i = np.kron([[0, -1j], [1j, 0]], eye)
+        self.grading = np.kron([[1, 0], [0, -1]], eye)
+        self.v_lag = np.kron(np.array([[-1, 1j], [1, 1j]]) / np.sqrt(2.0), eye)
+        self.v_odd = np.kron([[1, 0], [0, 1j]], eye)
         for M in (self.sym_i, self.grading, self.v_lag, self.v_odd):
             M.setflags(write=False)
 
@@ -166,16 +164,7 @@ def graph_projection(A: MatrixLike) -> GraphProjection:
 
 def ball_projection(a: MatrixLike) -> GraphProjection:
     """Continuous extension of the graph projection to the closed unit ball."""
-    if isinstance(a, HermOp):
-        _require_ball(a.matrix)
-        w = a.eigenvalues
-        s = _sqrt_clamped(1.0 - w * w)
-        F = spectral_weights(a, 1.0 - w * w)
-        G = spectral_weights(a, w * s)
-        H = spectral_weights(a, w * w)
-        P = np.block([[F, G], [G, H]])
-        return GraphProjection((P + adjoint(P)) / 2.0)
-    a = as_matrix(a)
+    a = matrix_of(a)
     _require_ball(a)
     # one SVD feeds every block, so the intertwining identities (and hence
     # idempotency) hold to machine precision even on the unit sphere
@@ -209,9 +198,11 @@ def cayley_ball(a: MatrixLike) -> np.ndarray:
 
 def lagrangian_defect(p: GraphProjection) -> float:
     """Norm of I(2p-1) + (2p-1)I; zero exactly on Lagrangian projections."""
-    sp = Symplectics(p.half)
-    r = 2.0 * p.matrix - np.eye(p.dim)
-    return op_norm(sp.sym_i @ r + r @ sp.sym_i)
+    h, r = p.half, 2.0 * p.matrix - np.eye(p.dim)
+    # I = [[0, -i], [i, 0]] swaps and scales block rows from the left, block columns from the right
+    ir = np.concatenate([-1j * r[h:], 1j * r[:h]])
+    ri = np.concatenate([1j * r[:, h:], -1j * r[:, :h]], axis=1)
+    return op_norm(ir + ri)
 
 
 def lagrangian_to_unitary(p: GraphProjection) -> np.ndarray:
@@ -219,19 +210,18 @@ def lagrangian_to_unitary(p: GraphProjection) -> np.ndarray:
 
     Conjugating by the pinned ``v_lag`` moves the projection from the
     symplectic symmetry to the grading, where its symmetry 2p-1 is an
-    off-diagonal block matrix; the lower-left block is the unitary.  Sends
-    the vertical projection to +1 and the horizontal one to -1, and on
-    graph projections of Hermitian operators it reproduces the Cayley
-    transform.
+    off-diagonal block matrix; the lower-left block, p22 - p11 - i(p12 + p21),
+    is the unitary.  Sends the vertical projection to +1 and the horizontal
+    one to -1, and on graph projections of Hermitian operators it reproduces
+    the Cayley transform.
     """
     defect = lagrangian_defect(p)
     if defect > LAGRANGIAN_ATOL:
         raise ValidationError(
             f"projection is not Lagrangian: anticommutator norm {defect:.3e} > {LAGRANGIAN_ATOL:g}"
         )
-    sp = Symplectics(p.half)
-    r = sp.v_lag @ (2.0 * p.matrix - np.eye(p.dim)) @ adjoint(sp.v_lag)
-    return r[p.half:, :p.half]
+    h, P = p.half, p.matrix
+    return P[h:, h:] - P[:h, :h] - 1j * (P[:h, h:] + P[h:, :h])
 
 
 def odd_embedding(A: MatrixLike) -> HermOp:
@@ -250,15 +240,18 @@ def proj_to_unitary(p: GraphProjection | np.ndarray) -> np.ndarray:
     """
     if not isinstance(p, GraphProjection):
         p = GraphProjection(as_matrix(p))
-    sp = Symplectics(p.half)
-    return sp.v_odd @ (np.eye(p.dim) - 2.0 * p.matrix) @ sp.v_odd
+    v = np.repeat([1.0, 1j], p.half)
+    return v[:, None] * (np.eye(p.dim) - 2.0 * p.matrix) * v
 
 
 def odd_unitary_defect(u: np.ndarray) -> float:
     """Norm of J u J - u* on the doubled space (zero on the odd unitaries)."""
     u = as_matrix(u)
-    sp = Symplectics(u.shape[0] // 2)
-    return op_norm(sp.grading @ u @ sp.grading - adjoint(u))
+    n = u.shape[0]
+    if n == 0 or n % 2:
+        raise ValidationError(f"odd unitaries live on a doubled (even-dim) space, got dim {n}")
+    g = np.repeat([1.0, -1.0], n // 2)
+    return op_norm(g[:, None] * u * g - adjoint(u))
 
 
 def fredholm_factor_check(a: MatrixLike) -> float:
@@ -279,11 +272,10 @@ def fredholm_factor_check(a: MatrixLike) -> float:
     unitary_defect = op_norm(adjoint(W) @ W - np.eye(2 * n))
     if unitary_defect > 1e-10:
         raise ValidationError(f"second factor is not unitary: defect {unitary_defect:.3e}")
-    zero = np.zeros((n, n), dtype=complex)
-    D = np.block([[-adjoint(a), zero], [zero, a]])
+    DW = np.vstack([-adjoint(a) @ W[:n], a @ W[n:]])  # diag(-a*, a) W, one block row each
     p0 = np.zeros((2 * n, 2 * n), dtype=complex)
     p0[:n, :n] = np.eye(n)
-    return op_norm((ball_projection(a).matrix - p0) - D @ W)
+    return op_norm((ball_projection(a).matrix - p0) - DW)
 
 
 def horizontal_projection(n: int) -> GraphProjection:

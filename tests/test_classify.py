@@ -187,6 +187,11 @@ class TestDensitySurgery:
         assert records and all(r["holds"] for r in records)
         assert all(r["arc_radius"] < r["eps"] / 2 for r in records)
 
+    @pytest.mark.parametrize("eps", [4.0, 10.0, float("inf"), float("nan"), 0.0, -0.5])
+    def test_eps_outside_the_range_rejected(self, eps):
+        with pytest.raises(ValidationError, match=f"eps = {eps!r}"):
+            surgery_bound_trials([0.5, eps], instances=1)
+
 
 class TestNegativeCount:
     def test_positive_spectrum(self):

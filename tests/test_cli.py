@@ -195,6 +195,15 @@ class TestConfig:
     pytest.param(["homotopy-demo", "--modes", "0"], None, id="homotopy-modes"),
     pytest.param(["specflow"], "path = bogus\n", id="preset-path-choice"),
     pytest.param(["specgraph", "--workers", "2"], None, id="workers-removed"),
+    pytest.param(["surgery", "--eps", "4"], None, id="surgery-eps-4"),
+    pytest.param(["surgery", "--eps", "inf"], None, id="surgery-eps-inf"),
+    pytest.param(["surgery", "--eps", "nan"], None, id="surgery-eps-nan"),
+    pytest.param(["surgery", "--eps", "0.5,abc"], None, id="surgery-eps-not-a-number"),
+    pytest.param(["homotopy-demo", "--grids", "16,abc"], None, id="homotopy-grids-not-an-int"),
+    pytest.param(["specflow", "--window", "nan"], None, id="specflow-window-nan"),
+    pytest.param(["specgraph", "--window", "nan"], None, id="specgraph-window-nan"),
+    pytest.param(["dichotomy", "--x1-max", "inf"], None, id="dichotomy-x1-max-inf"),
+    pytest.param(["identities", "--tolerance", "nan"], None, id="identities-tolerance-nan"),
 ])
 def test_bad_value_is_usage_error(tmp_path, argv, preset):
     if preset is not None:

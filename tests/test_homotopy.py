@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opflow import homotopy
 from opflow.errors import BranchCutError, DegeneracyError, ValidationError
@@ -262,6 +263,13 @@ class TestLogRetraction:
         with pytest.raises(BranchCutError):
             unitary_log_retraction(0.5, np.diag([-1.0, 1.0]).astype(complex))
 
+    def test_endpoints_exact_on_the_branch_cut(self):
+        u = np.diag([-1.0, 1.0]).astype(complex)
+        assert np.array_equal(unitary_log_retraction(0.0, u), np.eye(2, dtype=complex))
+        assert np.array_equal(unitary_log_retraction(1.0, u), u)
+        with pytest.raises(BranchCutError):
+            unitary_log_retraction(0.5, u)
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError, match="unitary"):
             unitary_log_retraction(0.5, 2.0 * np.eye(2))
@@ -276,6 +284,18 @@ class TestLogRetraction:
 
     def test_preserves_odd_unitaries(self):
         assert odd_retraction_defect(32, seed=0) <= 1e-9
+
+    def test_schur_factors_the_unitary_once(self, monkeypatch):
+        calls = []
+        schur = scipy.linalg.schur
+
+        def counting_schur(*args, **kwargs):
+            calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        assert odd_retraction_defect(32, seed=0) <= 1e-9
+        assert len(calls) == 1
 
     def test_lipschitz_in_t(self):
         u = cayley(HermOp(np.diag(np.linspace(-3.0, 3.0, 8))))

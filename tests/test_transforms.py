@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opflow import transforms
 from opflow.errors import OutOfBallError, ValidationError
 from opflow.linalg import HermOp, adjoint, op_norm
 from opflow.transforms import (
@@ -267,6 +268,11 @@ class TestProjToUnitary:
         with pytest.raises(ValidationError, match="projection"):
             proj_to_unitary(0.5 * np.eye(4))
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_odd_defect_needs_a_doubled_space(self, n):
+        with pytest.raises(ValidationError, match=f"got dim {n}$"):
+            odd_unitary_defect(np.eye(n))
+
 
 class TestFredholmFactorization:
     def test_zero(self):
@@ -302,6 +308,45 @@ class TestSymplectics:
     def test_v_lag_conjugates_sym_i_to_grading(self):
         sp = Symplectics(5)
         assert op_norm(sp.v_lag @ sp.sym_i @ adjoint(sp.v_lag) - sp.grading) < 1e-12
+
+
+class TestBlockForms:
+    """The transforms apply the 2x2 blocks; ``Symplectics`` is their dense reference."""
+
+    @pytest.mark.parametrize("h", range(1, 20))
+    def test_sign_flips_and_block_swaps_are_bit_equal(self, h):
+        rng = np.random.default_rng(100 + h)
+        sp = Symplectics(h)
+        eye = np.eye(2 * h)
+        for _ in range(5):
+            u = random_matrix(rng, 2 * h)
+            assert odd_unitary_defect(u) == op_norm(sp.grading @ u @ sp.grading - adjoint(u))
+            p = graph_projection(random_matrix(rng, h, scale=2.0))
+            dense = sp.v_odd @ (eye - 2.0 * p.matrix) @ sp.v_odd
+            assert np.array_equal(proj_to_unitary(p), dense)
+            r = 2.0 * p.matrix - eye
+            assert lagrangian_defect(p) == op_norm(sp.sym_i @ r + r @ sp.sym_i)
+
+    @pytest.mark.parametrize("h", range(1, 20))
+    def test_lagrangian_unitary_is_the_conjugated_block(self, h):
+        rng = np.random.default_rng(200 + h)
+        sp = Symplectics(h)
+        for _ in range(5):
+            p = graph_projection(random_hermitian(rng, h, scale=3.0))
+            r = sp.v_lag @ (2.0 * p.matrix - np.eye(2 * h)) @ adjoint(sp.v_lag)
+            assert op_norm(lagrangian_to_unitary(p) - r[h:, :h]) <= 1e-15
+
+    def test_no_dense_symplectics_built(self, monkeypatch):
+        def refuse(half_dim):
+            raise AssertionError("dense Symplectics built")
+
+        monkeypatch.setattr(transforms, "Symplectics", refuse)
+        rng = np.random.default_rng(19)
+        H = random_hermitian(rng, 4, scale=2.0)
+        p = graph_projection(H)
+        assert lagrangian_defect(p) < 1e-9
+        assert op_norm(lagrangian_to_unitary(p) - cayley(H)) < 1e-9
+        assert odd_unitary_defect(proj_to_unitary(p)) < 1e-10
 
 
 class TestIdentityInvariants:
