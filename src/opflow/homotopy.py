@@ -24,7 +24,16 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BranchCutError, DegeneracyError, ValidationError
-from .linalg import HermOp, MatrixLike, adjoint, as_hermop, as_matrix, func_calc, op_norm
+from .linalg import (
+    HermOp,
+    MatrixLike,
+    adjoint,
+    as_hermop,
+    as_matrix,
+    func_calc,
+    op_norm,
+    require_finite,
+)
 
 SMOOTH_MODES = 12
 INJECTIVITY_ATOL = 1e-10
@@ -228,6 +237,7 @@ def compactify_homotopy(t: float, A: HermOp, k: HermOp) -> HermOp:
 def _log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
     """t -> ``unitary_log_retraction(t, u)``, with u checked and Schur-factored once."""
     u = as_matrix(u)
+    require_finite(u)
     n = u.shape[0]
     defect = op_norm(adjoint(u) @ u - np.eye(n))
     if defect > 1e-10:

@@ -8,26 +8,32 @@ Plain complex ndarrays are the working representation of bounded operators.
   by ``HermOp.tridiagonal``; the dense ``matrix`` is assembled only when read.
 
 Both hand out the same spectral API: ``eigenvalues`` and ``eigenvectors``
-(computed once and memoized) and ``spectrum(lo, hi)``, the eigenvalues in a
-closed window with the global index of the first.  A banded operator solves
-only that window (a Sturm count for the index plus LAPACK ``stebz``
-bisection); a dense one slices its full spectrum.  On top of these live the
-spectral functional calculus and the operator norm, which everything else in
-the package is built from.
+(computed once and memoized), ``lowest_eigenvalue()`` and ``spectrum(lo, hi)``,
+the eigenvalues in a closed window with the global index of the first.  A
+banded operator solves only what is asked (a Sturm count for the index plus
+LAPACK ``stebz`` bisection for a window or for the lowest eigenvalue, the real
+tridiagonal solver for eigenpairs); a dense one slices its full spectrum.  A
+banded operator also factors T - z once (``shifted``, LAPACK ``gttrf``) for
+repeated solves with T - z and its adjoint.  On top of these live the spectral
+functional calculus and the operator norm, which everything else in the
+package is built from.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from typing import Callable, Union
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .errors import DomainError, ValidationError
+from .errors import DegeneracyError, DomainError, ValidationError
 
 HERMITICITY_RTOL = 1e-12
+MIN_FACTOR_DIM = 3  # scipy's gttrf wrapper rejects smaller bands; ARPACK needs 3 too
 
 
 def as_matrix(M) -> np.ndarray:
@@ -45,11 +51,20 @@ def adjoint(M: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(M)).T
 
 
+def require_finite(A: np.ndarray) -> None:
+    """Raise a ValidationError naming the first non-finite entry of A, if it has one."""
+    finite = np.isfinite(A)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValidationError(f"matrix entry ({i}, {j}) is not finite: {A[i, j]}")
+
+
 def op_norm(M) -> float:
     """Operator (spectral) norm: the largest singular value.
 
     Hermitian inputs are detected cheaply and routed through ``eigvalsh``,
-    which is both faster and more accurate than a general SVD.
+    which is both faster and more accurate than a general SVD.  A non-finite
+    entry is a ValidationError naming it.
     """
     A = as_matrix(M)
     if A.size == 0:
@@ -57,6 +72,8 @@ def op_norm(M) -> float:
     scale = np.linalg.norm(A)
     if scale == 0.0:
         return 0.0
+    if not math.isfinite(scale):  # the search runs only here, so finite input pays nothing
+        require_finite(A)
     if np.linalg.norm(A - adjoint(A)) <= 1e-12 * scale:
         return float(np.max(np.abs(np.linalg.eigvalsh(A))))
     return float(np.linalg.norm(A, 2))
@@ -89,6 +106,32 @@ def _sturm_count(d: np.ndarray, e2: np.ndarray, x: float, pivmin: float) -> int:
         if q <= 0.0:
             count += 1
     return count
+
+
+class ShiftedFactor:
+    """LU factors of T - z for a real symmetric tridiagonal T (LAPACK ``gttrf``).
+
+    Built once by ``HermOp.shifted``; each ``solve`` is one O(n) ``gttrs``
+    sweep.  Since T is real symmetric, (T - z)* = T - conj(z), so the adjoint
+    solve serves both shifts of a conjugate pair.
+    """
+
+    __slots__ = ("_lu",)
+
+    def __init__(self, d: np.ndarray, e: np.ndarray, z: complex):
+        off = e.astype(complex)
+        *lu, info = zgttrf(off, d - z, off)
+        if info != 0:  # an exactly zero pivot: z is an eigenvalue in floating point
+            raise DegeneracyError(f"T - ({z}) of dim {d.size} is singular: zgttrf info = {info}")
+        self._lu = lu
+
+    def solve(self, x, adjoint: bool = False) -> np.ndarray:
+        """(T - z)^-1 x, or (T - z)^-* x when ``adjoint``; x is a vector or a block of columns."""
+        b = np.asarray(x, dtype=complex)
+        y, info = zgttrs(*self._lu, b.reshape(b.shape[0], -1), trans="C" if adjoint else "N")
+        if info != 0:
+            raise ValidationError(f"zgttrs rejected argument {-info} (right-hand side shape {b.shape})")
+        return y.reshape(b.shape)
 
 
 class HermOp:
@@ -183,18 +226,47 @@ class HermOp:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """Unitary matrix whose columns match ``eigenvalues``."""
+        """Unitary matrix whose columns match ``eigenvalues``.
+
+        Banded storage takes the real tridiagonal solver, so its eigenvectors
+        are real and the dense matrix is never assembled.
+        """
         if self._eigvecs is None:
-            A = self.matrix  # outside the lock: assembling it takes the lock
             with self._lock:
                 if self._eigvecs is None:
-                    w, V = np.linalg.eigh(A)
+                    if self.bands is None:
+                        w, V = np.linalg.eigh(self._matrix)
+                    else:
+                        w, V = scipy.linalg.eigh_tridiagonal(*self.bands)
                     V.setflags(write=False)
                     self._eigvecs = V
                     if self._eigvals is None:
                         w.setflags(write=False)
                         self._eigvals = w
         return self._eigvecs
+
+    def lowest_eigenvalue(self) -> float:
+        """The smallest eigenvalue; a banded operator bisects for it alone (``stebz``)."""
+        if self.bands is None:
+            return float(self.eigenvalues[0])
+        w = scipy.linalg.eigvalsh_tridiagonal(*self.bands, select="i", select_range=(0, 0))
+        return float(w[0])
+
+    def shifted(self, z: complex) -> ShiftedFactor:
+        """The LU factors of T - z, for solves with T - z and its adjoint (banded storage only).
+
+        For real symmetric T and non-real z, T - z is never singular:
+        |lambda - z| >= |Im z| for every eigenvalue.  A real z at an
+        eigenvalue raises ``DegeneracyError``.
+        """
+        z = complex(z)
+        if self.bands is None:
+            raise ValidationError("shifted factors need banded storage; this operator is dense")
+        if self.dim < MIN_FACTOR_DIM:
+            raise ValidationError(f"shifted factors need dim >= {MIN_FACTOR_DIM}, got {self.dim}")
+        if not cmath.isfinite(z):
+            raise ValidationError(f"shift {z} is not finite")
+        return ShiftedFactor(*self.bands, z)
 
     def spectrum(self, lo: float, hi: float) -> tuple[int, np.ndarray]:
         """Eigenvalues in the closed window [lo, hi] and the global index of the first.

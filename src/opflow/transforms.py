@@ -26,6 +26,7 @@ from .linalg import (
     func_calc,
     matrix_of,
     op_norm,
+    require_finite,
     spectral_weights,
 )
 
@@ -118,6 +119,7 @@ def bounded_transform(A: MatrixLike) -> np.ndarray:
         w = A.eigenvalues
         return spectral_weights(A, w / np.sqrt(1.0 + w * w))
     A = as_matrix(A)
+    require_finite(A)
     w, V = np.linalg.eigh(adjoint(A) @ A)
     inv_sqrt = (V / np.sqrt(1.0 + np.clip(w, 0.0, None))) @ adjoint(V)
     return A @ inv_sqrt
@@ -250,6 +252,7 @@ def odd_unitary_defect(u: np.ndarray) -> float:
     n = u.shape[0]
     if n == 0 or n % 2:
         raise ValidationError(f"odd unitaries live on a doubled (even-dim) space, got dim {n}")
+    require_finite(u)
     g = np.repeat([1.0, -1.0], n // 2)
     return op_norm(g[:, None] * u * g - adjoint(u))
 

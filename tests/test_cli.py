@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +249,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "opflow" in capsys.readouterr().out
+
+
+def test_start_up_does_not_load_sparse_linalg():
+    """``scipy.sparse.linalg`` is imported by the one route that needs it, never at start-up."""
+    code = ("import sys, opflow.cli; opflow.cli.build_parser(); "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -239,6 +241,15 @@ class TestCompactify:
 
 
 class TestLogRetraction:
+    @pytest.mark.parametrize("entry, bad", [((0, 0), np.nan), ((1, 0), np.inf)])
+    def test_non_finite_entry_named(self, entry, bad):
+        u = np.eye(2, dtype=complex)
+        u[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"entry \(%d, %d\) is not finite" % entry):
+                unitary_log_retraction(0.5, u)
+
     def test_endpoints(self):
         u = cayley(HermOp(np.diag([1.0, -2.0])))
         assert np.array_equal(unitary_log_retraction(0.0, u), np.eye(2, dtype=complex))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opflow.errors import DomainError, ValidationError
+from opflow.errors import DegeneracyError, DomainError, ValidationError
 from opflow.linalg import HermOp, adjoint, as_matrix, func_calc, herm_eig, op_norm
 
 
@@ -113,6 +113,15 @@ class TestFuncCalc:
 class TestOpNorm:
     def test_zero(self):
         assert op_norm(np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("entry, bad", [((0, 0), np.nan), ((1, 0), np.inf), ((0, 1), -np.inf)])
+    def test_non_finite_entry_named_without_warning(self, entry, bad):
+        M = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+        M[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"entry \(%d, %d\) is not finite" % entry):
+                op_norm(M)
 
     def test_unitary(self):
         rng = np.random.default_rng(4)
@@ -302,6 +311,42 @@ class TestTridiagonal:
             warnings.simplefilter("error")
             first, values = HermOp.tridiagonal([0.0, 0.0, 0.0], [e, 1.0]).spectrum(-2 * e, 2 * e)
         assert first == 0 and values.size == 3
+
+    @pytest.mark.parametrize("z", [-1j, 2.5 + 0.3j, 1e-3j])
+    def test_shifted_solves_match_dense(self, z):
+        rng = np.random.default_rng(11)
+        d, e = rng.standard_normal(40), rng.standard_normal(39)
+        op = HermOp.tridiagonal(d, e)
+        factor = op.shifted(z)
+        shifted = dense_tridiagonal(d, e) - z * np.eye(40)
+        x = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        X = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        for rhs in (x, X):
+            np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(shifted, rhs), atol=1e-10)
+            np.testing.assert_allclose(factor.solve(rhs, adjoint=True),
+                                       np.linalg.solve(adjoint(shifted), rhs), atol=1e-10)
+        assert op._matrix is None
+
+    def test_shift_at_an_exact_eigenvalue_is_singular(self):
+        op = HermOp.tridiagonal([1.0, 2.0, 3.0], [0.0, 0.0])
+        with pytest.raises(DegeneracyError, match="singular: zgttrf info = 2"):
+            op.shifted(2.0)
+
+    def test_shifted_needs_banded_storage_of_dim_three(self):
+        with pytest.raises(ValidationError, match="banded storage"):
+            HermOp(np.eye(4)).shifted(-1j)
+        with pytest.raises(ValidationError, match="dim >= 3"):
+            HermOp.tridiagonal([1.0, 2.0], [0.5]).shifted(-1j)
+        with pytest.raises(ValidationError, match="not finite"):
+            HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5]).shifted(complex(np.nan, 1.0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lowest_eigenvalue_matches_the_full_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        d, e = 100.0 * rng.standard_normal(60), rng.standard_normal(59)
+        banded = HermOp.tridiagonal(d, e)
+        assert abs(banded.lowest_eigenvalue() - banded.eigenvalues[0]) < 1e-12 * 100.0
+        assert HermOp(banded.matrix).lowest_eigenvalue() == HermOp(banded.matrix).eigenvalues[0]
 
     def test_band_shapes_checked(self):
         with pytest.raises(ValidationError, match="shapes"):

@@ -1,8 +1,12 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from opflow import metrics, transforms
-from opflow.errors import ValidationError
+from opflow.errors import NonConvergenceError, ValidationError
 from opflow.linalg import HermOp, op_norm
 from opflow.metrics import gap_dist, riesz_dist, weyl_gap
 from opflow.sturm import ProjectivePoint, assemble_robin_operator
@@ -35,6 +39,15 @@ class TestRieszDist:
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
             riesz_dist(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("entry, bad", [((0, 0), np.nan), ((1, 0), np.inf)])
+    def test_non_finite_entry_named_without_warning(self, entry, bad):
+        A = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # not Hermitian: no HermOp check
+        A[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"entry \(%d, %d\) is not finite" % entry):
+                riesz_dist(A, np.eye(2))
 
 
 class TestGapDist:
@@ -105,6 +118,77 @@ class TestGapDist:
         rng = np.random.default_rng(7)
         A, B = random_hermitian(rng, 6, 3.0), random_hermitian(rng, 6, 3.0)
         assert 0.0 < gap_dist(A, B) <= 1.0
+
+
+def robin_dirichlet(x1, n):
+    robin = assemble_robin_operator(ProjectivePoint(1.0, x1), n).matrix
+    dirichlet = assemble_robin_operator(ProjectivePoint(1.0, 0.0), n).matrix
+    return robin, dirichlet
+
+
+def mp_resolvent(op):
+    """(T + i)^-1 in mpmath from the exact double bands of T."""
+    d, e = op.bands
+    n = d.size
+    M = mpmath.matrix(n, n)
+    for k in range(n):
+        M[k, k] = mpmath.mpc(float(d[k]), 1.0)
+        if k + 1 < n:
+            M[k, k + 1] = M[k + 1, k] = mpmath.mpf(float(e[k]))
+    return mpmath.inverse(M)
+
+
+class TestResolventGap:
+    """The matrix-free route for banded pairs: Lanczos on (A + i)^-1 - (B + i)^-1."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("x1", [1e-4, 1e-2, 0.9])
+    def test_matches_high_precision_reference(self, n, x1):
+        robin, dirichlet = robin_dirichlet(x1, n)
+        with mpmath.workdps(30):
+            R = mp_resolvent(robin) - mp_resolvent(dirichlet)
+            exact = max(mpmath.svd_c(R, compute_uv=False))
+            assert abs(gap_dist(robin, dirichlet) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("x1", [1e-4, 1e-2, 0.3, 0.9])
+    def test_matches_the_dense_cayley_route(self, x1):
+        robin, dirichlet = robin_dirichlet(x1, 400)
+        dense = gap_dist(HermOp(robin.matrix), HermOp(dirichlet.matrix))
+        assert abs(gap_dist(robin, dirichlet) - dense) < 1e-10
+
+    def test_reproducible_to_the_bit(self):
+        robin, dirichlet = robin_dirichlet(0.05, 200)
+        first = gap_dist(robin, dirichlet)
+        assert gap_dist(*robin_dirichlet(0.05, 200)) == first
+
+    def test_equal_operators_are_at_distance_zero(self):
+        robin, _ = robin_dirichlet(0.05, 50)
+        assert gap_dist(robin, robin_dirichlet(0.05, 50)[0]) == 0.0
+
+    def test_no_convergence_is_reported(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", stall)
+        with pytest.raises(NonConvergenceError, match=r"dim 64 .* 640 restarts"):
+            gap_dist(*robin_dirichlet(0.05, 64))
+
+    def test_no_dense_matrix_and_no_eigenvectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        robin, dirichlet = robin_dirichlet(0.05, 100)
+        assert 0.0 < gap_dist(robin, dirichlet) < 1.0
+        assert robin._matrix is None and dirichlet._matrix is None
+        assert robin._eigvecs is None and dirichlet._eigvecs is None
+
+    def test_small_banded_pairs_take_the_cayley_route(self):
+        for n in (1, 2):
+            A = HermOp.tridiagonal(np.arange(n, dtype=float), np.ones(n - 1))
+            B = HermOp.tridiagonal(np.full(n, 3.0), np.zeros(n - 1))
+            dense = gap_dist(HermOp(A.matrix), HermOp(B.matrix))
+            assert abs(gap_dist(A, B) - dense) < 1e-15
 
 
 class TestWeylGap:

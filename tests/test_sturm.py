@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +210,18 @@ class TestDichotomy:
     def test_soft_parameter_has_weak_bound(self):
         riesz_lower, _ = dichotomy_row(0.9, 400)
         assert riesz_lower < 0.5
+
+    def test_grid_convergence_of_the_dichotomy(self):
+        """Riesz-far stays near 1 while the gap to Dirichlet shrinks with the grid."""
+        gaps = []
+        for n in (400, 1600, 10000):
+            start = time.perf_counter()
+            riesz_lower, gap = dichotomy_row(1e-4, n)
+            elapsed = time.perf_counter() - start
+            assert riesz_lower >= 0.9
+            gaps.append(gap)
+        assert elapsed < 1.0  # the n = 10^4 row: banded solves only
+        assert gaps[0] > gaps[1] > gaps[2]
 
     def test_transform_eigenvalue_signs(self):
         robin = assemble_robin_operator(ProjectivePoint(1.0, 1e-3), 400)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,15 @@ class TestProjToUnitary:
     def test_odd_defect_needs_a_doubled_space(self, n):
         with pytest.raises(ValidationError, match=f"got dim {n}$"):
             odd_unitary_defect(np.eye(n))
+
+    @pytest.mark.parametrize("entry, bad", [((0, 0), np.nan), ((1, 0), np.inf)])
+    def test_odd_defect_names_a_non_finite_entry(self, entry, bad):
+        u = np.eye(2, dtype=complex)
+        u[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"entry \(%d, %d\) is not finite" % entry):
+                odd_unitary_defect(u)
 
 
 class TestFredholmFactorization:
