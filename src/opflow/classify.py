@@ -22,7 +22,7 @@ from .errors import (
     SurgeryViolationError,
     ValidationError,
 )
-from .linalg import HermOp, adjoint, as_hermop, op_norm
+from .linalg import HermOp, adjoint, as_hermop, herm_eig, op_norm
 from .transforms import cayley
 
 DEFAULT_GAP = 1e-6
@@ -74,7 +74,7 @@ def window_projection(A: HermOp, lo: float, hi: float, *, tol: float = BOUNDARY_
     if lo > hi:
         raise ValidationError(f"empty window [{lo}, {hi}]")
     A = as_hermop(A)
-    w = A.eigenvalues
+    w, V = herm_eig(A)
     near = np.minimum(np.abs(w - lo), np.abs(w - hi))
     if np.any(near < tol):
         lam = w[int(np.argmin(near))]
@@ -82,7 +82,7 @@ def window_projection(A: HermOp, lo: float, hi: float, *, tol: float = BOUNDARY_
             f"eigenvalue {lam!r} within {tol:g} of window edge [{lo}, {hi}]"
         )
     inside = (w > lo) & (w < hi)
-    V = A.eigenvectors[:, inside]
+    V = V[:, inside]
     P = V @ adjoint(V)
     return (P + adjoint(P)) / 2.0
 
@@ -120,12 +120,12 @@ class SplitOperator:
 def split_finite_infinite(A: HermOp, tau: SymmetricTuple) -> SplitOperator:
     """Split A into its part inside hull(tau) and the complement part."""
     A = as_hermop(A)
+    w, V = herm_eig(A)  # before the membership test, so one solve fills both caches
     if not covering_membership(A, tau, MEMBERSHIP_GAP):
         raise NotInCoveringError(
             f"spectrum meets the point set {tau.points} within gap {MEMBERSHIP_GAP:g}"
         )
     lo, hi = tau.hull
-    w, V = A.eigenvalues, A.eigenvectors
     inside = (w > lo) & (w < hi)
     Vin, Vout = V[:, inside], V[:, ~inside]
     finite = HermOp(adjoint(Vin) @ A.matrix @ Vin) if inside.any() else HermOp(
@@ -149,7 +149,7 @@ def density_surgery(A: HermOp, c: float, B: HermOp) -> HermOp:
     B = as_hermop(B)
     # boundary guard: eigenvalues of A pinned at +-c make the split ambiguous
     window_projection(A, -c, c)
-    w, V = A.eigenvalues, A.eigenvectors
+    w, V = herm_eig(A)
     inside = (np.abs(w) < c)
     Vin, Vout = V[:, inside], V[:, ~inside]
     k = Vout.shape[1]

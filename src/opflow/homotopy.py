@@ -13,6 +13,15 @@ therefore measured against a fixed band of smooth modes; ``isometry_defect``
 and friends report that band-limited defect, which decays like C/n, and
 ``discretization_tolerance`` aggregates it into the single delta(n) that the
 homotopy assertions carry.
+
+A row of an isometry onto a subinterval of length l has at most ceil(1/l) + 1
+nonzeros, so the contractions
+apply them as sparse maps, and the band-limited defects are reassociated to
+act on the smooth band, never forming an n x n product.  The log retraction
+reads a unitary's spectrum off its Cayley preimage: off the branch cut,
+K = i(1 - u)(1 + u)^-1 is Hermitian with u = (1 + iK)(1 - iK)^-1, so one
+Hermitian eigensolve of K gives u's eigenvectors and, through
+e^(i phi) = e^(2i arctan mu), its principal arguments.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .linalg import (
     as_hermop,
     as_matrix,
     func_calc,
+    matrix_of,
     op_norm,
     require_finite,
 )
@@ -63,35 +73,62 @@ class GridSpace:
         return cls(n, nodes, weights)
 
 
-def _cell_average_rows(intervals: list[tuple[float, float]], n: int) -> np.ndarray:
-    """Row i integrates the cell basis over intervals[i] (clipped to [0,1])."""
+def _cell_average_entries(lo: np.ndarray, hi: np.ndarray, n: int):
+    """Nonzeros (rows, cols, values) of the matrix whose row i integrates the
+    cell basis over [lo[i], hi[i]] (clipped to [0, 1])."""
     h = 1.0 / n
-    M = np.zeros((len(intervals), n))
-    for i, (lo, hi) in enumerate(intervals):
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        if hi <= lo:
-            continue
-        j0 = max(int(np.floor(lo / h)), 0)
-        j1 = min(int(np.ceil(hi / h)), n)
-        for j in range(j0, j1):
-            a, b = max(lo, j * h), min(hi, (j + 1) * h)
-            if b > a:
-                M[i, j] = b - a
-    return M
+    lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+    j0 = np.maximum(np.floor(lo / h).astype(int), 0)
+    j1 = np.minimum(np.ceil(hi / h).astype(int), n)
+    counts = np.where(hi > lo, j1 - j0, 0)
+    rows = np.repeat(np.arange(lo.size), counts)
+    starts = np.cumsum(counts) - counts  # position of each row's first candidate cell
+    cols = j0[rows] + np.arange(rows.size) - starts[rows]
+    a = np.maximum(lo[rows], cols * h)
+    b = np.minimum(hi[rows], (cols + 1) * h)
+    keep = b > a
+    return rows[keep], cols[keep], (b - a)[keep]
+
+
+def _dilation_entries(start: float, length: float, n: int):
+    """Nonzeros of the compression onto [start, start + length]: f |-> f((s - start)/length)/sqrt(length)."""
+    h = 1.0 / n
+    edges = (np.arange(n + 1) * h - start) / length
+    rows, cols, vals = _cell_average_entries(edges[:-1], edges[1:], n)
+    return rows, cols, (np.sqrt(length) / h) * vals
 
 
 def _dilation(start: float, length: float, grid: GridSpace) -> np.ndarray:
-    """Compression onto [start, start + length]: f |-> f((s - start)/length)/sqrt(length)."""
-    h = 1.0 / grid.n
-    ivals = [((i * h - start) / length, ((i + 1) * h - start) / length) for i in range(grid.n)]
-    return (np.sqrt(length) / h) * _cell_average_rows(ivals, grid.n)
+    """The compression onto [start, start + length] as a dense matrix."""
+    rows, cols, vals = _dilation_entries(start, length, grid.n)
+    M = np.zeros((grid.n, grid.n))
+    M[rows, cols] = vals
+    return M
+
+
+def _sparse_pair(t: float, grid: GridSpace):
+    """(u_t, v_t) at an interior t as CSR arrays: the entries of the dense isometries."""
+    import scipy.sparse  # ~20 ms to import, so it stays off the start-up path
+
+    def csr(start: float, length: float):
+        rows, cols, vals = _dilation_entries(start, length, grid.n)
+        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(grid.n, grid.n))
+
+    return csr(0.0, t), csr(t, 1.0 - t)
+
+
+def _conjugate(S, M: np.ndarray) -> np.ndarray:
+    """S M S* for a real sparse S and a dense M; no dense n x n product is formed."""
+    return (S @ (S @ M).T).T
 
 
 def shrink_isometry(t: float, grid: GridSpace) -> np.ndarray:
     """Compression onto [0, t]: f |-> (1/sqrt t) f(s/t), cell-averaged.
 
     Exact identity at t = 1.  The range projection occupies the cells meeting
-    [0, t], so its trace tracks t*n (exactly when 1/t is an integer).
+    [0, t], so its trace tracks t*n (exactly when 1/t is an integer).  A row
+    has at most ceil(1/t) + 1 nonzeros; the contractions apply the same
+    entries as a sparse map, not this dense array.
     """
     if not 0.0 < t <= 1.0:
         raise ValidationError(f"shrink parameter must be in (0, 1], got {t}")
@@ -101,7 +138,8 @@ def shrink_isometry(t: float, grid: GridSpace) -> np.ndarray:
 def stretch_isometry(t: float, grid: GridSpace) -> np.ndarray:
     """Compression onto [t, 1]: f |-> (1/sqrt(1-t)) f((s-t)/(1-t)), cell-averaged.
 
-    Exact identity at t = 0; mirror image of ``shrink_isometry``.
+    Exact identity at t = 0; mirror image of ``shrink_isometry``, with at
+    most ceil(1/(1-t)) + 1 nonzeros a row, applied sparsely by the contractions.
     """
     if not 0.0 <= t < 1.0:
         raise ValidationError(f"stretch parameter must be in [0, 1), got {t}")
@@ -118,7 +156,7 @@ def isometry_defect(U: np.ndarray, grid: GridSpace, modes: int = SMOOTH_MODES) -
     """Band-limited defect max_j ||(U*U - 1) phi_j||; decays like C/n."""
     U = as_matrix(U)
     V = smooth_band(grid, modes)
-    R = (adjoint(U) @ U - np.eye(grid.n)) @ V
+    R = adjoint(U) @ (U @ V) - V
     return float(np.max(np.linalg.norm(R, axis=0)))
 
 
@@ -126,35 +164,46 @@ def completeness_defect(t: float, grid: GridSpace, modes: int = SMOOTH_MODES) ->
     """Band-limited defect of u_t u_t* + v_t v_t* = 1 (complementary ranges)."""
     U = shrink_isometry(t, grid)
     W = stretch_isometry(t, grid)
-    M = U @ adjoint(U) + W @ adjoint(W) - np.eye(grid.n)
-    R = M @ smooth_band(grid, modes)
+    V = smooth_band(grid, modes)
+    R = U @ (adjoint(U) @ V) + W @ (adjoint(W) @ V) - V
     return float(np.max(np.linalg.norm(R, axis=0)))
 
 
-def _min_singular(M: np.ndarray) -> float:
-    s = np.linalg.svd(as_matrix(M), compute_uv=False)
-    return float(s[-1]) if s.size else 0.0
+def _min_singular(M: MatrixLike) -> float:
+    """Smallest singular value: min |eigenvalue| of a HermOp, else from an SVD."""
+    s = np.abs(M.eigenvalues) if isinstance(M, HermOp) else np.linalg.svd(
+        as_matrix(M), compute_uv=False)
+    return float(np.min(s)) if s.size else 0.0
 
 
-def _zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float], np.ndarray]:
-    """t -> ``zk_contraction(t, a, b, grid)``, with the operands checked once."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[0] != grid.n or b.shape[0] != grid.n:
+def _zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float], MatrixLike]:
+    """t -> ``zk_contraction(t, a, b, grid)``, with the operands checked once.
+
+    Two ``HermOp`` operands give ``HermOp`` interpolants (symmetrized, since
+    the interpolant of Hermitian operands is Hermitian), so ``_min_singular``
+    reads their margin from eigenvalues; other operands stay ndarrays.
+    """
+    hermitian = isinstance(a, HermOp) and isinstance(b, HermOp)
+    A, B = matrix_of(a), matrix_of(b)
+    if not hermitian:
+        a, b = A, B
+    if A.shape[0] != grid.n or B.shape[0] != grid.n:
         raise ValidationError("operands must live on the grid space")
     for name, M in (("a", a), ("b", b)):
         smin = _min_singular(M)
         if smin < INJECTIVITY_ATOL:
             raise DegeneracyError(f"operand {name} is not injective: min singular value {smin:.3e}")
 
-    def at(t: float) -> np.ndarray:
+    def at(t: float) -> MatrixLike:
         if not 0.0 <= t <= 1.0:
             raise ValidationError(f"t must be in [0, 1], got {t}")
         if t == 0.0:
-            return a.copy()
+            return a if hermitian else a.copy()
         if t == 1.0:
-            return b.copy()
-        U, W = shrink_isometry(t, grid), stretch_isometry(t, grid)
-        return t * (U @ a @ adjoint(U)) + (1.0 - t) * (W @ b @ adjoint(W))
+            return b if hermitian else b.copy()
+        U, W = _sparse_pair(t, grid)
+        M = t * _conjugate(U, A) + (1.0 - t) * _conjugate(W, B)
+        return HermOp(M) if hermitian else M
 
     return at
 
@@ -165,8 +214,10 @@ def zk_contraction(t: float, a: MatrixLike, b: MatrixLike, grid: GridSpace) -> n
     Endpoints are returned bit-for-bit.  Both inputs must be injective
     (min singular value above 1e-10); the direct-sum structure of the two
     ranges keeps the interpolant injective up to discretization tolerance.
+    The isometries are applied as sparse maps, so no dense n x n product
+    with them is formed.
     """
-    return _zk_path(a, b, grid)(t)
+    return _zk_path(matrix_of(a), matrix_of(b), grid)(t)
 
 
 def rk_contraction(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> HermOp:
@@ -175,6 +226,7 @@ def rk_contraction(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> HermOp:
     The endpoint conventions return A at t = 0 and B at t = 1.  Inverting
     intertwines this with ``zk_contraction`` of the inverses; the relation is
     exact where the grid aligns with the cut (see ``inversion_consistency``).
+    The isometries are applied as sparse maps.
     """
     A, B = as_hermop(A), as_hermop(B)
     if A.dim != grid.n or B.dim != grid.n:
@@ -186,13 +238,11 @@ def rk_contraction(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> HermOp:
     if t == 1.0:
         return B
     for name, M in (("A", A), ("B", B)):
-        smin = float(np.min(np.abs(M.eigenvalues)))
+        smin = _min_singular(M)
         if smin < INJECTIVITY_ATOL:
             raise DegeneracyError(f"operand {name} is singular: min |eigenvalue| {smin:.3e}")
-    U = shrink_isometry(t, grid)
-    W = stretch_isometry(t, grid)
-    H = (U @ A.matrix @ adjoint(U)) / t + (W @ B.matrix @ adjoint(W)) / (1.0 - t)
-    return HermOp((H + adjoint(H)) / 2.0)
+    U, W = _sparse_pair(t, grid)
+    return HermOp(_conjugate(U, A.matrix) / t + _conjugate(W, B.matrix) / (1.0 - t))
 
 
 def inversion_consistency(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> float:
@@ -235,17 +285,32 @@ def compactify_homotopy(t: float, A: HermOp, k: HermOp) -> HermOp:
 
 
 def _log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
-    """t -> ``unitary_log_retraction(t, u)``, with u checked and Schur-factored once."""
+    """t -> ``unitary_log_retraction(t, u)``, with u checked and factored once.
+
+    Off the branch cut 1 + u is invertible and K = i(1 - u)(1 + u)^-1 is
+    Hermitian: the inverse Cayley image of u.  K has u's eigenvectors, and
+    the eigenvalue e^(i phi) of u becomes mu = tan(phi/2), so one LU solve
+    and one Hermitian ``eigh`` give orthonormal eigenvectors and the
+    principal arguments 2 arctan(mu).  The distance of the eigenvalue from
+    the branch point is |e^(i phi) + 1| = 2/sqrt(1 + mu^2); a singular or
+    non-finite solve also puts u on the cut.
+    """
     u = as_matrix(u)
     require_finite(u)
     n = u.shape[0]
-    defect = op_norm(adjoint(u) @ u - np.eye(n))
+    eye = np.eye(n)
+    defect = op_norm(adjoint(u) @ u - eye)
     if defect > 1e-10:
         raise ValidationError(f"input is not unitary: ||u*u - 1|| = {defect:.3e}")
-    T, Q = scipy.linalg.schur(u, output="complex")
-    lam = np.diag(T)
-    on_branch_cut = bool(np.any(np.abs(lam + 1.0) < 1e-8))
-    args = np.angle(lam)
+    try:
+        K = np.linalg.solve(eye + u, 1j * (eye - u))
+    except np.linalg.LinAlgError:  # an exactly zero pivot: -1 is an eigenvalue
+        K = None
+    on_branch_cut = K is None or not np.all(np.isfinite(K))
+    if not on_branch_cut:
+        mu, Q = np.linalg.eigh((K + adjoint(K)) / 2.0)
+        on_branch_cut = bool(np.any(2.0 / np.hypot(1.0, mu) < 1e-8))
+        args = 2.0 * np.arctan(mu)
 
     def at(t: float) -> np.ndarray:
         if not 0.0 <= t <= 1.0:
@@ -267,6 +332,9 @@ def unitary_log_retraction(t: float, u: np.ndarray) -> np.ndarray:
     Defined for unitaries with no spectrum within 1e-8 of -1 (the branch
     point).  Eigenvalue arguments scale linearly in t, endpoints are exact for
     every unitary, and the constraint J u J = u* is preserved for every t.
+    The spectral data come from the Cayley preimage of u, the Hermitian
+    K = i(1 - u)(1 + u)^-1 with u = (1 + iK)(1 - iK)^-1: an eigenvalue mu
+    of K is the eigenvalue e^(2i arctan mu) of u, with the same eigenvector.
     """
     return _log_path(u)(t)
 
@@ -312,11 +380,15 @@ def zk_injectivity_margin(
     seed: int = 0,
     ts: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
 ) -> float:
-    """Smallest singular value of the contraction over sampled t (seeded pair)."""
+    """Smallest singular value of the contraction over sampled t (seeded pair).
+
+    The sampled pair is Hermitian, so every interpolant is a ``HermOp`` and
+    its smallest singular value is its smallest |eigenvalue|.
+    """
     rng = np.random.default_rng(seed)
     grid = GridSpace.make(n)
-    a = compact_injective_sample(rng, n)
-    b = compact_injective_sample(rng, n)
+    a = HermOp(compact_injective_sample(rng, n))
+    b = HermOp(compact_injective_sample(rng, n))
     path = _zk_path(a, b, grid)
     return min(_min_singular(path(t)) for t in ts)
 
@@ -340,6 +412,6 @@ def odd_retraction_defect(
     half = dim // 2
     C = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
     C *= 2.5 / np.linalg.norm(C, 2)  # keeps spec(H) inside (-pi, pi)
-    H = odd_embedding(C)
-    path = _log_path(func_calc(H, lambda lam: np.exp(1j * lam)))
+    # H = odd_embedding(C) is a temporary, so its matrix and eigenvectors are freed after func_calc
+    path = _log_path(func_calc(odd_embedding(C), lambda lam: np.exp(1j * lam)))
     return max(odd_unitary_defect(path(t)) for t in ts)

@@ -8,15 +8,15 @@ Plain complex ndarrays are the working representation of bounded operators.
   by ``HermOp.tridiagonal``; the dense ``matrix`` is assembled only when read.
 
 Both hand out the same spectral API: ``eigenvalues`` and ``eigenvectors``
-(computed once and memoized), ``lowest_eigenvalue()`` and ``spectrum(lo, hi)``,
-the eigenvalues in a closed window with the global index of the first.  A
-banded operator solves only what is asked (a Sturm count for the index plus
-LAPACK ``stebz`` bisection for a window or for the lowest eigenvalue, the real
-tridiagonal solver for eigenpairs); a dense one slices its full spectrum.  A
-banded operator also factors T - z once (``shifted``, LAPACK ``gttrf``) for
-repeated solves with T - z and its adjoint.  On top of these live the spectral
-functional calculus and the operator norm, which everything else in the
-package is built from.
+(computed once and memoized), ``lowest_eigenvalue()``, ``eigenvector(k)`` and
+``spectrum(lo, hi)``, the eigenvalues in a closed window with the global index
+of the first.  A banded operator solves only what is asked (a Sturm count for
+the index plus LAPACK ``stebz`` bisection for a window or for one eigenvalue,
+the real tridiagonal solver for eigenpairs); a dense one slices its full
+spectrum.  A banded operator also factors T - z once (``shifted``, LAPACK
+``gttrf``) for repeated solves with T - z and its adjoint.  On top of these
+live the spectral functional calculus and the operator norm, which everything
+else in the package is built from.
 """
 
 from __future__ import annotations
@@ -252,6 +252,20 @@ class HermOp:
         w = scipy.linalg.eigvalsh_tridiagonal(*self.bands, select="i", select_range=(0, 0))
         return float(w[0])
 
+    def eigenvector(self, k: int) -> np.ndarray:
+        """The unit eigenvector of the k-th eigenvalue in ascending order (k from 0).
+
+        A banded operator solves for that one pair alone (index-selected
+        ``stebz``, then inverse iteration); a dense one reads a column of
+        ``eigenvectors``.
+        """
+        if not 0 <= k < self.dim:
+            raise ValidationError(f"eigenvector index {k} outside [0, {self.dim})")
+        if self.bands is None:
+            return self.eigenvectors[:, k]
+        _, V = scipy.linalg.eigh_tridiagonal(*self.bands, select="i", select_range=(k, k))
+        return V[:, 0]
+
     def shifted(self, z: complex) -> ShiftedFactor:
         """The LU factors of T - z, for solves with T - z and its adjoint (banded storage only).
 
@@ -320,9 +334,12 @@ def herm_eig(M: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ascending eigenvalues and the unitary of eigenvectors.  Raises a
     validation error naming the hermiticity defect for non-Hermitian input.
+    The eigenvectors are read first, so a fresh operator runs one solve that
+    fills both caches, not a values-only solve followed by a full one.
     """
     op = as_hermop(M)
-    return op.eigenvalues, op.eigenvectors
+    V = op.eigenvectors
+    return op.eigenvalues, V
 
 
 def func_calc(M: MatrixLike, f: Callable[[float], complex]) -> np.ndarray:
@@ -332,7 +349,7 @@ def func_calc(M: MatrixLike, f: Callable[[float], complex]) -> np.ndarray:
     value is reported as a domain error naming the offending eigenvalue.
     """
     op = as_hermop(M)
-    w = op.eigenvalues
+    w, _ = herm_eig(op)
     values = np.empty(w.shape, dtype=complex)
     for i, lam in enumerate(w):
         try:

@@ -89,7 +89,7 @@ class RobinOperator:
 
     def eigenfunction(self, k: int) -> np.ndarray:
         """Values of the k-th eigenfunction on ``nodes``, unit weighted L2 norm."""
-        V = self.matrix.eigenvectors[:, k].real.copy()
+        V = self.matrix.eigenvector(k).real.copy()
         if self.scheme == SCHEME_GHOST:
             V[-1] *= math.sqrt(2.0)  # undo the half-cell similarity
         V /= math.sqrt(float(np.sum(self.weights * V * V)))
@@ -225,10 +225,11 @@ def eigenfunction_concentration(
     Returns mu = sqrt(-lambda_min) and the weighted L2 mass on [0, 1 - delta]
     of the normalized lowest eigenfunction.  As the parameter approaches the
     Dirichlet point, mu grows and the mass drains toward the right endpoint
-    (the profile approaches sqrt(2 mu) exp(mu (t - 1))).
+    (the profile approaches sqrt(2 mu) exp(mu (t - 1))).  Only the lowest
+    eigenpair is solved for, not the whole banded spectrum.
     """
     op = assemble_robin_operator(x, n)
-    lam = float(op.matrix.eigenvalues[0])
+    lam = op.matrix.lowest_eigenvalue()
     if lam >= 0.0:
         raise DomainError(f"no negative eigenvalue at parameter ({x.x0}, {x.x1}); lowest is {lam!r}")
     psi = op.eigenfunction(0)

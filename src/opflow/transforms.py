@@ -24,6 +24,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     func_calc,
+    herm_eig,
     matrix_of,
     op_norm,
     require_finite,
@@ -116,7 +117,7 @@ def _require_ball(a: np.ndarray, atol: float = BALL_ATOL) -> float:
 def bounded_transform(A: MatrixLike) -> np.ndarray:
     """A (1 + A*A)^(-1/2); lands strictly inside the unit ball."""
     if isinstance(A, HermOp):
-        w = A.eigenvalues
+        w, _ = herm_eig(A)
         return spectral_weights(A, w / np.sqrt(1.0 + w * w))
     A = as_matrix(A)
     require_finite(A)
@@ -145,7 +146,7 @@ def graph_projection(A: MatrixLike) -> GraphProjection:
     for large operator norms; general matrices go through linear solves.
     """
     if isinstance(A, HermOp):
-        w = A.eigenvalues
+        w, _ = herm_eig(A)
         f = 1.0 / (1.0 + w * w)
         F = spectral_weights(A, f)
         G = spectral_weights(A, w * f)
@@ -193,7 +194,7 @@ def cayley_ball(a: MatrixLike) -> np.ndarray:
     """
     op = a if isinstance(a, HermOp) else HermOp(a)
     _require_ball(op.matrix)
-    w = op.eigenvalues
+    w, _ = herm_eig(op)
     s = _sqrt_clamped(1.0 - w * w)
     return spectral_weights(op, (w - 1j * s) ** 2)
 

@@ -252,9 +252,10 @@ def test_version_flag(capsys):
 
 
 def test_start_up_does_not_load_sparse_linalg():
-    """``scipy.sparse.linalg`` is imported by the one route that needs it, never at start-up."""
+    """``scipy.sparse`` and ``scipy.sparse.linalg`` are imported by the routes that need them,
+    never at start-up."""
     code = ("import sys, opflow.cli; opflow.cli.build_parser(); "
-            "print('scipy.sparse.linalg' in sys.modules)")
+            "print('scipy.sparse' in sys.modules or 'scipy.sparse.linalg' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)

@@ -132,12 +132,13 @@ class TestZkContraction:
         min_singular = homotopy._min_singular
 
         def counting(M):
-            calls.append(M.shape)
+            calls.append(type(M))
             return min_singular(M)
 
         monkeypatch.setattr(homotopy, "_min_singular", counting)
         margin = zk_injectivity_margin(32, seed=0, ts=T_SAMPLES)
         assert len(calls) == 2 + len(T_SAMPLES)
+        assert set(calls) == {HermOp}  # Hermitian samples: margins from eigenvalues, no SVD
         monkeypatch.undo()
         assert margin == zk_injectivity_margin(32, seed=0, ts=T_SAMPLES)
 
@@ -296,16 +297,24 @@ class TestLogRetraction:
     def test_preserves_odd_unitaries(self):
         assert odd_retraction_defect(32, seed=0) <= 1e-9
 
-    def test_schur_factors_the_unitary_once(self, monkeypatch):
+    def test_log_path_factors_the_unitary_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        u = func_calc(HermOp(np.diag(rng.uniform(-2.5, 2.5, 16))), lambda x: np.exp(1j * x))
         calls = []
-        schur = scipy.linalg.schur
+        eigh = np.linalg.eigh
 
-        def counting_schur(*args, **kwargs):
+        def counting_eigh(*args, **kwargs):
             calls.append(1)
-            return schur(*args, **kwargs)
+            return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
-        assert odd_retraction_defect(32, seed=0) <= 1e-9
+        def no_schur(*args, **kwargs):
+            raise AssertionError("the log path runs no Schur factorization")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+        path = homotopy._log_path(u)
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            path(t)
         assert len(calls) == 1
 
     def test_lipschitz_in_t(self):
@@ -315,6 +324,100 @@ class TestLogRetraction:
         L = np.pi + 0.1  # ||log u|| is at most pi off the branch point
         for h1, h2 in zip(hs, hs[1:]):
             assert op_norm(h2 - h1) <= L * (ts[1] - ts[0])
+
+
+def _near_cut_unitary(delta, n=128, seed=0):
+    """Q diag(e^(i phi)) Q* with a conjugate pair of eigenvalues at distance delta from -1."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    phi = rng.uniform(-2.5, 2.5, n)
+    phi[0] = np.pi - 2.0 * np.arcsin(delta / 2.0)  # |e^(i phi) + 1| = delta
+    phi[1] = -phi[0]
+    return Q, phi, (Q * np.exp(1j * phi)) @ adjoint(Q)
+
+
+class TestCayleyPreimage:
+    """The log retraction reads u's spectrum off K = i(1 - u)(1 + u)^-1."""
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-7])
+    def test_tracks_schur_near_the_cut(self, delta):
+        t = 0.5
+        Q, phi, u = _near_cut_unitary(delta)
+        exact = (Q * np.exp(1j * t * phi)) @ adjoint(Q)
+        T, Z = scipy.linalg.schur(u, output="complex")
+        schur_ref = (Z * np.exp(1j * t * np.angle(np.diag(T)))) @ adjoint(Z)
+        err = op_norm(unitary_log_retraction(t, u) - exact)
+        assert err <= 1e-14 / delta
+        assert err <= 10.0 * op_norm(schur_ref - exact)
+
+    def test_exact_minus_one_in_a_rotated_basis(self):
+        Q, phi, _ = _near_cut_unitary(1e-2, n=16, seed=1)
+        phi[0] = np.pi
+        u = (Q * np.exp(1j * phi)) @ adjoint(Q)
+        assert np.array_equal(unitary_log_retraction(0.0, u), np.eye(16, dtype=complex))
+        assert np.array_equal(unitary_log_retraction(1.0, u), u)
+        for t in (0.25, 0.5):
+            with pytest.raises(BranchCutError):
+                unitary_log_retraction(t, u)
+
+
+def _loop_isometry(start, length, n):
+    """The cell-average dilation built one entry at a time: the reference for the builder."""
+    h = 1.0 / n
+    M = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = (i * h - start) / length, ((i + 1) * h - start) / length
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+        if hi <= lo:
+            continue
+        j0 = max(int(np.floor(lo / h)), 0)
+        j1 = min(int(np.ceil(hi / h)), n)
+        for j in range(j0, j1):
+            a, b = max(lo, j * h), min(hi, (j + 1) * h)
+            if b > a:
+                M[i, j] = b - a
+    return (np.sqrt(length) / h) * M
+
+
+class TestIsometryBuilder:
+    @pytest.mark.parametrize("n", [8, 16, 128, 512, 513])
+    def test_bit_equal_to_the_loop(self, n):
+        g = GridSpace.make(n)
+        for t in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            assert np.array_equal(shrink_isometry(t, g), _loop_isometry(0.0, t, n))
+            assert np.array_equal(stretch_isometry(t, g), _loop_isometry(t, 1.0 - t, n))
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 0.7, 0.99])
+    def test_sparse_pair_matches_the_dense_isometries(self, t):
+        g = GridSpace.make(128)
+        U, W = homotopy._sparse_pair(t, g)
+        assert np.array_equal(U.toarray(), shrink_isometry(t, g))
+        assert np.array_equal(W.toarray(), stretch_isometry(t, g))
+
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_reassociated_defects_match_the_dense_formulas(self, n):
+        g = GridSpace.make(n)
+        V = smooth_band(g)
+        eye = np.eye(n)
+        for t in (0.3, 0.5, 0.7):
+            U, W = shrink_isometry(t, g), stretch_isometry(t, g)
+            dense = np.max(np.linalg.norm((U.T @ U - eye) @ V, axis=0))
+            assert abs(isometry_defect(U, g) - dense) <= 1e-15
+            dense = np.max(np.linalg.norm((U @ U.T + W @ W.T - eye) @ V, axis=0))
+            assert abs(completeness_defect(t, g) - dense) <= 1e-15
+
+    def test_sparse_interpolant_matches_the_dense_products(self):
+        n, t = 64, 0.37
+        g = GridSpace.make(n)
+        rng = np.random.default_rng(7)
+        a = compact_injective_sample(rng, n)
+        b = compact_injective_sample(rng, n)
+        U, W = shrink_isometry(t, g), stretch_isometry(t, g)
+        dense = t * (U @ a @ U.T) + (1.0 - t) * (W @ b @ W.T)
+        assert op_norm(zk_contraction(t, a, b, g) - dense) <= 1e-15
+        H = homotopy._zk_path(HermOp(a), HermOp(b), g)(t)
+        assert isinstance(H, HermOp)
+        assert op_norm(H.matrix - dense) <= 1e-15
 
 
 def test_discretization_tolerance_monotone():

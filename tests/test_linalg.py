@@ -97,6 +97,17 @@ class TestFuncCalc:
         with pytest.raises(DomainError):
             func_calc(M, lambda x: 1.0 / x if x else float("inf"))
 
+    def test_fresh_dense_operator_takes_one_eigensolve(self, monkeypatch):
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("values-only solve before the full one")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        M = HermOp(random_hermitian(np.random.default_rng(3), 8))
+        F = func_calc(M, lambda x: x * x)
+        assert op_norm(F - M.matrix @ M.matrix) < 1e-12
+        w, V = herm_eig(HermOp(random_hermitian(np.random.default_rng(4), 8)))
+        assert w.shape == (8,) and V.shape == (8, 8)
+
     @settings(max_examples=25, deadline=None)
     @given(dim=st.integers(2, 12), seed=st.integers(0, 10_000))
     def test_matches_explicit_polynomial(self, dim, seed):
@@ -221,6 +232,27 @@ def tridiagonal_bands(draw):
         d, e = rng.integers(-3, 4, n).astype(float), np.zeros(n - 1)
         edges = d
     return scale * d, scale * e, scale * edges
+
+
+class TestEigenvector:
+    @pytest.mark.parametrize("k", [0, 3, 19])
+    def test_banded_pair_matches_the_full_solve(self, k):
+        rng = np.random.default_rng(k)
+        op = HermOp.tridiagonal(rng.standard_normal(20), rng.standard_normal(19))
+        v = op.eigenvector(k)
+        full = op.eigenvectors[:, k]
+        assert abs(abs(np.vdot(full, v)) - 1.0) < 1e-12
+        assert np.linalg.norm(op.matrix @ v - op.eigenvalues[k] * v) < 1e-12
+
+    def test_dense_reads_a_column(self):
+        op = HermOp(random_hermitian(np.random.default_rng(5), 6))
+        assert np.array_equal(op.eigenvector(2), op.eigenvectors[:, 2])
+
+    @pytest.mark.parametrize("k", [-1, 6])
+    def test_index_outside_the_spectrum_rejected(self, k):
+        op = HermOp.tridiagonal(np.arange(6.0), np.ones(5))
+        with pytest.raises(ValidationError, match="index"):
+            op.eigenvector(k)
 
 
 class TestTridiagonal:

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -198,6 +199,26 @@ class TestConcentration:
     def test_no_negative_eigenvalue_rejected(self):
         with pytest.raises(DomainError):
             eigenfunction_concentration(ProjectivePoint(1.0, 1.5), 64)
+
+    @pytest.mark.parametrize("x1", [0.01, 0.3, 0.5])
+    def test_one_eigenpair_matches_the_full_solve(self, x1):
+        x = ProjectivePoint(1.0, x1)
+        op = assemble_robin_operator(x, 400)
+        w, V = scipy.linalg.eigh_tridiagonal(*op.matrix.bands)
+        psi = V[:, 0].copy()
+        assert op.scheme == SCHEME_GHOST
+        psi[-1] *= math.sqrt(2.0)  # undo the half-cell similarity
+        psi /= math.sqrt(float(np.sum(op.weights * psi * psi)))
+        left = op.nodes <= 0.9
+        mu, mass_left = eigenfunction_concentration(x, 400)
+        assert abs(mu - math.sqrt(-w[0])) <= 1e-10
+        assert abs(mass_left - float(np.sum(op.weights[left] * psi[left] ** 2))) <= 1e-10
+
+    def test_large_grid_solves_one_pair(self):
+        eigenfunction_concentration(ProjectivePoint(1.0, 0.3), 64)  # warm-up
+        start = time.perf_counter()
+        eigenfunction_concentration(ProjectivePoint(1.0, 0.3), 2000)
+        assert time.perf_counter() - start < 0.2
 
 
 class TestDichotomy:
