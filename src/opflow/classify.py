@@ -182,14 +182,14 @@ def surgery_bound_trials(
     eps_values: Sequence[float],
     instances: int = 100,
     seed: int = 0,
-    dim_range: tuple[int, int] = (4, 12),
 ) -> list[dict]:
     """Random surgery instances with the Cayley deviation and its bound.
 
-    For each instance, c is drawn so that ``|cayley(c) - 1| < eps/2`` and the
-    replacement block keeps its spectrum outside [-c, c]; the recorded
-    deviation ``||cayley(A') - cayley(A)||`` must then stay below eps.  Each
-    eps must lie in (0, 4), where such a c is positive.
+    For each instance, the dimension is drawn from 4 to 12 and c so that
+    ``|cayley(c) - 1| < eps/2``, and the replacement block keeps its spectrum
+    outside [-c, c]; the recorded deviation ``||cayley(A') - cayley(A)||``
+    must then stay below eps.  Each eps must lie in (0, 4), where such a c is
+    positive.
     """
     rng = np.random.default_rng(seed)
     records = []
@@ -198,7 +198,7 @@ def surgery_bound_trials(
             raise ValidationError(f"eps must lie in (0, {EPS_MAX:g}), got eps = {eps!r}")
         c_min = np.sqrt(max(16.0 / eps**2 - 1.0, 0.0))
         for i in range(instances):
-            d = int(rng.integers(dim_range[0], dim_range[1] + 1))
+            d = int(rng.integers(4, 13))
             c = float(c_min * rng.uniform(1.01, 2.0))
             n_in = int(rng.integers(1, d))
             lam_in = rng.uniform(-0.9 * c, 0.9 * c, size=n_in)

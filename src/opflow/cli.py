@@ -156,8 +156,10 @@ def cmd_specflow(args, parser) -> int:
         parser.error("--samples must be at least 2")
     if args.path == "robin" and args.grid < MIN_GRID:
         parser.error(f"--grid must be at least {MIN_GRID}")
-    if not args.window > 0:
-        parser.error("--window must be positive")
+    if not 0 < args.window < math.inf:
+        parser.error("--window must be positive and finite")
+    if args.max_depth < 0:
+        parser.error("--max-depth must be non-negative")
     if args.path != "robin":
         args.grid = None  # only the robin path has a grid; the manifest says so
     path = _builtin_path(args.path, args.grid, args.samples)
@@ -208,8 +210,8 @@ def cmd_homotopy_demo(args, parser) -> int:
         grids = [int(g) for g in str(args.grids).split(",") if g.strip()]
     except ValueError:
         parser.error(f"--grids: expected comma-separated integers, got {args.grids!r}")
-    if len(grids) < 2 or any(g < 8 for g in grids):
-        parser.error("--grids needs at least two grid sizes >= 8")
+    if len(grids) < 2 or grids[0] < 8 or any(a >= b for a, b in zip(grids, grids[1:])):
+        parser.error("--grids needs at least two strictly ascending grid sizes >= 8")
     if args.modes < 1:
         parser.error("--modes must be positive")
     deltas = {n: discretization_tolerance(n, modes=args.modes) for n in grids}

@@ -14,14 +14,17 @@ and friends report that band-limited defect, which decays like C/n, and
 ``discretization_tolerance`` aggregates it into the single delta(n) that the
 homotopy assertions carry.
 
-A row of an isometry onto a subinterval of length l has at most ceil(1/l) + 1
-nonzeros, so the contractions
-apply them as sparse maps, and the band-limited defects are reassociated to
-act on the smooth band, never forming an n x n product.  The log retraction
-reads a unitary's spectrum off its Cayley preimage: off the branch cut,
-K = i(1 - u)(1 + u)^-1 is Hermitian with u = (1 + iK)(1 - iK)^-1, so one
-Hermitian eigensolve of K gives u's eigenvectors and, through
-e^(i phi) = e^(2i arctan mu), its principal arguments.
+One builder, ``_isometry``, assembles each isometry as a CSR map.  A row of
+the map onto a subinterval of length l has at most ceil(1/l) + 1 nonzeros, so
+the contractions apply it sparsely; ``shrink_isometry`` and
+``stretch_isometry`` hand out its dense form.  The band-limited defects are
+reassociated to act on the smooth band, never forming an n x n product.
+
+The log retraction reads a unitary's spectrum off its Cayley preimage: off
+the branch cut, K = i(1 - u)(1 + u)^-1 is Hermitian with
+u = (1 + iK)(1 - iK)^-1, so one Hermitian eigensolve of K gives u's
+eigenvectors and, through e^(i phi) = e^(2i arctan mu), its principal
+arguments.
 """
 
 from __future__ import annotations
@@ -73,48 +76,28 @@ class GridSpace:
         return cls(n, nodes, weights)
 
 
-def _cell_average_entries(lo: np.ndarray, hi: np.ndarray, n: int):
-    """Nonzeros (rows, cols, values) of the matrix whose row i integrates the
-    cell basis over [lo[i], hi[i]] (clipped to [0, 1])."""
+def _isometry(start: float, length: float, n: int):
+    """The compression onto [start, start + length] as a CSR array.
+
+    f |-> f((s - start)/length)/sqrt(length), cell-averaged: row i integrates
+    the cell basis over the preimage of cell i, clipped to [0, 1].
+    """
+    import scipy.sparse  # ~20 ms to import, so it stays off the start-up path
+
     h = 1.0 / n
-    lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
+    edges = (np.arange(n + 1) * h - start) / length
+    lo, hi = np.maximum(edges[:-1], 0.0), np.minimum(edges[1:], 1.0)
     j0 = np.maximum(np.floor(lo / h).astype(int), 0)
     j1 = np.minimum(np.ceil(hi / h).astype(int), n)
     counts = np.where(hi > lo, j1 - j0, 0)
-    rows = np.repeat(np.arange(lo.size), counts)
+    rows = np.repeat(np.arange(n), counts)
     starts = np.cumsum(counts) - counts  # position of each row's first candidate cell
     cols = j0[rows] + np.arange(rows.size) - starts[rows]
     a = np.maximum(lo[rows], cols * h)
     b = np.minimum(hi[rows], (cols + 1) * h)
     keep = b > a
-    return rows[keep], cols[keep], (b - a)[keep]
-
-
-def _dilation_entries(start: float, length: float, n: int):
-    """Nonzeros of the compression onto [start, start + length]: f |-> f((s - start)/length)/sqrt(length)."""
-    h = 1.0 / n
-    edges = (np.arange(n + 1) * h - start) / length
-    rows, cols, vals = _cell_average_entries(edges[:-1], edges[1:], n)
-    return rows, cols, (np.sqrt(length) / h) * vals
-
-
-def _dilation(start: float, length: float, grid: GridSpace) -> np.ndarray:
-    """The compression onto [start, start + length] as a dense matrix."""
-    rows, cols, vals = _dilation_entries(start, length, grid.n)
-    M = np.zeros((grid.n, grid.n))
-    M[rows, cols] = vals
-    return M
-
-
-def _sparse_pair(t: float, grid: GridSpace):
-    """(u_t, v_t) at an interior t as CSR arrays: the entries of the dense isometries."""
-    import scipy.sparse  # ~20 ms to import, so it stays off the start-up path
-
-    def csr(start: float, length: float):
-        rows, cols, vals = _dilation_entries(start, length, grid.n)
-        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(grid.n, grid.n))
-
-    return csr(0.0, t), csr(t, 1.0 - t)
+    vals = (np.sqrt(length) / h) * (b - a)[keep]
+    return scipy.sparse.csr_array((vals, (rows[keep], cols[keep])), shape=(n, n))
 
 
 def _conjugate(S, M: np.ndarray) -> np.ndarray:
@@ -128,11 +111,11 @@ def shrink_isometry(t: float, grid: GridSpace) -> np.ndarray:
     Exact identity at t = 1.  The range projection occupies the cells meeting
     [0, t], so its trace tracks t*n (exactly when 1/t is an integer).  A row
     has at most ceil(1/t) + 1 nonzeros; the contractions apply the same
-    entries as a sparse map, not this dense array.
+    map sparsely, not this dense array.
     """
     if not 0.0 < t <= 1.0:
         raise ValidationError(f"shrink parameter must be in (0, 1], got {t}")
-    return np.eye(grid.n) if t == 1.0 else _dilation(0.0, t, grid)
+    return np.eye(grid.n) if t == 1.0 else _isometry(0.0, t, grid.n).toarray()
 
 
 def stretch_isometry(t: float, grid: GridSpace) -> np.ndarray:
@@ -143,7 +126,7 @@ def stretch_isometry(t: float, grid: GridSpace) -> np.ndarray:
     """
     if not 0.0 <= t < 1.0:
         raise ValidationError(f"stretch parameter must be in [0, 1), got {t}")
-    return np.eye(grid.n) if t == 0.0 else _dilation(t, 1.0 - t, grid)
+    return np.eye(grid.n) if t == 0.0 else _isometry(t, 1.0 - t, grid.n).toarray()
 
 
 def smooth_band(grid: GridSpace, modes: int = SMOOTH_MODES) -> np.ndarray:
@@ -176,34 +159,37 @@ def _min_singular(M: MatrixLike) -> float:
     return float(np.min(s)) if s.size else 0.0
 
 
-def _zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float], MatrixLike]:
+def _require_unit_interval(t: float) -> None:
+    if not 0.0 <= t <= 1.0:
+        raise ValidationError(f"t must be in [0, 1], got {t}")
+
+
+def _require_injective(name: str, M: MatrixLike) -> None:
+    smin = _min_singular(M)
+    if smin < INJECTIVITY_ATOL:
+        raise DegeneracyError(f"operand {name} is not injective: min singular value {smin:.3e}")
+
+
+def _zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float], np.ndarray]:
     """t -> ``zk_contraction(t, a, b, grid)``, with the operands checked once.
 
-    Two ``HermOp`` operands give ``HermOp`` interpolants (symmetrized, since
-    the interpolant of Hermitian operands is Hermitian), so ``_min_singular``
-    reads their margin from eigenvalues; other operands stay ndarrays.
+    A ``HermOp`` operand's margin is read from its eigenvalues, an ndarray's
+    from an SVD.
     """
-    hermitian = isinstance(a, HermOp) and isinstance(b, HermOp)
     A, B = matrix_of(a), matrix_of(b)
-    if not hermitian:
-        a, b = A, B
     if A.shape[0] != grid.n or B.shape[0] != grid.n:
         raise ValidationError("operands must live on the grid space")
-    for name, M in (("a", a), ("b", b)):
-        smin = _min_singular(M)
-        if smin < INJECTIVITY_ATOL:
-            raise DegeneracyError(f"operand {name} is not injective: min singular value {smin:.3e}")
+    _require_injective("a", a)
+    _require_injective("b", b)
 
-    def at(t: float) -> MatrixLike:
-        if not 0.0 <= t <= 1.0:
-            raise ValidationError(f"t must be in [0, 1], got {t}")
+    def at(t: float) -> np.ndarray:
+        _require_unit_interval(t)
         if t == 0.0:
-            return a if hermitian else a.copy()
+            return A.copy()
         if t == 1.0:
-            return b if hermitian else b.copy()
-        U, W = _sparse_pair(t, grid)
-        M = t * _conjugate(U, A) + (1.0 - t) * _conjugate(W, B)
-        return HermOp(M) if hermitian else M
+            return B.copy()
+        U, W = _isometry(0.0, t, grid.n), _isometry(t, 1.0 - t, grid.n)
+        return t * _conjugate(U, A) + (1.0 - t) * _conjugate(W, B)
 
     return at
 
@@ -212,12 +198,12 @@ def zk_contraction(t: float, a: MatrixLike, b: MatrixLike, grid: GridSpace) -> n
     """t u_t a u_t* + (1-t) v_t b v_t*: contraction of the injective compacts.
 
     Endpoints are returned bit-for-bit.  Both inputs must be injective
-    (min singular value above 1e-10); the direct-sum structure of the two
-    ranges keeps the interpolant injective up to discretization tolerance.
-    The isometries are applied as sparse maps, so no dense n x n product
-    with them is formed.
+    (min singular value above 1e-10; a ``HermOp``'s is its min |eigenvalue|);
+    the direct-sum structure of the two ranges keeps the interpolant
+    injective up to discretization tolerance.  The isometries are applied as
+    sparse maps, so no dense n x n product with them is formed.
     """
-    return _zk_path(matrix_of(a), matrix_of(b), grid)(t)
+    return _zk_path(a, b, grid)(t)
 
 
 def rk_contraction(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> HermOp:
@@ -231,17 +217,14 @@ def rk_contraction(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> HermOp:
     A, B = as_hermop(A), as_hermop(B)
     if A.dim != grid.n or B.dim != grid.n:
         raise ValidationError("operands must live on the grid space")
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t must be in [0, 1], got {t}")
+    _require_unit_interval(t)
     if t == 0.0:
         return A
     if t == 1.0:
         return B
-    for name, M in (("A", A), ("B", B)):
-        smin = _min_singular(M)
-        if smin < INJECTIVITY_ATOL:
-            raise DegeneracyError(f"operand {name} is singular: min |eigenvalue| {smin:.3e}")
-    U, W = _sparse_pair(t, grid)
+    _require_injective("A", A)
+    _require_injective("B", B)
+    U, W = _isometry(0.0, t, grid.n), _isometry(t, 1.0 - t, grid.n)
     return HermOp(_conjugate(U, A.matrix) / t + _conjugate(W, B.matrix) / (1.0 - t))
 
 
@@ -267,8 +250,7 @@ def compactify_homotopy(t: float, A: HermOp, k: HermOp) -> HermOp:
     every t, so inverses never grow and spectral gaps around 0 survive the
     deformation.  t = 0 returns A unchanged.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t must be in [0, 1], got {t}")
+    _require_unit_interval(t)
     A, k = as_hermop(A), as_hermop(k)
     if A.dim != k.dim:
         raise ValidationError(f"dimension mismatch: {A.dim} vs {k.dim}")
@@ -280,8 +262,7 @@ def compactify_homotopy(t: float, A: HermOp, k: HermOp) -> HermOp:
     if t == 0.0:
         return A
     C = func_calc(k, lambda lam: 1.0 / ((1.0 - t) + t * lam))
-    H = C @ A.matrix @ C
-    return HermOp((H + adjoint(H)) / 2.0)
+    return HermOp(C @ A.matrix @ C)
 
 
 def _log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
@@ -313,8 +294,7 @@ def _log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
         args = 2.0 * np.arctan(mu)
 
     def at(t: float) -> np.ndarray:
-        if not 0.0 <= t <= 1.0:
-            raise ValidationError(f"t must be in [0, 1], got {t}")
+        _require_unit_interval(t)
         if t == 0.0:
             return np.eye(n, dtype=complex)
         if t == 1.0:
@@ -382,15 +362,15 @@ def zk_injectivity_margin(
 ) -> float:
     """Smallest singular value of the contraction over sampled t (seeded pair).
 
-    The sampled pair is Hermitian, so every interpolant is a ``HermOp`` and
-    its smallest singular value is its smallest |eigenvalue|.
+    The sampled pair is Hermitian, so each interpolant is wrapped in a
+    ``HermOp`` and its smallest singular value is its smallest |eigenvalue|.
     """
     rng = np.random.default_rng(seed)
     grid = GridSpace.make(n)
     a = HermOp(compact_injective_sample(rng, n))
     b = HermOp(compact_injective_sample(rng, n))
     path = _zk_path(a, b, grid)
-    return min(_min_singular(path(t)) for t in ts)
+    return min(_min_singular(HermOp(path(t))) for t in ts)
 
 
 def odd_retraction_defect(

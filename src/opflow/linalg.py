@@ -137,7 +137,7 @@ class ShiftedFactor:
 class HermOp:
     """A Hermitian operator, dense or tridiagonal, with cached spectra.
 
-    A dense input must be Hermitian to relative tolerance ``rtol``
+    A dense input must be Hermitian to relative tolerance ``HERMITICITY_RTOL``
     (Frobenius); it is then symmetrized, so downstream code may rely on
     ``matrix`` being exactly equal to its adjoint.  ``HermOp.tridiagonal``
     stores real bands instead, checked once to be finite with a finite
@@ -148,14 +148,14 @@ class HermOp:
 
     __slots__ = ("bands", "_matrix", "_lock", "_eigvals", "_eigvecs")
 
-    def __init__(self, matrix, rtol: float = HERMITICITY_RTOL):
+    def __init__(self, matrix):
         A = as_matrix(matrix)
         defect = hermiticity_defect(A)
-        if not defect <= rtol:  # a NaN or inf entry makes the defect NaN
+        if not defect <= HERMITICITY_RTOL:  # a NaN or inf entry makes the defect NaN
             reason = "has non-finite entries" if math.isnan(defect) else "is not Hermitian"
             raise ValidationError(
                 f"matrix {reason}: relative Frobenius defect "
-                f"||M - M*||/||M|| = {defect:.3e} exceeds {rtol:g}"
+                f"||M - M*||/||M|| = {defect:.3e} exceeds {HERMITICITY_RTOL:g}"
             )
         A = (A + adjoint(A)) / 2.0
         A.setflags(write=False)
@@ -318,11 +318,11 @@ class HermOp:
 MatrixLike = Union[np.ndarray, HermOp]
 
 
-def as_hermop(M: MatrixLike, rtol: float = HERMITICITY_RTOL) -> HermOp:
+def as_hermop(M: MatrixLike) -> HermOp:
     """Pass through a HermOp, or validate-and-wrap an ndarray."""
     if isinstance(M, HermOp):
         return M
-    return HermOp(M, rtol=rtol)
+    return HermOp(M)
 
 
 def matrix_of(M: MatrixLike) -> np.ndarray:

@@ -11,7 +11,8 @@ small against the band placing a_i.
 
 Level selection: collect |eigenvalue| values of both endpoints inside the
 initial window, scan the gaps of that ladder from zero upward, and take the
-midpoint of the first gap wider than twice the observed movement.  Away from
+midpoint of the first gap wider than twice the observed movement whose
+midpoint lies at least the zero tolerance from both ends.  Away from
 crossings the first gap is (0, min |eigenvalue|), which reduces to "half the
 smallest windowed eigenvalue magnitude"; while a crossing is in progress
 that gap collapses and the rule steps over it to the next spectral gap, so
@@ -20,7 +21,7 @@ the crossing eigenvalue is counted rather than chased.
 Windowed solves: every parameter's spectrum is solved only on the window
 [-2 window0, 2 window0] (``HermOp.spectrum``, cached per parameter), and the
 eigenvalues of two endpoints are paired by their global index in the full
-ascending spectrum.  Levels never exceed 1.1 window0 and movement is only read
+ascending spectrum.  Levels never exceed window0 and movement is only read
 for eigenvalues within window0, so nothing outside the solve radius could
 change a decision, with one exception handled by the missing-partner rule: an
 index inside window0 at one endpoint but beyond the radius at the other has
@@ -36,6 +37,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
 from .linalg import HermOp, op_norm
@@ -46,18 +48,37 @@ ENDPOINT_MATCH_RTOL = 1e-9
 MIDPOINT_OFFSETS = (0.5, 0.5 + 1.0 / 16.0, 0.5 - 1.0 / 16.0, 0.5 + 1.0 / 8.0)
 
 
+def _band_norm(d: np.ndarray, e: np.ndarray) -> float:
+    """Spectral norm of the real symmetric tridiagonal (d, e), from its two extreme eigenvalues."""
+    lo, hi = (scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(k, k))[0]
+              for k in (0, d.size - 1))
+    return float(max(-lo, hi))
+
+
 def _check_match(left: HermOp, right: HermOp, what: str) -> None:
     """Raise unless two operators agree to ENDPOINT_MATCH_RTOL relative to scale.
 
-    The same object always matches, without building its matrix.  The scale
-    ``1 + ||left||`` is at least 1, so it is computed only when the mismatch
-    already exceeds the bare tolerance.
+    The same object always matches, without building its matrix.  Two banded
+    operators are compared on their bands, so neither is densified: equal
+    bands match, and otherwise both norms come from extreme eigenvalues.  The
+    scale ``1 + ||left||`` is at least 1, so it is computed only when the
+    mismatch already exceeds the bare tolerance.
     """
     if left is right:
         return
-    mismatch = op_norm(left.matrix - right.matrix)
+    if left.dim != right.dim:
+        raise ValidationError(f"{what} have dimensions {left.dim} and {right.dim}")
+    banded = left.bands is not None and right.bands is not None
+    if banded:
+        (dl, el), (dr, er) = left.bands, right.bands
+        if np.array_equal(dl, dr) and np.array_equal(el, er):
+            return
+        mismatch = _band_norm(dl - dr, el - er)
+    else:
+        mismatch = op_norm(left.matrix - right.matrix)
     if mismatch > ENDPOINT_MATCH_RTOL:
-        tol = ENDPOINT_MATCH_RTOL * (1.0 + op_norm(left.matrix))
+        scale = _band_norm(dl, el) if banded else op_norm(left.matrix)
+        tol = ENDPOINT_MATCH_RTOL * (1.0 + scale)
         if mismatch > tol:
             raise ValidationError(f"{what} differ by {mismatch:.3e} (tol {tol:.3e})")
 
@@ -178,8 +199,9 @@ def _pick_level(
     """Counting level for one subinterval, or None if it must be bisected.
 
     Returns (level, movement).  The level lies in a band of half-width
-    > movement that is free of endpoint spectrum, and the spec criterion
-    movement < level/2 is enforced on top.
+    > movement that is free of endpoint spectrum, at least ZERO_ATOL from
+    every endpoint |eigenvalue|, and the spec criterion movement < level/2 is
+    enforced on top.
     """
     el, er, unpaired = _pair(left, right)
     relevant = (np.abs(el) <= window0) | (np.abs(er) <= window0)
@@ -192,20 +214,10 @@ def _pick_level(
         if v - u <= max(2.0 * movement, 4.0 * WINDOW_FLOOR):
             continue
         level = 0.5 * (u + v)
-        if movement < level / 2.0 and level >= WINDOW_FLOOR:
+        if (movement < level / 2.0 and level >= WINDOW_FLOOR
+                and u + ZERO_ATOL <= level <= v - ZERO_ATOL):
             return level, movement
     return None, movement
-
-
-def _guard_level(left: Spectrum, right: Spectrum, level: float) -> float:
-    """Nudge the level by +-10% if an endpoint eigenvalue is pinned at it."""
-    mags = np.abs(np.concatenate([left[1], right[1]]))
-    for cand in (level, 1.1 * level, 0.9 * level):
-        if float(np.min(np.abs(mags - cand), initial=np.inf)) >= ZERO_ATOL:
-            return cand
-    raise ConditioningError(
-        f"an eigenvalue stays pinned at the counting level {level!r} under +-10% perturbation"
-    )
 
 
 def _near_zero(spectrum: Spectrum) -> bool:
@@ -227,8 +239,8 @@ def spectral_flow(
     spectrum within 1e-9 of zero.  Raises a non-convergence error naming the
     offending bracket when bisection depth is exhausted.
     """
-    if window0 <= 0:
-        raise ValidationError("window0 must be positive")
+    if not 0.0 < window0 < math.inf:
+        raise ValidationError(f"window0 must be positive and finite, got {window0}")
     radius = 2.0 * max(window0, ZERO_ATOL)
     spectra: dict[float, Spectrum] = {}
 
@@ -279,7 +291,6 @@ def spectral_flow(
             stack.append((lo, mid, depth + 1))
             stack.append((mid, hi, depth + 1))
             continue
-        level = _guard_level(left, right, level)
         count_l = int(np.sum((left[1] >= 0.0) & (left[1] < level)))
         count_r = int(np.sum((right[1] >= 0.0) & (right[1] < level)))
         if count_r != count_l:

@@ -208,6 +208,10 @@ class TestConfig:
     pytest.param(["specgraph", "--window", "nan"], None, id="specgraph-window-nan"),
     pytest.param(["dichotomy", "--x1-max", "inf"], None, id="dichotomy-x1-max-inf"),
     pytest.param(["identities", "--tolerance", "nan"], None, id="identities-tolerance-nan"),
+    pytest.param(["specflow", "--max-depth", "-1"], None, id="specflow-max-depth-negative"),
+    pytest.param(["homotopy-demo", "--grids", "32,16"], None, id="homotopy-grids-descending"),
+    pytest.param(["homotopy-demo", "--grids", "16,16"], None, id="homotopy-grids-repeated"),
+    pytest.param(["specflow", "--window", "inf"], None, id="specflow-window-inf"),
 ])
 def test_bad_value_is_usage_error(tmp_path, argv, preset):
     if preset is not None:

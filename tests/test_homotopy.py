@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -142,6 +143,21 @@ class TestZkContraction:
         monkeypatch.undo()
         assert margin == zk_injectivity_margin(32, seed=0, ts=T_SAMPLES)
 
+    def test_hermop_operands_get_eigenvalue_margins(self, monkeypatch):
+        calls = []
+        min_singular = homotopy._min_singular
+
+        def recording(M):
+            calls.append(type(M))
+            return min_singular(M)
+
+        monkeypatch.setattr(homotopy, "_min_singular", recording)
+        rng = np.random.default_rng(6)
+        a = HermOp(compact_injective_sample(rng, 32))
+        b = HermOp(compact_injective_sample(rng, 32))
+        assert isinstance(zk_contraction(0.5, a, b, GridSpace.make(32)), np.ndarray)
+        assert calls == [HermOp, HermOp]
+
     @pytest.mark.parametrize("t", [-0.1, 1.5])
     def test_t_outside_unit_interval_rejected(self, t):
         g = GridSpace.make(16)
@@ -217,6 +233,15 @@ class TestCompactify:
         k = HermOp(np.diag([0.5, 0.5]))
         H1 = compactify_homotopy(1.0, A, k)
         np.testing.assert_allclose(H1.matrix, np.diag([8.0, -12.0]), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 64, 300])
+    def test_result_is_the_symmetrized_product(self, n):
+        A = HermOp(compact_injective_sample(np.random.default_rng(n), n, mixed_signs=True))
+        k = default_compact_factor(n)
+        t = 0.7
+        C = func_calc(k, lambda lam: 1.0 / ((1.0 - t) + t * lam))
+        H = C @ A.matrix @ C
+        assert np.array_equal(compactify_homotopy(t, A, k).matrix, (H + adjoint(H)) / 2.0)
 
     def test_parameter_validation(self):
         A = HermOp(np.diag([1.0, 2.0]))
@@ -388,11 +413,12 @@ class TestIsometryBuilder:
             assert np.array_equal(stretch_isometry(t, g), _loop_isometry(t, 1.0 - t, n))
 
     @pytest.mark.parametrize("t", [0.01, 0.3, 0.7, 0.99])
-    def test_sparse_pair_matches_the_dense_isometries(self, t):
-        g = GridSpace.make(128)
-        U, W = homotopy._sparse_pair(t, g)
-        assert np.array_equal(U.toarray(), shrink_isometry(t, g))
-        assert np.array_equal(W.toarray(), stretch_isometry(t, g))
+    def test_csr_map_is_the_loop_isometry(self, t):
+        n = 128
+        for start, length in ((0.0, t), (t, 1.0 - t)):
+            S = homotopy._isometry(start, length, n)
+            assert np.array_equal(S.toarray(), _loop_isometry(start, length, n))
+            assert np.max(np.diff(S.indptr)) <= math.ceil(1.0 / length) + 1
 
     @pytest.mark.parametrize("n", [128, 512])
     def test_reassociated_defects_match_the_dense_formulas(self, n):
@@ -416,8 +442,8 @@ class TestIsometryBuilder:
         dense = t * (U @ a @ U.T) + (1.0 - t) * (W @ b @ W.T)
         assert op_norm(zk_contraction(t, a, b, g) - dense) <= 1e-15
         H = homotopy._zk_path(HermOp(a), HermOp(b), g)(t)
-        assert isinstance(H, HermOp)
-        assert op_norm(H.matrix - dense) <= 1e-15
+        assert isinstance(H, np.ndarray)
+        assert op_norm(H - dense) <= 1e-15
 
 
 def test_discretization_tolerance_monotone():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opflow import specflow
 from opflow.errors import NonConvergenceError, ValidationError
-from opflow.linalg import HermOp
+from opflow.linalg import HermOp, op_norm
 from opflow.specflow import Crossing, OperatorPath, SpecFlowReport, concat, spectral_flow
 from opflow.sturm import robin_generator
 
@@ -82,6 +85,12 @@ class TestSpectralFlowBasics:
         with pytest.raises(ValidationError):
             spectral_flow(path, window0=0.0)
 
+    @pytest.mark.parametrize("window0", [math.inf, math.nan])
+    def test_window_must_be_finite(self, window0):
+        path = OperatorPath.sample(CROSS, 0.0, 1.0, 4)
+        with pytest.raises(ValidationError, match="finite"):
+            spectral_flow(path, window0=window0)
+
     def test_open_endpoint_kernel_rejected(self):
         gen = diag_gen(lambda t: t, lambda t: 2.0)
         path = OperatorPath.sample(gen, 0.0, 1.0, 4)
@@ -150,6 +159,19 @@ class TestRefinementAndStability:
         assert spectral_flow(p2, window0=1.0).flow == report.flow == 1
 
 
+@pytest.fixture
+def no_banded_matrix(monkeypatch):
+    """Make reading the dense matrix of a banded operator an error."""
+    matrix = HermOp.matrix
+
+    def guarded(op):
+        if op.bands is not None:
+            raise AssertionError("a banded operator was densified")
+        return matrix.fget(op)
+
+    monkeypatch.setattr(HermOp, "matrix", property(guarded))
+
+
 class TestConcat:
     def test_split_crossing_path(self):
         left = OperatorPath.sample(CROSS, 0.0, 0.4375, 7)
@@ -172,11 +194,40 @@ class TestConcat:
         with pytest.raises(ValidationError, match="junction"):
             concat(left, right)
 
+    def test_junction_dimension_mismatch_rejected(self):
+        left = OperatorPath.sample(lambda t: HermOp(np.eye(2)), 0.0, 0.5, 2)
+        right = OperatorPath.sample(lambda t: HermOp(np.eye(3)), 0.5, 1.0, 2)
+        with pytest.raises(ValidationError, match="dimensions 2 and 3"):
+            concat(left, right)
+
     def test_domain_mismatch_rejected(self):
         left = OperatorPath.sample(CROSS, 0.0, 0.4, 4)
         right = OperatorPath.sample(CROSS, 0.5, 1.0, 4)
         with pytest.raises(ValidationError, match="abut"):
             concat(left, right)
+
+    def test_robin_junction_is_not_densified(self, no_banded_matrix):
+        gen = robin_generator(200)
+        left = OperatorPath.sample(gen, 0.05, math.pi / 2, 4)
+        right = OperatorPath.sample(gen, math.pi / 2, math.pi + 0.05, 4)
+        assert left.operators[-1] is not right.operators[0]
+        assert concat(left, right).thetas.size == 9
+
+    def test_banded_junction_tolerance_scales_with_the_norm(self, no_banded_matrix):
+        d, e = robin_generator(200)(0.5).bands  # norm ~ 1.6e5, so the tolerance ~ 1.6e-4
+        left = OperatorPath.sample(lambda t: HermOp.tridiagonal(d, e), 0.0, 0.5, 2)
+        right = lambda shift: OperatorPath.sample(
+            lambda t: HermOp.tridiagonal(d + shift, e), 0.5, 1.0, 2)
+        concat(left, right(1e-6))
+        with pytest.raises(ValidationError, match="junction"):
+            concat(left, right(1e-3))
+
+    def test_band_norm_is_the_operator_norm(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5, 40):
+            d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+            dense = op_norm(HermOp.tridiagonal(d, e).matrix)
+            assert abs(specflow._band_norm(d, e) - dense) <= 1e-13 * dense
 
     def test_robin_loop_split_at_half(self):
         gen = robin_generator(200)
@@ -201,6 +252,40 @@ class TestRobinLoop:
         for samples in (32, 64):
             path = OperatorPath.sample(robin_generator(200), 0.0, math.pi, samples, closed=True)
             assert spectral_flow(path, window0=1.0).flow == 1
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="endpoints are paired by global index, and the passage through "
+                              "infinity shifts every index by one; the unpaired index lies "
+                              "between window0 and the solve radius, so no bisection is forced")
+    def test_large_window_counts_the_crossing(self):
+        path = OperatorPath.sample(robin_generator(64), 0.0, math.pi, 64, closed=True)
+        assert spectral_flow(path, window0=1e5).flow == 1
+
+
+@st.composite
+def level_cases(draw):
+    """Two endpoint spectra that move a little, some magnitudes a few ulps apart."""
+    window0 = draw(st.floats(1e-3, 1e12))
+    values = [window0 * x for x in draw(st.lists(st.floats(-2.0, 2.0), max_size=6))]
+    base = window0 * draw(st.floats(0.0, 1.0))
+    values += [base + k * np.spacing(base) for k in draw(st.lists(st.integers(0, 4), max_size=4))]
+    left = np.sort([v for v in values if abs(v) <= 2.0 * window0])
+    stretch = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 0.5]))
+    first = draw(st.integers(0, left.size))  # the right window starts higher up
+    return window0, (0, left), (first, left[first:] * (1.0 + stretch))
+
+
+class TestLevelPlacement:
+    @settings(max_examples=300, deadline=None)
+    @given(level_cases())
+    def test_level_clears_every_endpoint_magnitude(self, case):
+        window0, left, right = case
+        level, movement = specflow._pick_level(left, right, window0)
+        if level is not None:
+            mags = np.abs(np.concatenate([left[1], right[1]]))
+            assert np.all(np.abs(mags - level) >= specflow.ZERO_ATOL)
+            assert specflow.WINDOW_FLOOR <= level <= window0
+            assert movement < level / 2.0
 
 
 def dense_twin(path: OperatorPath) -> OperatorPath:
