@@ -64,16 +64,10 @@ class SymmetricTuple:
         return self.points[0], self.points[-1]
 
 
-def window_projection(A: HermOp, lo: float, hi: float, *, tol: float = BOUNDARY_ATOL) -> np.ndarray:
-    """Spectral projection of A onto the window [lo, hi].
-
-    Eigenvalues within ``tol`` of either edge make the projection
-    ill-conditioned and raise a boundary-collision error instead of being
-    silently included or dropped.
-    """
-    if lo > hi:
+def _window(A: HermOp, lo: float, hi: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of A and the mask of those inside (lo, hi), checked clear of both edges."""
+    if not lo <= hi:  # also catches a NaN edge
         raise ValidationError(f"empty window [{lo}, {hi}]")
-    A = as_hermop(A)
     w, V = herm_eig(A)
     near = np.minimum(np.abs(w - lo), np.abs(w - hi))
     if np.any(near < tol):
@@ -81,7 +75,17 @@ def window_projection(A: HermOp, lo: float, hi: float, *, tol: float = BOUNDARY_
         raise BoundaryCollisionError(
             f"eigenvalue {lam!r} within {tol:g} of window edge [{lo}, {hi}]"
         )
-    inside = (w > lo) & (w < hi)
+    return w, V, (w > lo) & (w < hi)
+
+
+def window_projection(A: HermOp, lo: float, hi: float, *, tol: float = BOUNDARY_ATOL) -> np.ndarray:
+    """Spectral projection of A onto the window [lo, hi].
+
+    Eigenvalues within ``tol`` of either edge make the projection
+    ill-conditioned and raise a boundary-collision error instead of being
+    silently included or dropped.
+    """
+    _, V, inside = _window(A, lo, hi, tol)
     V = V[:, inside]
     P = V @ adjoint(V)
     return (P + adjoint(P)) / 2.0
@@ -89,8 +93,8 @@ def window_projection(A: HermOp, lo: float, hi: float, *, tol: float = BOUNDARY_
 
 def covering_membership(A: HermOp, tau: SymmetricTuple, gap: float = DEFAULT_GAP) -> bool:
     """True iff every point of tau is at distance >= gap from the spectrum."""
-    if gap <= 0:
-        raise ValidationError("gap must be positive")
+    if not gap > 0:
+        raise ValidationError(f"gap must be positive, got gap = {gap!r}")
     w = as_hermop(A).eigenvalues
     pts = np.asarray(tau.points)
     dist = np.min(np.abs(w[:, None] - pts[None, :]))
@@ -128,8 +132,7 @@ def split_finite_infinite(A: HermOp, tau: SymmetricTuple) -> SplitOperator:
     lo, hi = tau.hull
     inside = (w > lo) & (w < hi)
     Vin, Vout = V[:, inside], V[:, ~inside]
-    finite = HermOp(adjoint(Vin) @ A.matrix @ Vin) if inside.any() else HermOp(
-        np.zeros((0, 0), dtype=complex))
+    finite = HermOp(adjoint(Vin) @ A.matrix @ Vin)
     infinite = HermOp(adjoint(Vout) @ A.matrix @ Vout)
     return SplitOperator(Vin, Vout, finite, infinite)
 
@@ -143,14 +146,11 @@ def density_surgery(A: HermOp, c: float, B: HermOp) -> HermOp:
     the complement of [-c, c] into a small arc around 1, the Cayley images of
     input and output are uniformly close once c is large.
     """
-    if c <= 0:
-        raise ValidationError("window half-width c must be positive")
+    if not c > 0:
+        raise ValidationError(f"window half-width c must be positive, got c = {c!r}")
     A = as_hermop(A)
     B = as_hermop(B)
-    # boundary guard: eigenvalues of A pinned at +-c make the split ambiguous
-    window_projection(A, -c, c)
-    w, V = herm_eig(A)
-    inside = (np.abs(w) < c)
+    w, V, inside = _window(A, -c, c, BOUNDARY_ATOL)  # eigenvalues at +-c make the split ambiguous
     Vin, Vout = V[:, inside], V[:, ~inside]
     k = Vout.shape[1]
     if B.dim != k:
@@ -162,9 +162,7 @@ def density_surgery(A: HermOp, c: float, B: HermOp) -> HermOp:
             f"replacement spectrum enters [-{c}, {c}]: closest eigenvalue "
             f"{B.eigenvalues[int(np.argmin(np.abs(B.eigenvalues)))]!r}"
         )
-    inner = Vin @ (w[inside][:, None] * adjoint(Vin)) if inside.any() else 0.0
-    outer = Vout @ B.matrix @ adjoint(Vout) if k else 0.0
-    out = inner + outer
+    out = Vin @ (w[inside][:, None] * adjoint(Vin)) + Vout @ B.matrix @ adjoint(Vout)
     return HermOp((out + adjoint(out)) / 2.0)
 
 

@@ -26,13 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
-from .linalg import MIN_FACTOR_DIM, HermOp, MatrixLike, as_hermop, op_norm
+from .linalg import MIN_FACTOR_DIM, HermOp, MatrixLike, as_hermop, as_matrix, op_norm
 from .transforms import bounded_transform, cayley, graph_projection
 
 
 def _check_dims(A: MatrixLike, B: MatrixLike) -> None:
-    da = A.dim if isinstance(A, HermOp) else np.asarray(A).shape[0]
-    db = B.dim if isinstance(B, HermOp) else np.asarray(B).shape[0]
+    da = A.dim if isinstance(A, HermOp) else as_matrix(A).shape[0]
+    db = B.dim if isinstance(B, HermOp) else as_matrix(B).shape[0]
     if da != db:
         raise ValidationError(f"dimension mismatch: {da} vs {db}")
 

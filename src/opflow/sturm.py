@@ -228,6 +228,8 @@ def eigenfunction_concentration(
     (the profile approaches sqrt(2 mu) exp(mu (t - 1))).  Only the lowest
     eigenpair is solved for, not the whole banded spectrum.
     """
+    if not 0.0 <= delta <= 1.0:
+        raise ValidationError(f"delta must lie in [0, 1], got delta = {delta!r}")
     op = assemble_robin_operator(x, n)
     lam = op.matrix.lowest_eigenvalue()
     if lam >= 0.0:

@@ -9,6 +9,12 @@ A note on domains: in the matrix setting every operator is bounded, so the
 classical dense-range condition on ``1 - a*a`` collapses to invertibility.
 The inverse transform therefore requires a *strict* contraction, and the
 strictness tolerance (1e-8) is part of its contract.
+
+Each map factors its operand once and reads its ball check off that
+factorization: ``ball_projection`` and ``fredholm_factor_check`` take one SVD
+(||a|| is its largest singular value), ``cayley_ball`` one Hermitian
+eigendecomposition, ``inverse_bounded_transform`` the ``eigh`` of a*a it
+already needs.
 """
 
 from __future__ import annotations
@@ -107,11 +113,28 @@ def _sqrt_clamped(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
-def _require_ball(a: np.ndarray, atol: float = BALL_ATOL) -> float:
-    norm = op_norm(a)
-    if norm > 1.0 + atol:
-        raise OutOfBallError(f"operator norm {norm:.12g} exceeds 1 (tol {atol:g})")
-    return norm
+def _require_ball(norm: float) -> None:
+    if norm > 1.0 + BALL_ATOL:
+        raise OutOfBallError(f"operator norm {norm:.12g} exceeds 1 (tol {BALL_ATOL:g})")
+
+
+def _ball_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """U, s, Vh of a ball operand and sqrt(1 - s^2); the ball check reads ||a|| = s[0]."""
+    require_finite(a)
+    U, s, Vh = np.linalg.svd(a)
+    _require_ball(np.max(s, initial=0.0))
+    return U, s, Vh, _sqrt_clamped(1.0 - s * s)
+
+
+def _ball_projection(U: np.ndarray, s: np.ndarray, Vh: np.ndarray, r: np.ndarray) -> GraphProjection:
+    # one SVD feeds every block, so the intertwining identities (and hence
+    # idempotency) hold to machine precision even on the unit sphere
+    V = adjoint(Vh)
+    top_left = (V * (1.0 - s * s)) @ Vh
+    top_right = (V * (r * s)) @ adjoint(U)
+    bottom_right = (U * (s * s)) @ adjoint(U)
+    P = np.block([[top_left, top_right], [adjoint(top_right), bottom_right]])
+    return GraphProjection((P + adjoint(P)) / 2.0)
 
 
 def bounded_transform(A: MatrixLike) -> np.ndarray:
@@ -129,12 +152,13 @@ def bounded_transform(A: MatrixLike) -> np.ndarray:
 def inverse_bounded_transform(a: MatrixLike) -> np.ndarray:
     """a (1 - a*a)^(-1/2); defined for strict contractions only."""
     a = matrix_of(a)
-    norm = op_norm(a)
+    require_finite(a)
+    w, V = np.linalg.eigh(adjoint(a) @ a)
+    norm = np.sqrt(np.max(w, initial=0.0))  # ||a||^2 is the top eigenvalue of a*a
     if norm >= 1.0 - 1e-8:
         raise OutOfBallError(
             f"inverse transform needs a strict contraction; operator norm is {norm:.12g}"
         )
-    w, V = np.linalg.eigh(adjoint(a) @ a)
     inv_sqrt = (V / np.sqrt(np.clip(1.0 - w, 1e-300, None))) @ adjoint(V)
     return a @ inv_sqrt
 
@@ -157,28 +181,15 @@ def graph_projection(A: MatrixLike) -> GraphProjection:
     n = A.shape[0]
     eye = np.eye(n, dtype=complex)
     S = eye + adjoint(A) @ A
-    T = eye + A @ adjoint(A)
-    p11 = np.linalg.solve(S, eye)
-    p12 = np.linalg.solve(S, adjoint(A))
-    p22 = eye - np.linalg.solve(T, eye)
+    p11, p12 = np.hsplit(np.linalg.solve(S, np.hstack([eye, adjoint(A)])), 2)  # one factor of S
+    p22 = eye - np.linalg.solve(eye + A @ adjoint(A), eye)
     P = np.block([[p11, p12], [adjoint(p12), p22]])
     return GraphProjection((P + adjoint(P)) / 2.0)
 
 
 def ball_projection(a: MatrixLike) -> GraphProjection:
     """Continuous extension of the graph projection to the closed unit ball."""
-    a = matrix_of(a)
-    _require_ball(a)
-    # one SVD feeds every block, so the intertwining identities (and hence
-    # idempotency) hold to machine precision even on the unit sphere
-    U, s, Vh = np.linalg.svd(a)
-    V = adjoint(Vh)
-    r = _sqrt_clamped(1.0 - s * s)
-    top_left = (V * (1.0 - s * s)) @ Vh
-    top_right = (V * (r * s)) @ adjoint(U)
-    bottom_right = (U * (s * s)) @ adjoint(U)
-    P = np.block([[top_left, top_right], [adjoint(top_right), bottom_right]])
-    return GraphProjection((P + adjoint(P)) / 2.0)
+    return _ball_projection(*_ball_svd(matrix_of(a)))
 
 
 def cayley(A: MatrixLike) -> np.ndarray:
@@ -193,8 +204,8 @@ def cayley_ball(a: MatrixLike) -> np.ndarray:
     continuously to the whole closed ball of Hermitian operators.
     """
     op = a if isinstance(a, HermOp) else HermOp(a)
-    _require_ball(op.matrix)
     w, _ = herm_eig(op)
+    _require_ball(np.max(np.abs(w), initial=0.0))
     s = _sqrt_clamped(1.0 - w * w)
     return spectral_weights(op, (w - 1j * s) ** 2)
 
@@ -266,10 +277,8 @@ def fredholm_factor_check(a: MatrixLike) -> float:
     fails to be unitary to 1e-10.
     """
     a = matrix_of(a)
-    _require_ball(a)
     n = a.shape[0]
-    U, s, Vh = np.linalg.svd(a)
-    r = _sqrt_clamped(1.0 - s * s)
+    U, s, Vh, r = _ball_svd(a)
     R1 = (adjoint(Vh) * r) @ Vh       # sqrt(1 - a*a)
     R2 = (U * r) @ adjoint(U)         # sqrt(1 - a a*)
     W = np.block([[a, -R2], [R1, adjoint(a)]])
@@ -279,7 +288,7 @@ def fredholm_factor_check(a: MatrixLike) -> float:
     DW = np.vstack([-adjoint(a) @ W[:n], a @ W[n:]])  # diag(-a*, a) W, one block row each
     p0 = np.zeros((2 * n, 2 * n), dtype=complex)
     p0[:n, :n] = np.eye(n)
-    return op_norm((ball_projection(a).matrix - p0) - DW)
+    return op_norm((_ball_projection(U, s, Vh, r).matrix - p0) - DW)
 
 
 def horizontal_projection(n: int) -> GraphProjection:
@@ -316,6 +325,10 @@ def identity_suite(dim: int = 16, trials: int = 500, seed: int = 0) -> dict[str,
     block factorization, the Lagrangian condition for Hermitian graphs,
     the odd-embedding square, and the transform round trips.
     """
+    if dim < 2:
+        raise ValidationError(f"identity suite needs dim >= 2, got dim = {dim!r}")
+    if trials < 1:
+        raise ValidationError(f"identity suite needs trials >= 1, got trials = {trials!r}")
     rng = np.random.default_rng(seed)
     sp2 = Symplectics(1)
     dev = {
@@ -342,26 +355,25 @@ def identity_suite(dim: int = 16, trials: int = 500, seed: int = 0) -> dict[str,
         d = int(rng.integers(2, dim + 1))
         A = random_matrix(rng, d, scale=2.0)
         a = bounded_transform(A)
+        pa = ball_projection(a)
         eye = np.eye(d, dtype=complex)
 
         resolvent = np.linalg.solve(eye + adjoint(A) @ A, eye)
         bump("resolvent_vs_ball", op_norm(resolvent - (eye - adjoint(a) @ a)))
-        bump("graph_factorization",
-             op_norm(graph_projection(A).matrix - ball_projection(a).matrix))
+        bump("graph_factorization", op_norm(graph_projection(A).matrix - pa.matrix))
         bump("fredholm_factorization", fredholm_factor_check(a))
         bump("round_trip", op_norm(inverse_bounded_transform(a) - A))
 
         Ah = random_hermitian(rng, d, scale=2.0)
         ah = HermOp(bounded_transform(Ah))
-        bump("cayley_factorization", op_norm(cayley(Ah) - cayley_ball(ah)))
+        kappa, kt = cayley(Ah), cayley_ball(ah)
+        bump("cayley_factorization", op_norm(kappa - kt))
         p_h = graph_projection(Ah)
         bump("lagrangian_anticommutator", lagrangian_defect(p_h))
-        bump("lagrangian_unitary_vs_cayley",
-             op_norm(lagrangian_to_unitary(p_h) - cayley(Ah)))
+        bump("lagrangian_unitary_vs_cayley", op_norm(lagrangian_to_unitary(p_h) - kappa))
 
         w = ah.eigenvalues
         s = _sqrt_clamped(1.0 - w * w)
-        kt = cayley_ball(ah)
         lhs1 = np.eye(d) - kt
         rhs1 = spectral_weights(ah, 2.0 * (1.0 - w * w) + 2j * w * s)
         bump("cayley_minus_one", op_norm(lhs1 - rhs1))
@@ -370,6 +382,6 @@ def identity_suite(dim: int = 16, trials: int = 500, seed: int = 0) -> dict[str,
         bump("cayley_plus_one", op_norm(lhs2 - rhs2))
 
         bump("odd_commuting_square",
-             op_norm(proj_to_unitary(ball_projection(a)) - cayley_ball(odd_embedding(a))))
+             op_norm(proj_to_unitary(pa) - cayley_ball(odd_embedding(a))))
 
     return dev

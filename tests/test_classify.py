@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opflow import classify
 from opflow.classify import (
     SymmetricTuple,
     covering_membership,
@@ -79,6 +80,16 @@ class TestWindowProjection:
         P = window_projection(A, -1.0, 1.0)
         assert round(float(np.trace(P).real)) == 3
 
+    @pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (-1.0, float("nan")), (2.0, 1.0)])
+    def test_nan_or_reversed_edge_rejected(self, lo, hi):
+        with pytest.raises(ValidationError, match=r"empty window \[%r, %r\]" % (lo, hi)):
+            window_projection(herm([-2.0, 0.0, 3.0]), lo, hi)
+
+    def test_infinite_edges(self):
+        A = herm([-2.0, 0.0, 3.0])
+        np.testing.assert_array_equal(window_projection(A, -np.inf, np.inf), np.eye(3))
+        np.testing.assert_array_equal(window_projection(A, -np.inf, 1.0), np.diag([1.0, 1.0, 0.0]))
+
     def test_robin_zero_window_rank_one(self):
         from opflow.sturm import ProjectivePoint, assemble_robin_operator
 
@@ -99,6 +110,11 @@ class TestCoveringMembership:
     def test_gap_must_be_positive(self):
         with pytest.raises(ValidationError):
             covering_membership(herm([1.0]), SymmetricTuple((-0.5, 0.5)), gap=0.0)
+
+    @pytest.mark.parametrize("gap", [float("nan"), -1e-3])
+    def test_gap_nan_or_negative_named(self, gap):
+        with pytest.raises(ValidationError, match=f"gap = {gap!r}"):
+            covering_membership(herm([1.0]), SymmetricTuple((-0.5, 0.5)), gap=gap)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000))
@@ -181,6 +197,30 @@ class TestDensitySurgery:
         inside = ~outside
         Vin = V[:, inside]
         assert op_norm(adjoint(Vin) @ (A2.matrix - A.matrix) @ Vin) < 1e-10
+
+    @pytest.mark.parametrize("c", [float("nan"), 0.0, -1.0])
+    def test_nan_or_non_positive_c_rejected(self, c):
+        with pytest.raises(ValidationError, match=f"c = {c!r}"):
+            density_surgery(herm([-5.0, 1.0, 7.0]), c, herm([6.0, 6.0]))
+
+    def test_infinite_c_keeps_the_operator(self):
+        A = herm([-5.0, 1.0, 7.0])
+        A2 = density_surgery(A, float("inf"), HermOp(np.zeros((0, 0))))
+        np.testing.assert_array_equal(A2.matrix, A.matrix)
+
+    def test_empty_window_replaces_everything(self):
+        A2 = density_surgery(herm([-5.0, 7.0]), 2.0, herm([-3.0, 4.0]))
+        np.testing.assert_array_equal(A2.matrix, np.diag([-3.0, 4.0]))
+
+    def test_boundary_guard_builds_no_projection(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("window projection built")
+
+        monkeypatch.setattr(classify, "window_projection", refuse)
+        A2 = density_surgery(herm([-5.0, 1.0, 7.0]), 2.0, herm([6.0, 6.0]))
+        np.testing.assert_array_equal(A2.matrix, np.diag([6.0, 1.0, 6.0]))
+        with pytest.raises(BoundaryCollisionError, match="2.0"):
+            density_surgery(herm([-5.0, 2.0, 7.0]), 2.0, herm([6.0, 6.0]))
 
     def test_bound_holds_on_random_trials(self):
         records = surgery_bound_trials([0.5, 0.1], instances=15, seed=11)

@@ -216,6 +216,19 @@ class TestWeylGap:
             assert weyl_gap(fa, fb) <= riesz_dist(A, B) + 1e-10
 
 
+class TestScalarOperands:
+    """A scalar is a 1 x 1 operator, as everywhere else in the package."""
+
+    @pytest.mark.parametrize("metric", [riesz_dist, gap_dist, weyl_gap])
+    def test_scalars_equal_their_one_by_one_results(self, metric):
+        assert metric(1.0, 2.0) == metric(np.array([[1.0]]), np.array([[2.0]]))
+
+    @pytest.mark.parametrize("metric", [riesz_dist, gap_dist, weyl_gap])
+    def test_scalar_against_a_matrix_is_a_dimension_mismatch(self, metric):
+        with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 1"):
+            metric(np.eye(2), 1.0)
+
+
 def test_triangle_inequalities():
     rng = np.random.default_rng(6)
     for _ in range(20):

@@ -200,6 +200,16 @@ class TestConcentration:
         with pytest.raises(DomainError):
             eigenfunction_concentration(ProjectivePoint(1.0, 1.5), 64)
 
+    @pytest.mark.parametrize("delta", [float("nan"), -0.1, 1.5, float("inf")])
+    def test_delta_outside_the_unit_interval_rejected(self, delta):
+        with pytest.raises(ValidationError, match=f"delta = {delta!r}"):
+            eigenfunction_concentration(ProjectivePoint(1.0, 0.3), 64, delta=delta)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_delta_endpoints_allowed(self, delta):
+        _, mass_left = eigenfunction_concentration(ProjectivePoint(1.0, 0.3), 64, delta=delta)
+        assert 0.0 <= mass_left <= 1.0 + 1e-12
+
     @pytest.mark.parametrize("x1", [0.01, 0.3, 0.5])
     def test_one_eigenpair_matches_the_full_solve(self, x1):
         x = ProjectivePoint(1.0, x1)

@@ -38,6 +38,19 @@ def contraction(rng, n, norm=0.9):
     return norm * X / max(op_norm(X), 1e-12)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a pass-through that records each call; return the record."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestBoundedTransform:
     def test_zero(self):
         np.testing.assert_allclose(bounded_transform(np.zeros((3, 3))), 0, atol=1e-15)
@@ -300,6 +313,87 @@ class TestFredholmFactorization:
             assert fredholm_factor_check(contraction(rng, 6)) < 1e-9
 
 
+class TestOneFactorizationPerOperand:
+    """Each ball map factors its operand once and reads the ball check off that factor."""
+
+    @staticmethod
+    def fredholm_with_separate_projection(a):
+        """The block-factorization deviation with the ball projection built by its own SVD."""
+        n = a.shape[0]
+        U, s, Vh = np.linalg.svd(a)
+        r = transforms._sqrt_clamped(1.0 - s * s)
+        R1 = (adjoint(Vh) * r) @ Vh
+        R2 = (U * r) @ adjoint(U)
+        W = np.block([[a, -R2], [R1, adjoint(a)]])
+        DW = np.vstack([-adjoint(a) @ W[:n], a @ W[n:]])
+        p0 = np.zeros((2 * n, 2 * n), dtype=complex)
+        p0[:n, :n] = np.eye(n)
+        return op_norm((ball_projection(a).matrix - p0) - DW)
+
+    def test_fredholm_takes_one_svd(self, monkeypatch):
+        a = contraction(np.random.default_rng(30), 6)
+        calls = count_calls(monkeypatch, np.linalg, "svd")
+        fredholm_factor_check(a)
+        assert len(calls) == 1
+
+    def test_fredholm_is_bit_equal_to_the_separate_projection(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 9, 16):
+            for a in (contraction(rng, n), bounded_transform(random_matrix(rng, n, scale=2.0)),
+                      np.linalg.qr(random_matrix(rng, n))[0]):
+                assert fredholm_factor_check(a) == self.fredholm_with_separate_projection(a)
+
+    def test_cayley_ball_runs_one_eigh(self, monkeypatch):
+        ah = HermOp(bounded_transform(random_hermitian(np.random.default_rng(32), 7, scale=2.0)))
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        cayley_ball(ah)
+        assert (len(eigh), len(eigvalsh)) == (1, 0)
+
+    def test_inverse_transform_takes_no_op_norm(self, monkeypatch):
+        def refuse(M):
+            raise AssertionError("op_norm called")
+
+        monkeypatch.setattr(transforms, "op_norm", refuse)
+        a = contraction(np.random.default_rng(33), 5)
+        assert np.allclose(bounded_transform(inverse_bounded_transform(a)), a, atol=1e-10)
+
+    def test_graph_projection_factors_s_once(self, monkeypatch):
+        A = random_matrix(np.random.default_rng(34), 6, scale=2.0)
+        calls = count_calls(monkeypatch, np.linalg, "solve")
+        graph_projection(A)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_identity_suite_builds_one_ball_projection_per_trial(self, monkeypatch, trials):
+        calls = count_calls(monkeypatch, transforms, "ball_projection")
+        identity_suite(dim=5, trials=trials, seed=2)
+        assert len(calls) == trials
+
+    @pytest.mark.parametrize("norm, ok", [(1.0 + 1e-11, True), (1.0 + 2e-10, False)])
+    def test_ball_threshold_unchanged(self, norm, ok):
+        Q = np.linalg.qr(random_matrix(np.random.default_rng(35), 4))[0]
+        H = np.diag([norm, 0.5, -0.25, 0.0])
+        for f, a in ((ball_projection, norm * Q), (fredholm_factor_check, norm * Q),
+                     (cayley_ball, H)):
+            if ok:
+                f(a)
+            else:
+                with pytest.raises(OutOfBallError, match=r"operator norm 1\.0000000002 exceeds 1 \(tol 1e-10\)"):
+                    f(a)
+
+    @pytest.mark.parametrize("f", [ball_projection, fredholm_factor_check, inverse_bounded_transform])
+    def test_non_finite_operand_named(self, f):
+        a = np.zeros((2, 2), dtype=complex)
+        a[1, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"entry \(1, 0\) is not finite"):
+            f(a)
+
+    def test_strict_contraction_message_unchanged(self):
+        with pytest.raises(OutOfBallError, match="strict contraction; operator norm is 0.99999999995"):
+            inverse_bounded_transform(np.diag([1.0 - 5e-11, 0.5]))
+
+
 class TestSymplectics:
     def test_symmetries(self):
         sp = Symplectics(3)
@@ -386,3 +480,10 @@ class TestIdentityInvariants:
 
     def test_suite_deterministic(self):
         assert identity_suite(dim=6, trials=5, seed=7) == identity_suite(dim=6, trials=5, seed=7)
+
+    @pytest.mark.parametrize("kwargs, named", [({"dim": 1}, "dim = 1"), ({"dim": -3}, "dim = -3"),
+                                               ({"trials": 0}, "trials = 0"),
+                                               ({"trials": -1}, "trials = -1")])
+    def test_suite_rejects_degenerate_sizes(self, kwargs, named):
+        with pytest.raises(ValidationError, match=named):
+            identity_suite(**kwargs)
