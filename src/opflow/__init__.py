@@ -1,5 +1,5 @@
 """opflow: operator transforms, gap/Riesz metrics, homotopies, and spectral flow
-for dense discretized self-adjoint operators."""
+for discretized self-adjoint operators, stored dense or banded."""
 
 __version__ = "0.1.0"
 
@@ -8,7 +8,6 @@ from .classify import (
     SymmetricTuple,
     covering_membership,
     density_surgery,
-    negative_count,
     split_finite_infinite,
     surgery_bound_trials,
     window_projection,
@@ -27,18 +26,19 @@ from .errors import (
 )
 from .homotopy import (
     GridSpace,
-    block_double,
     compactify_homotopy,
     completeness_defect,
     default_compact_factor,
     discretization_tolerance,
     inversion_consistency,
     isometry_defect,
+    log_path,
     rk_contraction,
     shrink_isometry,
     stretch_isometry,
     unitary_log_retraction,
     zk_contraction,
+    zk_path,
 )
 from .linalg import HermOp, adjoint, func_calc, herm_eig, op_norm
 from .metrics import gap_dist, riesz_dist, weyl_gap
@@ -55,7 +55,6 @@ from .sturm import (
 )
 from .transforms import (
     GraphProjection,
-    Symplectics,
     ball_projection,
     bounded_transform,
     cayley,

@@ -166,11 +166,6 @@ def density_surgery(A: HermOp, c: float, B: HermOp) -> HermOp:
     return HermOp((out + adjoint(out)) / 2.0)
 
 
-def negative_count(A: HermOp, threshold: float = 0.0) -> int:
-    """Number of eigenvalues strictly below ``threshold``."""
-    return int(np.sum(as_hermop(A).eigenvalues < threshold))
-
-
 def cayley_arc_radius(c: float) -> float:
     """|cayley(c) - 1|: how far the arc image of R \\ [-c, c] strays from 1."""
     return float(abs((c - 1j) / (c + 1j) - 1.0))

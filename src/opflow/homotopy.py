@@ -25,6 +25,10 @@ the branch cut, K = i(1 - u)(1 + u)^-1 is Hermitian with
 u = (1 + iK)(1 - iK)^-1, so one Hermitian eigensolve of K gives u's
 eigenvectors and, through e^(i phi) = e^(2i arctan mu), its principal
 arguments.
+
+To evaluate a homotopy at many values of t, build its path once:
+``zk_path(a, b, grid)`` and ``log_path(u)`` check their operands once and
+return t -> value; ``zk_contraction`` and ``unitary_log_retraction`` take one t.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchCutError, DegeneracyError, ValidationError
 from .linalg import (
@@ -47,6 +50,7 @@ from .linalg import (
     op_norm,
     require_finite,
 )
+from .transforms import odd_embedding, odd_unitary_defect
 
 SMOOTH_MODES = 12
 INJECTIVITY_ATOL = 1e-10
@@ -100,9 +104,14 @@ def _isometry(start: float, length: float, n: int):
     return scipy.sparse.csr_array((vals, (rows[keep], cols[keep])), shape=(n, n))
 
 
-def _conjugate(S, M: np.ndarray) -> np.ndarray:
-    """S M S* for a real sparse S and a dense M; no dense n x n product is formed."""
-    return (S @ (S @ M).T).T
+def _conjugated_pair(t: float, A: np.ndarray, B: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u_t A u_t*, v_t B v_t*) at an interior t.
+
+    The isometries S are real and sparse and act as M |-> (S (S M)^T)^T, so no
+    dense n x n product with them is formed.
+    """
+    U, W = _isometry(0.0, t, n), _isometry(t, 1.0 - t, n)
+    return (U @ (U @ A).T).T, (W @ (W @ B).T).T
 
 
 def shrink_isometry(t: float, grid: GridSpace) -> np.ndarray:
@@ -170,11 +179,15 @@ def _require_injective(name: str, M: MatrixLike) -> None:
         raise DegeneracyError(f"operand {name} is not injective: min singular value {smin:.3e}")
 
 
-def _zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float], np.ndarray]:
-    """t -> ``zk_contraction(t, a, b, grid)``, with the operands checked once.
+def zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float], np.ndarray]:
+    """t -> t u_t a u_t* + (1-t) v_t b v_t*: contraction of the injective compacts.
 
-    A ``HermOp`` operand's margin is read from its eigenvalues, an ndarray's
-    from an SVD.
+    The operands are checked once, when the path is built: both must live on
+    the grid space and be injective (min singular value above 1e-10; a
+    ``HermOp``'s is its min |eigenvalue|, an ndarray's comes from an SVD).
+    The direct-sum structure of the two ranges keeps the interpolant
+    injective up to discretization tolerance.  Endpoints are returned
+    bit-for-bit, and the isometries are applied as sparse maps.
     """
     A, B = matrix_of(a), matrix_of(b)
     if A.shape[0] != grid.n or B.shape[0] != grid.n:
@@ -188,22 +201,15 @@ def _zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float],
             return A.copy()
         if t == 1.0:
             return B.copy()
-        U, W = _isometry(0.0, t, grid.n), _isometry(t, 1.0 - t, grid.n)
-        return t * _conjugate(U, A) + (1.0 - t) * _conjugate(W, B)
+        UA, WB = _conjugated_pair(t, A, B, grid.n)
+        return t * UA + (1.0 - t) * WB
 
     return at
 
 
 def zk_contraction(t: float, a: MatrixLike, b: MatrixLike, grid: GridSpace) -> np.ndarray:
-    """t u_t a u_t* + (1-t) v_t b v_t*: contraction of the injective compacts.
-
-    Endpoints are returned bit-for-bit.  Both inputs must be injective
-    (min singular value above 1e-10; a ``HermOp``'s is its min |eigenvalue|);
-    the direct-sum structure of the two ranges keeps the interpolant
-    injective up to discretization tolerance.  The isometries are applied as
-    sparse maps, so no dense n x n product with them is formed.
-    """
-    return _zk_path(a, b, grid)(t)
+    """The zk contraction at one t: ``zk_path(a, b, grid)(t)``."""
+    return zk_path(a, b, grid)(t)
 
 
 def rk_contraction(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> HermOp:
@@ -224,8 +230,8 @@ def rk_contraction(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> HermOp:
         return B
     _require_injective("A", A)
     _require_injective("B", B)
-    U, W = _isometry(0.0, t, grid.n), _isometry(t, 1.0 - t, grid.n)
-    return HermOp(_conjugate(U, A.matrix) / t + _conjugate(W, B.matrix) / (1.0 - t))
+    UA, WB = _conjugated_pair(t, A.matrix, B.matrix, grid.n)
+    return HermOp(UA / t + WB / (1.0 - t))
 
 
 def inversion_consistency(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> float:
@@ -265,8 +271,12 @@ def compactify_homotopy(t: float, A: HermOp, k: HermOp) -> HermOp:
     return HermOp(C @ A.matrix @ C)
 
 
-def _log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
-    """t -> ``unitary_log_retraction(t, u)``, with u checked and factored once.
+def log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
+    """t -> exp(t log u) along the principal branch, with u checked and factored once.
+
+    Defined for unitaries with no spectrum within 1e-8 of -1 (the branch
+    point); contracts them to 1.  Eigenvalue arguments scale linearly in t,
+    endpoints are exact for every unitary, and J u J = u* is kept for every t.
 
     Off the branch cut 1 + u is invertible and K = i(1 - u)(1 + u)^-1 is
     Hermitian: the inverse Cayley image of u.  K has u's eigenvectors, and
@@ -307,22 +317,8 @@ def _log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
 
 
 def unitary_log_retraction(t: float, u: np.ndarray) -> np.ndarray:
-    """exp(t log u) along the principal branch; contracts unitaries to 1.
-
-    Defined for unitaries with no spectrum within 1e-8 of -1 (the branch
-    point).  Eigenvalue arguments scale linearly in t, endpoints are exact for
-    every unitary, and the constraint J u J = u* is preserved for every t.
-    The spectral data come from the Cayley preimage of u, the Hermitian
-    K = i(1 - u)(1 + u)^-1 with u = (1 + iK)(1 - iK)^-1: an eigenvalue mu
-    of K is the eigenvalue e^(2i arctan mu) of u, with the same eigenvector.
-    """
-    return _log_path(u)(t)
-
-
-def block_double(M: np.ndarray) -> np.ndarray:
-    """M (+) M: the paired form that acts on graded doubled spaces."""
-    M = as_matrix(M)
-    return scipy.linalg.block_diag(M, M)
+    """The log retraction at one t: ``log_path(u)(t)``."""
+    return log_path(u)(t)
 
 
 def discretization_tolerance(
@@ -369,7 +365,7 @@ def zk_injectivity_margin(
     grid = GridSpace.make(n)
     a = HermOp(compact_injective_sample(rng, n))
     b = HermOp(compact_injective_sample(rng, n))
-    path = _zk_path(a, b, grid)
+    path = zk_path(a, b, grid)
     return min(_min_singular(HermOp(path(t))) for t in ts)
 
 
@@ -386,12 +382,11 @@ def odd_retraction_defect(
     """
     if dim % 2 != 0:
         raise ValidationError("odd unitaries live on a doubled (even-dim) space")
-    from .transforms import odd_embedding, odd_unitary_defect
 
     rng = np.random.default_rng(seed)
     half = dim // 2
     C = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
     C *= 2.5 / np.linalg.norm(C, 2)  # keeps spec(H) inside (-pi, pi)
     # H = odd_embedding(C) is a temporary, so its matrix and eigenvectors are freed after func_calc
-    path = _log_path(func_calc(odd_embedding(C), lambda lam: np.exp(1j * lam)))
+    path = log_path(func_calc(odd_embedding(C), lambda lam: np.exp(1j * lam)))
     return max(odd_unitary_defect(path(t)) for t in ts)

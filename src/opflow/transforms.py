@@ -77,27 +77,6 @@ class GraphProjection:
         return int(round(float(np.trace(self.matrix).real)))
 
 
-class Symplectics:
-    """The fixed block symmetries and conjugators of the doubled space, as dense matrices.
-
-    ``sym_i`` and ``grading`` are the two symmetries; ``v_lag`` conjugates the
-    first to the second; ``v_odd`` squares to the grading.  All four are the
-    pinned 2x2 block representatives tensored with the identity.  This is the
-    dense reference only: the transforms apply the 2x2 blocks directly.
-    """
-
-    def __init__(self, half_dim: int):
-        if half_dim < 1:
-            raise ValidationError("half_dim must be positive")
-        eye = np.eye(half_dim, dtype=complex)
-        self.sym_i = np.kron([[0, -1j], [1j, 0]], eye)
-        self.grading = np.kron([[1, 0], [0, -1]], eye)
-        self.v_lag = np.kron(np.array([[-1, 1j], [1, 1j]]) / np.sqrt(2.0), eye)
-        self.v_odd = np.kron([[1, 0], [0, 1j]], eye)
-        for M in (self.sym_i, self.grading, self.v_lag, self.v_odd):
-            M.setflags(write=False)
-
-
 def _sqrt_clamped(w: np.ndarray) -> np.ndarray:
     """sqrt of values meant to be >= 0, absorbing unit-sphere float noise.
 
@@ -119,10 +98,15 @@ def _require_ball(norm: float) -> None:
 
 
 def _ball_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """U, s, Vh of a ball operand and sqrt(1 - s^2); the ball check reads ||a|| = s[0]."""
+    """U, min(s, 1), Vh of a ball operand and sqrt(1 - s^2); the ball check reads ||a|| = s[0].
+
+    Singular values the check admits above 1 snap to the sphere, so the
+    projection built from them stays idempotent to PROJECTION_ATOL.
+    """
     require_finite(a)
     U, s, Vh = np.linalg.svd(a)
     _require_ball(np.max(s, initial=0.0))
+    s = np.minimum(s, 1.0)
     return U, s, Vh, _sqrt_clamped(1.0 - s * s)
 
 
@@ -330,7 +314,10 @@ def identity_suite(dim: int = 16, trials: int = 500, seed: int = 0) -> dict[str,
     if trials < 1:
         raise ValidationError(f"identity suite needs trials >= 1, got trials = {trials!r}")
     rng = np.random.default_rng(seed)
-    sp2 = Symplectics(1)
+    # the pinned 2x2 blocks: the symmetries I and J and the conjugator v_lag between them
+    sym_i = np.array([[0, -1j], [1j, 0]])
+    grading = np.array([[1, 0], [0, -1]], dtype=complex)
+    v_lag = np.array([[-1, 1j], [1, 1j]]) / np.sqrt(2.0)
     dev = {
         "resolvent_vs_ball": 0.0,
         "graph_factorization": 0.0,
@@ -342,9 +329,7 @@ def identity_suite(dim: int = 16, trials: int = 500, seed: int = 0) -> dict[str,
         "cayley_plus_one": 0.0,
         "lagrangian_unitary_vs_cayley": 0.0,
         "round_trip": 0.0,
-        "conjugator_takes_i_to_j": op_norm(
-            sp2.v_lag @ sp2.sym_i @ adjoint(sp2.v_lag) - sp2.grading
-        ),
+        "conjugator_takes_i_to_j": op_norm(v_lag @ sym_i @ adjoint(v_lag) - grading),
     }
 
     def bump(key: str, value: float) -> None:

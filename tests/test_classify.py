@@ -8,7 +8,6 @@ from opflow.classify import (
     SymmetricTuple,
     covering_membership,
     density_surgery,
-    negative_count,
     split_finite_infinite,
     surgery_bound_trials,
     window_projection,
@@ -234,17 +233,8 @@ class TestDensitySurgery:
 
 
 class TestNegativeCount:
-    def test_positive_spectrum(self):
-        assert negative_count(herm([1.0, 2.0, 3.0])) == 0
-
-    def test_one_negative(self):
-        assert negative_count(herm([-1.0, 2.0])) == 1
-
-    def test_threshold(self):
-        assert negative_count(herm([0.5, 1.5]), threshold=1.0) == 1
-
     def test_robin_half(self):
         from opflow.sturm import ProjectivePoint, assemble_robin_operator
 
         op = assemble_robin_operator(ProjectivePoint(1.0, 0.5), 1000)
-        assert negative_count(op.matrix) == 1
+        assert int(np.sum(op.matrix.eigenvalues < 0.0)) == 1

@@ -9,7 +9,6 @@ from opflow import homotopy
 from opflow.errors import BranchCutError, DegeneracyError, ValidationError
 from opflow.homotopy import (
     GridSpace,
-    block_double,
     compact_injective_sample,
     compactify_homotopy,
     completeness_defect,
@@ -17,6 +16,7 @@ from opflow.homotopy import (
     discretization_tolerance,
     inversion_consistency,
     isometry_defect,
+    log_path,
     odd_retraction_defect,
     rk_contraction,
     shrink_isometry,
@@ -25,9 +25,10 @@ from opflow.homotopy import (
     unitary_log_retraction,
     zk_contraction,
     zk_injectivity_margin,
+    zk_path,
 )
 from opflow.linalg import HermOp, adjoint, func_calc, op_norm
-from opflow.transforms import Symplectics, cayley, odd_embedding, odd_unitary_defect
+from opflow.transforms import cayley, odd_embedding
 
 T_SAMPLES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -101,8 +102,9 @@ class TestIsometries:
         rng = np.random.default_rng(0)
         C = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         H = odd_embedding(C)
-        W = block_double(shrink_isometry(0.5, g))
-        J = Symplectics(16).grading
+        U = shrink_isometry(0.5, g)
+        W = scipy.linalg.block_diag(U, U)
+        J = np.kron(np.diag([1.0, -1.0]), np.eye(16))
         M = W @ H.matrix @ adjoint(W)
         assert op_norm(J @ M + M @ J) < 1e-12
 
@@ -189,9 +191,10 @@ class TestZkContraction:
             ts = np.linspace(0.0, 1.0, 33)
             delta = discretization_tolerance(n)
             V = smooth_band(g)
-            prev = zk_contraction(ts[0], a, b, g)
+            path = zk_path(a, b, g)
+            prev = path(ts[0])
             for t in ts[1:]:
-                cur = zk_contraction(t, a, b, g)
+                cur = path(t)
                 step = float(np.max(np.linalg.norm((cur - prev) @ V, axis=0)))
                 assert step <= L * (ts[1] - ts[0]) + delta
                 prev = cur
@@ -337,7 +340,7 @@ class TestLogRetraction:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(scipy.linalg, "schur", no_schur)
-        path = homotopy._log_path(u)
+        path = log_path(u)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             path(t)
         assert len(calls) == 1
@@ -441,7 +444,7 @@ class TestIsometryBuilder:
         U, W = shrink_isometry(t, g), stretch_isometry(t, g)
         dense = t * (U @ a @ U.T) + (1.0 - t) * (W @ b @ W.T)
         assert op_norm(zk_contraction(t, a, b, g) - dense) <= 1e-15
-        H = homotopy._zk_path(HermOp(a), HermOp(b), g)(t)
+        H = zk_path(HermOp(a), HermOp(b), g)(t)
         assert isinstance(H, np.ndarray)
         assert op_norm(H - dense) <= 1e-15
 
