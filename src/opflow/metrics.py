@@ -7,17 +7,18 @@ topology.  ``weyl_gap`` is the certified eigenvalue lower bound for either.
 
 For self-adjoint A and B the gap needs no doubled space.  ``v_lag`` conjugates
 2p - 1 to [[0, kappa*], [kappa, 0]], with kappa(A) = 1 - 2i (A + i)^-1 the
-Cayley transform, so the resolvent identity (Kato, IV 2) gives
+Cayley transform, and the second resolvent identity (Kato, I 5 and IV 2) gives
 
-    ||p_A - p_B|| = 1/2 ||kappa(A) - kappa(B)|| = ||(A + i)^-1 - (B + i)^-1||.
+    ||p_A - p_B|| = 1/2 ||kappa(A) - kappa(B)|| = ||(A + i)^-1 - (B + i)^-1||
+                  = ||(A + i)^-1 (B - A) (B + i)^-1||.
 
-Which route runs depends on storage:
+The product subtracts nothing but the stored B - A, so close operators keep
+their digits.  Its evaluator depends on storage:
 
-* two banded ``HermOp``s: the largest singular value of the resolvent
-  difference by Lanczos (ARPACK via ``svds``), each apply two O(n) solves with
-  one ``gttrf`` factor per operator; no eigenvectors, no dense n x n matrix;
-* two ``HermOp``s otherwise: 1/2 ||kappa(A) - kappa(B)|| from the
-  eigendecompositions (also the tests' reference for the banded route);
+* two banded ``HermOp``s: the largest singular value by Lanczos (ARPACK via
+  ``svds``), each apply two O(n) solves with one ``gttrf`` factor per operator
+  around the tridiagonal B - A; no eigenvectors, no dense n x n matrix;
+* two ``HermOp``s otherwise: the product formed with two dense LU solves;
 * anything else: the graph projections on the doubled space.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
 from .linalg import MIN_FACTOR_DIM, HermOp, MatrixLike, as_hermop, as_matrix, op_norm
-from .transforms import bounded_transform, cayley, graph_projection
+from .transforms import bounded_transform, graph_projection
 
 
 def _check_dims(A: MatrixLike, B: MatrixLike) -> None:
@@ -44,21 +45,30 @@ def riesz_dist(A: MatrixLike, B: MatrixLike) -> float:
 
 
 def _resolvent_gap(A: HermOp, B: HermOp) -> float:
-    """||(A + i)^-1 - (B + i)^-1|| for banded A, B by Lanczos on the solves.
+    """||(A + i)^-1 (B - A) (B + i)^-1|| for banded A, B by Lanczos on the solves.
 
+    ``gap_dist`` forms the same product with dense LU solves for other pairs.
     The start vector is fixed, so the result is reproducible to the bit.
     """
     # imported here: loading scipy.sparse.linalg would add to every command's start-up
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
     n = A.dim
-    if all(np.array_equal(a, b) for a, b in zip(A.bands, B.bands)):
-        return 0.0  # R = 0 exactly; ARPACK cannot start on the zero operator
+    dd, de = ((b - a).astype(complex) for a, b in zip(A.bands, B.bands))  # the bands of B - A
+    if not (dd.any() or de.any()):
+        return 0.0  # ARPACK cannot start on the zero operator
+
+    def D(y):  # (B - A) y for a vector y
+        z = dd * y
+        z[:-1] += de * y[1:]
+        z[1:] += de * y[:-1]
+        return z
+
     fa, fb = A.shifted(-1j), B.shifted(-1j)
     R = LinearOperator(
         (n, n),
-        matvec=lambda x: fa.solve(x) - fb.solve(x),
-        rmatvec=lambda x: fa.solve(x, adjoint=True) - fb.solve(x, adjoint=True),
+        matvec=lambda x: fa.solve(D(fb.solve(x.ravel()))),  # R reshapes the result to x's shape
+        rmatvec=lambda x: fb.solve(D(fa.solve(x.ravel(), adjoint=True)), adjoint=True),
         dtype=complex,
     )
     budget = 10 * n  # ARPACK's default number of restarts
@@ -67,7 +77,7 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
         s = svds(R, k=1, tol=0, maxiter=budget, v0=v0, return_singular_vectors=False)
     except ArpackNoConvergence as exc:
         raise NonConvergenceError(
-            f"Lanczos for ||(A + i)^-1 - (B + i)^-1|| at dim {n} "
+            f"Lanczos for ||(A + i)^-1 (B - A) (B + i)^-1|| at dim {n} "
             f"did not converge within {budget} restarts"
         ) from exc
     return float(s[0])
@@ -76,15 +86,16 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
 def gap_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Operator-norm distance of the graph projections; always <= 1.
 
-    Two banded ``HermOp``s (dim >= 3) take the matrix-free resolvent route,
-    other pairs of ``HermOp``s the Cayley route, anything else the doubled
-    space; see the module docstring for the identity behind the first two.
+    A pair of ``HermOp``s evaluates ||(A + i)^-1 (B - A) (B + i)^-1||, by
+    Lanczos on the banded solves when both are banded of dim >= 3 and with two
+    dense LU solves otherwise; anything else takes the doubled space.
     """
     _check_dims(A, B)
     if isinstance(A, HermOp) and isinstance(B, HermOp):  # no doubled space needed
         if A.bands is not None and B.bands is not None and A.dim >= MIN_FACTOR_DIM:
             return _resolvent_gap(A, B)
-        return 0.5 * op_norm(cayley(A) - cayley(B))
+        a, b, shift = A.matrix, B.matrix, 1j * np.eye(A.dim)
+        return op_norm(np.linalg.solve(a + shift, (b - a) @ np.linalg.inv(b + shift)))
     return op_norm(graph_projection(A).matrix - graph_projection(B).matrix)
 
 

@@ -248,9 +248,9 @@ def dichotomy_row(x1: float, n: int) -> tuple[float, float]:
     sorted-eigenvalue pairing already forces the transform distance above it.
     Both lowest eigenvalues come from index-selected bisection (``stebz``), not
     a full spectrum.  The graph distance is the resolvent distance
-    ||(A + i)^-1 - (B + i)^-1|| = 1/2 ||kappa(A) - kappa(B)||; both operators
-    are banded, so it runs matrix-free by Lanczos on one tridiagonal factor
-    each (see ``metrics``).
+    ||(A + i)^-1 - (B + i)^-1|| = ||(A + i)^-1 (B - A) (B + i)^-1||; both
+    operators are banded, so the product runs by Lanczos on one tridiagonal
+    factor each around B - A, not through dense LU solves (see ``metrics``).
     """
     robin = assemble_robin_operator(ProjectivePoint(1.0, x1), n)
     dirichlet = assemble_robin_operator(ProjectivePoint(1.0, 0.0), n)

@@ -260,9 +260,8 @@ def fredholm_factor_check(a: MatrixLike) -> float:
     ``|| (pt(a) - p0) - diag(-a*, a) W ||``; raises if the second factor W
     fails to be unitary to 1e-10.
     """
-    a = matrix_of(a)
-    n = a.shape[0]
-    U, s, Vh, r = _ball_svd(a)
+    U, s, Vh, r = _ball_svd(matrix_of(a))
+    n, a = s.size, (U * s) @ Vh       # a snapped to the ball, as the projection sees it
     R1 = (adjoint(Vh) * r) @ Vh       # sqrt(1 - a*a)
     R2 = (U * r) @ adjoint(U)         # sqrt(1 - a a*)
     W = np.block([[a, -R2], [R1, adjoint(a)]])

@@ -13,6 +13,7 @@ from opflow.sturm import ProjectivePoint, assemble_robin_operator
 from opflow.transforms import (
     ball_projection,
     bounded_transform,
+    cayley,
     graph_projection,
     random_hermitian,
     random_matrix,
@@ -126,35 +127,90 @@ def robin_dirichlet(x1, n):
     return robin, dirichlet
 
 
-def mp_resolvent(op):
-    """(T + i)^-1 in mpmath from the exact double bands of T."""
-    d, e = op.bands
-    n = d.size
-    M = mpmath.matrix(n, n)
-    for k in range(n):
-        M[k, k] = mpmath.mpc(float(d[k]), 1.0)
-        if k + 1 < n:
-            M[k, k + 1] = M[k + 1, k] = mpmath.mpf(float(e[k]))
-    return mpmath.inverse(M)
+def cayley_gap(A, B):
+    """1/2 ||kappa(A) - kappa(B)|| from the eigendecompositions: the reference route.
+
+    Equal to the resolvent gap in exact arithmetic, but the difference of two
+    unitaries loses digits when A and B are close.
+    """
+    return 0.5 * op_norm(cayley(A) - cayley(B))
+
+
+def mp_resolvent(M):
+    """(M + i)^-1 in mpmath from the exact double entries of M."""
+    n = M.shape[0]
+    R = mpmath.matrix(n, n)
+    for j in range(n):
+        for k in range(n):
+            R[j, k] = mpmath.mpc(M[j, k].real, M[j, k].imag + (1.0 if j == k else 0.0))
+    return mpmath.inverse(R)
+
+
+def mp_gap(A, B, dps):
+    with mpmath.workdps(dps):
+        return max(mpmath.svd_c(mp_resolvent(A.matrix) - mp_resolvent(B.matrix), compute_uv=False))
+
+
+def low_rank_gap(A, B, E, S):
+    """||(A + i)^-1 E S E* (B + i)^-1|| for B - A = E S E*, through the small core.
+
+    With (A + i)^-1 E = Q_a R_a and (B - i)^-1 E = Q_b R_b the norm is
+    ||R_a S R_b*||; for one moved diagonal entry it is
+    |delta| ||(A + i)^-1 e_k|| ||(B - i)^-1 e_k||.  Nothing near-equal is
+    subtracted, so on well-conditioned bands it is accurate to a few ulps.
+    """
+    eye = np.eye(A.dim)
+    ra = np.linalg.qr(np.linalg.solve(A.matrix + 1j * eye, E), mode="r")
+    rb = np.linalg.qr(np.linalg.solve(B.matrix - 1j * eye, E), mode="r")
+    return np.linalg.norm(ra @ S @ rb.conj().T, 2)
 
 
 class TestResolventGap:
-    """The matrix-free route for banded pairs: Lanczos on (A + i)^-1 - (B + i)^-1."""
+    """One identity, (A + i)^-1 - (B + i)^-1 = (A + i)^-1 (B - A) (B + i)^-1, two evaluators.
+
+    Banded pairs take Lanczos on the tridiagonal solves around the band
+    difference; other ``HermOp`` pairs form the product with dense LU solves.
+    Neither subtracts nearly equal quantities, so close pairs keep their digits.
+    """
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("x1", [1e-4, 1e-2, 0.9])
     def test_matches_high_precision_reference(self, n, x1):
         robin, dirichlet = robin_dirichlet(x1, n)
-        with mpmath.workdps(30):
-            R = mp_resolvent(robin) - mp_resolvent(dirichlet)
-            exact = max(mpmath.svd_c(R, compute_uv=False))
-            assert abs(gap_dist(robin, dirichlet) - exact) <= 1e-13 * exact
+        exact = mp_gap(robin, dirichlet, 30)
+        assert abs(gap_dist(robin, dirichlet) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("distance", [1e-4, 1e-8, 1e-12])
+    def test_close_dense_pairs_match_high_precision_reference(self, distance):
+        rng = np.random.default_rng(12)
+        A = random_hermitian(rng, 12, 3.0)
+        B = HermOp(A.matrix + random_hermitian(rng, 12, distance).matrix)
+        assert 0.5 * distance < op_norm(B.matrix - A.matrix) < 2.0 * distance
+        exact = mp_gap(A, B, 40)
+        assert abs(gap_dist(A, B) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-10, 1e-13, "ulp"])
+    def test_close_banded_pairs_match_the_low_rank_value(self, offset, delta):
+        """One diagonal (offset 0) or off-diagonal (offset 1) entry moved by delta at n = 200."""
+        rng = np.random.default_rng(200)
+        n, k = 200, 77
+        A = HermOp.tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+        bands = [b.copy() for b in A.bands]
+        old = bands[offset][k]
+        bands[offset][k] = np.nextafter(old, np.inf) if delta == "ulp" else old + delta
+        B = HermOp.tridiagonal(*bands)
+        step = bands[offset][k] - old  # the stored band difference
+        assert step != 0.0
+        E = np.eye(n)[:, k:k + 1 + offset]
+        S = np.array([[step]]) if offset == 0 else np.array([[0.0, step], [step, 0.0]])
+        exact = low_rank_gap(A, B, E, S)
+        assert abs(gap_dist(A, B) - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize("x1", [1e-4, 1e-2, 0.3, 0.9])
     def test_matches_the_dense_cayley_route(self, x1):
         robin, dirichlet = robin_dirichlet(x1, 400)
-        dense = gap_dist(HermOp(robin.matrix), HermOp(dirichlet.matrix))
-        assert abs(gap_dist(robin, dirichlet) - dense) < 1e-10
+        assert abs(gap_dist(robin, dirichlet) - cayley_gap(robin, dirichlet)) < 1e-10
 
     def test_reproducible_to_the_bit(self):
         robin, dirichlet = robin_dirichlet(0.05, 200)
@@ -177,18 +233,23 @@ class TestResolventGap:
         def refuse(*args, **kwargs):
             raise AssertionError("dense eigh called")
 
+        dense = [HermOp(op.matrix) for op in robin_dirichlet(0.05, 100)]
+        rng = np.random.default_rng(8)
+        dense_random = [random_hermitian(rng, 6, 3.0) for _ in range(2)]
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         robin, dirichlet = robin_dirichlet(0.05, 100)
         assert 0.0 < gap_dist(robin, dirichlet) < 1.0
         assert robin._matrix is None and dirichlet._matrix is None
         assert robin._eigvecs is None and dirichlet._eigvecs is None
+        for pair in (dense, dense_random):
+            assert 0.0 < gap_dist(*pair) < 1.0
+            assert all(op._eigvecs is None and op._eigvals is None for op in pair)
 
-    def test_small_banded_pairs_take_the_cayley_route(self):
+    def test_small_banded_pairs_take_the_dense_product(self):
         for n in (1, 2):
             A = HermOp.tridiagonal(np.arange(n, dtype=float), np.ones(n - 1))
             B = HermOp.tridiagonal(np.full(n, 3.0), np.zeros(n - 1))
-            dense = gap_dist(HermOp(A.matrix), HermOp(B.matrix))
-            assert abs(gap_dist(A, B) - dense) < 1e-15
+            assert abs(gap_dist(A, B) - cayley_gap(A, B)) < 1e-15
 
 
 class TestWeylGap:
