@@ -30,6 +30,7 @@ MEMBERSHIP_GAP = 1e-9
 BOUNDARY_ATOL = 1e-9
 # surgery trials draw c above sqrt(16/eps^2 - 1), a positive half-width only for eps < 4
 EPS_MAX = 4.0
+EPS_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -181,14 +182,15 @@ def surgery_bound_trials(
     For each instance, the dimension is drawn from 4 to 12 and c so that
     ``|cayley(c) - 1| < eps/2``, and the replacement block keeps its spectrum
     outside [-c, c]; the recorded deviation ``||cayley(A') - cayley(A)||``
-    must then stay below eps.  Each eps must lie in (0, 4), where such a c is
-    positive.
+    must then stay below eps.  Each eps must lie in [1e-12, 4): c is positive, and eps
+    stays 60x above the deviation's rounding floor of ~6e-15.  All are checked first.
     """
+    for eps in eps_values:
+        if not EPS_MIN <= eps < EPS_MAX:
+            raise ValidationError(f"eps must lie in [{EPS_MIN:g}, {EPS_MAX:g}), got eps = {eps!r}")
     rng = np.random.default_rng(seed)
     records = []
     for eps in eps_values:
-        if not 0.0 < eps < EPS_MAX:
-            raise ValidationError(f"eps must lie in (0, {EPS_MAX:g}), got eps = {eps!r}")
         c_min = np.sqrt(max(16.0 / eps**2 - 1.0, 0.0))
         for i in range(instances):
             d = int(rng.integers(4, 13))

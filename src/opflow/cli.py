@@ -2,7 +2,9 @@
 
 Every command writes its data files (CSV/JSON) plus a ``manifest.json`` into
 the output directory and is deterministic given its flags and ``--seed``.
-Exit codes: 0 success, 1 assertion/threshold failure, 2 usage error.
+Exit codes: 0 success, 1 threshold failure, 2 usage error.  Only ``main`` maps package
+errors to them (``ValidationError`` 2; ``NonConvergenceError``, ``ConditioningError`` 1, one
+stderr line; others are bugs and keep their traceback).  Argument domains are the library's.
 
 A flat key-value config file (``key = value`` lines, ``#`` comments) can
 preset any flag of the chosen command.  Each value is parsed exactly like
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConditioningError, NonConvergenceError
+from .errors import ConditioningError, NonConvergenceError, ValidationError
 from .homotopy import (
     GridSpace,
     compactify_homotopy,
@@ -39,9 +41,9 @@ from .homotopy import (
 from .linalg import HermOp
 from .manifest import RunManifest
 from .specflow import OperatorPath, spectral_flow
-from .sturm import MIN_GRID, dichotomy_row, robin_generator, spectral_graph
+from .sturm import dichotomy_row, robin_generator, spectral_graph
 from .transforms import identity_suite
-from .classify import EPS_MAX, surgery_bound_trials
+from .classify import surgery_bound_trials
 
 CONFIG_ENV = "OPFLOW_CONFIG"
 
@@ -122,12 +124,6 @@ def _emit(args: argparse.Namespace, filename: str, payload) -> Path:
 
 
 def cmd_specgraph(args, parser) -> int:
-    if args.samples < 16:
-        parser.error("--samples must be at least 16")
-    if args.grid < MIN_GRID:
-        parser.error(f"--grid must be at least {MIN_GRID}")
-    if not args.window > 0:
-        parser.error("--window must be positive")
     records = spectral_graph(args.samples, args.grid, args.window)
     rows = (
         (_fmt(theta), str(int(k)), _fmt(lam))
@@ -154,28 +150,16 @@ def _builtin_path(name: str, grid: int | None, samples: int) -> OperatorPath:
 def cmd_specflow(args, parser) -> int:
     if args.samples < 2:
         parser.error("--samples must be at least 2")
-    if args.path == "robin" and args.grid < MIN_GRID:
-        parser.error(f"--grid must be at least {MIN_GRID}")
-    if not 0 < args.window < math.inf:
-        parser.error("--window must be positive and finite")
-    if args.max_depth < 0:
-        parser.error("--max-depth must be non-negative")
     if args.path != "robin":
         args.grid = None  # only the robin path has a grid; the manifest says so
     path = _builtin_path(args.path, args.grid, args.samples)
-    try:
-        report = spectral_flow(path, window0=args.window, max_depth=args.max_depth)
-    except (NonConvergenceError, ConditioningError) as exc:
-        print(f"spectral flow did not converge: {exc}", file=sys.stderr)
-        return 1
+    report = spectral_flow(path, window0=args.window, max_depth=args.max_depth)
     json_path = _emit(args, "specflow.json", report.to_json_dict())
     print(f"flow = {report.flow} ({len(report.crossings)} crossing brackets); wrote {json_path}")
     return 0
 
 
 def cmd_dichotomy(args, parser) -> int:
-    if args.grid < MIN_GRID:
-        parser.error(f"--grid must be at least {MIN_GRID}")
     if args.points < 2:
         parser.error("--points must be at least 2")
     if not (0 < args.x1_min < args.x1_max < math.inf):
@@ -191,8 +175,6 @@ def cmd_dichotomy(args, parser) -> int:
 
 
 def cmd_identities(args, parser) -> int:
-    if args.dim < 2 or args.trials < 1:
-        parser.error("--dim must be >= 2 and --trials >= 1")
     if math.isnan(args.tolerance):
         parser.error("--tolerance must be a number")
     deviations = identity_suite(dim=args.dim, trials=args.trials, seed=args.seed)
@@ -212,8 +194,6 @@ def cmd_homotopy_demo(args, parser) -> int:
         parser.error(f"--grids: expected comma-separated integers, got {args.grids!r}")
     if len(grids) < 2 or grids[0] < 8 or any(a >= b for a, b in zip(grids, grids[1:])):
         parser.error("--grids needs at least two strictly ascending grid sizes >= 8")
-    if args.modes < 1:
-        parser.error("--modes must be positive")
     deltas = {n: discretization_tolerance(n, modes=args.modes) for n in grids}
     monotone = all(deltas[a] > deltas[b] for a, b in zip(grids, grids[1:]))
 
@@ -250,9 +230,9 @@ def cmd_surgery(args, parser) -> int:
     try:
         eps_values = [float(e) for e in str(args.eps).split(",") if e.strip()]
     except ValueError:
+        eps_values = []
+    if not eps_values:
         parser.error(f"--eps: expected comma-separated numbers, got {args.eps!r}")
-    if not eps_values or not all(0 < e < EPS_MAX for e in eps_values):
-        parser.error(f"--eps needs values in (0, {EPS_MAX:g})")
     records = surgery_bound_trials(eps_values, instances=args.instances, seed=args.seed)
     rows = (
         (_fmt(r["eps"]), str(r["instance"]), str(r["dim"]), _fmt(r["c"]),
@@ -329,7 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = _parse_with_config(parser, argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except ValidationError as exc:
+        parser.error(f"{args.command}: {exc}")
+    except (NonConvergenceError, ConditioningError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -140,6 +140,8 @@ def stretch_isometry(t: float, grid: GridSpace) -> np.ndarray:
 
 def smooth_band(grid: GridSpace, modes: int = SMOOTH_MODES) -> np.ndarray:
     """Unit-norm columns sin(j pi x), j = 1..modes: the resolvable test family."""
+    if modes < 1:
+        raise ValidationError(f"smooth band needs modes >= 1, got modes = {modes!r}")
     V = np.stack([np.sin((j + 1) * np.pi * grid.nodes) for j in range(modes)], axis=1)
     return V / np.linalg.norm(V, axis=0)
 

@@ -13,7 +13,9 @@ Cayley transform, and the second resolvent identity (Kato, I 5 and IV 2) gives
                   = ||(A + i)^-1 (B - A) (B + i)^-1||.
 
 The product subtracts nothing but the stored B - A, so close operators keep
-their digits.  Its evaluator depends on storage:
+their digits.  Far ones lose digits in proportion to ||B - A|| (the solve with
+A + i returns the gap from a right-hand side of that size); only a gap read
+above 1 + PROJECTION_ATOL raises.  Its evaluator depends on storage:
 
 * two banded ``HermOp``s: the largest singular value by Lanczos (ARPACK via
   ``svds``), each apply two O(n) solves with one ``gttrf`` factor per operator
@@ -26,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvergenceError, ValidationError
+from .errors import ConditioningError, NonConvergenceError, ValidationError
 from .linalg import MIN_FACTOR_DIM, HermOp, MatrixLike, as_hermop, as_matrix, op_norm
-from .transforms import bounded_transform, graph_projection
+from .transforms import PROJECTION_ATOL, bounded_transform, graph_projection
 
 
 def _check_dims(A: MatrixLike, B: MatrixLike) -> None:
@@ -51,7 +53,7 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
     The start vector is fixed, so the result is reproducible to the bit.
     """
     # imported here: loading scipy.sparse.linalg would add to every command's start-up
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
     n = A.dim
     dd, de = ((b - a).astype(complex) for a, b in zip(A.bands, B.bands))  # the bands of B - A
@@ -73,29 +75,34 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
     )
     budget = 10 * n  # ARPACK's default number of restarts
     v0 = np.random.default_rng(0).standard_normal(n)
+    what = f"Lanczos for ||(A + i)^-1 (B - A) (B + i)^-1|| at dim {n}"
     try:
-        s = svds(R, k=1, tol=0, maxiter=budget, v0=v0, return_singular_vectors=False)
+        with np.errstate(over="raise", invalid="raise"):  # fail, not warn, on overflow
+            s = svds(R, k=1, tol=0, maxiter=budget, v0=v0, return_singular_vectors=False)
     except ArpackNoConvergence as exc:
-        raise NonConvergenceError(
-            f"Lanczos for ||(A + i)^-1 (B - A) (B + i)^-1|| at dim {n} "
-            f"did not converge within {budget} restarts"
-        ) from exc
+        raise NonConvergenceError(f"{what} did not converge within {budget} restarts") from exc
+    except (ArpackError, FloatingPointError) as exc:
+        raise ConditioningError(f"{what} failed: {exc}") from exc
     return float(s[0])
 
 
 def gap_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Operator-norm distance of the graph projections; always <= 1.
 
-    A pair of ``HermOp``s evaluates ||(A + i)^-1 (B - A) (B + i)^-1||, by
-    Lanczos on the banded solves when both are banded of dim >= 3 and with two
-    dense LU solves otherwise; anything else takes the doubled space.
+    A ``HermOp`` pair evaluates ||(A + i)^-1 (B - A) (B + i)^-1|| (Lanczos on the
+    banded solves at dim >= 3, else two dense LU solves) and raises ``ConditioningError``
+    above 1 + PROJECTION_ATOL, a far pair; anything else takes the doubled space.
     """
     _check_dims(A, B)
     if isinstance(A, HermOp) and isinstance(B, HermOp):  # no doubled space needed
         if A.bands is not None and B.bands is not None and A.dim >= MIN_FACTOR_DIM:
-            return _resolvent_gap(A, B)
-        a, b, shift = A.matrix, B.matrix, 1j * np.eye(A.dim)
-        return op_norm(np.linalg.solve(a + shift, (b - a) @ np.linalg.inv(b + shift)))
+            gap = _resolvent_gap(A, B)
+        else:
+            a, b, shift = A.matrix, B.matrix, 1j * np.eye(A.dim)
+            gap = op_norm(np.linalg.solve(a + shift, (b - a) @ np.linalg.inv(b + shift)))
+        if not gap <= 1.0 + PROJECTION_ATOL:  # also catches NaN
+            raise ConditioningError(f"gap {gap!r} exceeds 1: a far pair lost its digits")
+        return gap
     return op_norm(graph_projection(A).matrix - graph_projection(B).matrix)
 
 

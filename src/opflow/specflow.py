@@ -241,6 +241,8 @@ def spectral_flow(
     """
     if not 0.0 < window0 < math.inf:
         raise ValidationError(f"window0 must be positive and finite, got {window0}")
+    if max_depth < 0:
+        raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
     radius = 2.0 * max(window0, ZERO_ATOL)
     spectra: dict[float, Spectrum] = {}
 

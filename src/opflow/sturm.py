@@ -205,8 +205,8 @@ def spectral_graph(
     """
     if loop_samples < 16:
         raise ValidationError(f"need at least 16 loop samples, got {loop_samples}")
-    if window <= 0:
-        raise ValidationError("window must be positive")
+    if not window > 0:  # also catches a NaN window
+        raise ValidationError(f"window must be positive, got window = {window!r}")
     thetas = [j * math.pi / loop_samples for j in range(loop_samples)]
 
     def solve(theta: float) -> tuple[float, np.ndarray, np.ndarray]:

@@ -226,10 +226,19 @@ class TestDensitySurgery:
         assert records and all(r["holds"] for r in records)
         assert all(r["arc_radius"] < r["eps"] / 2 for r in records)
 
-    @pytest.mark.parametrize("eps", [4.0, 10.0, float("inf"), float("nan"), 0.0, -0.5])
+    @pytest.mark.parametrize("eps", [4.0, 10.0, float("inf"), float("nan"), 0.0, -0.5,
+                                     1e-15, 1e-300])
     def test_eps_outside_the_range_rejected(self, eps):
         with pytest.raises(ValidationError, match=f"eps = {eps!r}"):
             surgery_bound_trials([0.5, eps], instances=1)
+
+    def test_every_eps_checked_before_the_first_trial(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran before every eps was checked")
+
+        monkeypatch.setattr(classify, "density_surgery", refuse)
+        with pytest.raises(ValidationError, match="eps = 4.0"):
+            surgery_bound_trials([0.5, 4.0], instances=1)
 
 
 class TestNegativeCount:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from opflow.cli import main
 from opflow.manifest import validate_manifest, verify_outputs
@@ -212,6 +213,11 @@ class TestConfig:
     pytest.param(["homotopy-demo", "--grids", "32,16"], None, id="homotopy-grids-descending"),
     pytest.param(["homotopy-demo", "--grids", "16,16"], None, id="homotopy-grids-repeated"),
     pytest.param(["specflow", "--window", "inf"], None, id="specflow-window-inf"),
+    pytest.param(["dichotomy", "--grid", "16", "--points", "2", "--x1-min", "1e-310",
+                  "--x1-max", "0.5"], None, id="dichotomy-x1-min-subnormal"),
+    pytest.param(["surgery", "--instances", "1", "--eps", "1e-300"], None, id="surgery-eps-1e-300"),
+    pytest.param(["surgery", "--instances", "100", "--eps", "1e-15"], None,
+                 id="surgery-eps-below-rounding-floor"),
 ])
 def test_bad_value_is_usage_error(tmp_path, argv, preset):
     if preset is not None:
@@ -221,6 +227,32 @@ def test_bad_value_is_usage_error(tmp_path, argv, preset):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_far_pair_is_a_threshold_failure(tmp_path, capsys):
+    argv = ["dichotomy", "--grid", "400", "--points", "2", "--x1-min", "1e-50",
+            "--x1-max", "1e-20", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "exceeds 1" in capsys.readouterr().err
+    assert not (tmp_path / "dichotomy.csv").exists()
+
+
+def test_lanczos_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch):
+    def stall(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", stall)
+    assert main(["dichotomy", "--grid", "32", "--points", "2", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("dichotomy: ")
+
+
+def test_usage_error_in_a_process_has_no_traceback(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-m", "opflow.cli", "specflow", "--grid", "8",
+                          "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "specflow: grid must" in out.stderr
 
 
 # Tiny flags per command, and the manifest parameters each must record:

@@ -66,6 +66,10 @@ class TestIsometries:
         with pytest.raises(ValidationError):
             stretch_isometry(1.0, g)
 
+    def test_smooth_band_needs_a_mode(self):
+        with pytest.raises(ValidationError, match="modes = 0"):
+            smooth_band(GridSpace.make(16), 0)
+
     def test_band_defect_small_at_half(self):
         g = GridSpace.make(512)
         assert isometry_defect(shrink_isometry(0.5, g), g) < 0.05

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg
 
 from opflow import metrics, transforms
-from opflow.errors import NonConvergenceError, ValidationError
+from opflow.errors import ConditioningError, NonConvergenceError, ValidationError
 from opflow.linalg import HermOp, op_norm
 from opflow.metrics import gap_dist, riesz_dist, weyl_gap
 from opflow.sturm import ProjectivePoint, assemble_robin_operator
@@ -228,6 +228,32 @@ class TestResolventGap:
         monkeypatch.setattr(scipy.sparse.linalg, "svds", stall)
         with pytest.raises(NonConvergenceError, match=r"dim 64 .* 640 restarts"):
             gap_dist(*robin_dirichlet(0.05, 64))
+
+    @pytest.mark.parametrize("x1, n, dense", [
+        (1e-50, 400, False),
+        (1e-200, 400, False),
+        (1e-200, 16, False),
+        (1e-50, 16, True),
+    ])
+    def test_far_pairs_fail_loudly(self, x1, n, dense):
+        """A far pair whose product reads above 1, or whose Lanczos overflows, raises."""
+        pair = robin_dirichlet(x1, n)
+        if dense:
+            pair = [HermOp(op.matrix) for op in pair]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the failure comes without a RuntimeWarning
+            with pytest.raises(ConditioningError):
+                gap_dist(*pair)
+
+    @pytest.mark.xfail(strict=True, reason="far pairs lose digits in proportion to ||B - A|| "
+                       "but stay below the bound gap <= 1 (ROADMAP: a gap route for far pairs)")
+    @pytest.mark.parametrize("x1, exact", [
+        (1e-12, 0.000558519811258173),
+        (1e-20, 0.0005585198109519194),
+    ])
+    def test_far_pairs_match_the_difference_form(self, x1, exact):
+        """n = 400; ``exact`` is ||(A + i)^-1 - (B + i)^-1||, the difference form."""
+        assert gap_dist(*robin_dirichlet(x1, 400)) == pytest.approx(exact, rel=1e-9)
 
     def test_no_dense_matrix_and_no_eigenvectors(self, monkeypatch):
         def refuse(*args, **kwargs):

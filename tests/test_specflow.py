@@ -91,6 +91,11 @@ class TestSpectralFlowBasics:
         with pytest.raises(ValidationError, match="finite"):
             spectral_flow(path, window0=window0)
 
+    def test_max_depth_must_be_non_negative(self):
+        path = OperatorPath.sample(CROSS, 0.0, 1.0, 4)
+        with pytest.raises(ValidationError, match="max_depth"):
+            spectral_flow(path, window0=1.0, max_depth=-1)
+
     def test_open_endpoint_kernel_rejected(self):
         gen = diag_gen(lambda t: t, lambda t: 2.0)
         path = OperatorPath.sample(gen, 0.0, 1.0, 4)

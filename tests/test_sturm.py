@@ -135,6 +135,11 @@ class TestSpectralGraph:
         with pytest.raises(ValidationError):
             spectral_graph(8, 64)
 
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
+    def test_window_must_be_positive(self, window):
+        with pytest.raises(ValidationError, match=f"window = {window!r}"):
+            spectral_graph(16, 32, window)
+
     def test_zero_crossing_location(self):
         records = spectral_graph(64, 200, window=30.0)
         # bracket the sign change of the eigenvalue branch nearest zero
