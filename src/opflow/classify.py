@@ -65,28 +65,28 @@ class SymmetricTuple:
         return self.points[0], self.points[-1]
 
 
-def _window(A: HermOp, lo: float, hi: float, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of A and the mask of those inside (lo, hi), checked clear of both edges."""
+def _window(A: HermOp, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of A and the mask of those inside (lo, hi), checked BOUNDARY_ATOL clear of both edges."""
     if not lo <= hi:  # also catches a NaN edge
         raise ValidationError(f"empty window [{lo}, {hi}]")
     w, V = herm_eig(A)
     near = np.minimum(np.abs(w - lo), np.abs(w - hi))
-    if np.any(near < tol):
+    if np.any(near < BOUNDARY_ATOL):
         lam = w[int(np.argmin(near))]
         raise BoundaryCollisionError(
-            f"eigenvalue {lam!r} within {tol:g} of window edge [{lo}, {hi}]"
+            f"eigenvalue {lam!r} within {BOUNDARY_ATOL:g} of window edge [{lo}, {hi}]"
         )
     return w, V, (w > lo) & (w < hi)
 
 
-def window_projection(A: HermOp, lo: float, hi: float, *, tol: float = BOUNDARY_ATOL) -> np.ndarray:
+def window_projection(A: HermOp, lo: float, hi: float) -> np.ndarray:
     """Spectral projection of A onto the window [lo, hi].
 
-    Eigenvalues within ``tol`` of either edge make the projection
+    Eigenvalues within BOUNDARY_ATOL of either edge make the projection
     ill-conditioned and raise a boundary-collision error instead of being
     silently included or dropped.
     """
-    _, V, inside = _window(A, lo, hi, tol)
+    _, V, inside = _window(A, lo, hi)
     V = V[:, inside]
     P = V @ adjoint(V)
     return (P + adjoint(P)) / 2.0
@@ -151,7 +151,7 @@ def density_surgery(A: HermOp, c: float, B: HermOp) -> HermOp:
         raise ValidationError(f"window half-width c must be positive, got c = {c!r}")
     A = as_hermop(A)
     B = as_hermop(B)
-    w, V, inside = _window(A, -c, c, BOUNDARY_ATOL)  # eigenvalues at +-c make the split ambiguous
+    w, V, inside = _window(A, -c, c)  # eigenvalues at +-c make the split ambiguous
     Vin, Vout = V[:, inside], V[:, ~inside]
     k = Vout.shape[1]
     if B.dim != k:

@@ -1,10 +1,10 @@
 """Explicit operator homotopies on a discretized unit-interval function space.
 
 Functions on [0, 1] are represented by cell averages on a uniform grid of n
-cells (midpoint nodes, equal quadrature weights summing to 1).  The shrink
-and stretch isometries are assembled by exact integration of their dilation
-kernels against this cell basis, so they act to second order on smooth data
-and reduce to the identity exactly at their trivial parameter.
+cells with midpoint nodes.  The shrink and stretch isometries are assembled
+by exact integration of their dilation kernels against this cell basis, so
+they act to second order on smooth data and reduce to the identity exactly
+at their trivial parameter.
 
 A uniform grid cannot carry a genuine isometry onto a shorter subinterval:
 any matrix supported on a fraction of the coordinates has a kernel-sized
@@ -54,30 +54,27 @@ from .transforms import odd_embedding, odd_unitary_defect
 
 SMOOTH_MODES = 12
 INJECTIVITY_ATOL = 1e-10
+DISCRETIZATION_TS = (0.3, 0.5, 0.7)
+MARGIN_TS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+RETRACTION_TS = (0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True)
 class GridSpace:
-    """Uniform cell grid on [0, 1]: midpoint nodes, weights summing to 1."""
+    """Uniform cell grid on [0, 1]: n cells and their midpoint nodes."""
 
     n: int
     nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("grid needs at least 2 points")
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValidationError("weights must be positive and sum to 1")
 
     @classmethod
     def make(cls, n: int) -> "GridSpace":
         nodes = (np.arange(n) + 0.5) / n
-        weights = np.full(n, 1.0 / n)
         nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return cls(n, nodes, weights)
+        return cls(n, nodes)
 
 
 def _isometry(start: float, length: float, n: int):
@@ -323,15 +320,11 @@ def unitary_log_retraction(t: float, u: np.ndarray) -> np.ndarray:
     return log_path(u)(t)
 
 
-def discretization_tolerance(
-    n: int,
-    ts: tuple[float, ...] = (0.3, 0.5, 0.7),
-    modes: int = SMOOTH_MODES,
-) -> float:
-    """delta(n): worst band-limited defect of the isometry pair at sampled t."""
+def discretization_tolerance(n: int, modes: int = SMOOTH_MODES) -> float:
+    """delta(n): worst band-limited defect of the isometry pair at t in DISCRETIZATION_TS."""
     grid = GridSpace.make(n)
     worst = 0.0
-    for t in ts:
+    for t in DISCRETIZATION_TS:
         worst = max(
             worst,
             isometry_defect(shrink_isometry(t, grid), grid, modes),
@@ -353,12 +346,8 @@ def compact_injective_sample(
     return (Q * lam) @ adjoint(Q)
 
 
-def zk_injectivity_margin(
-    n: int,
-    seed: int = 0,
-    ts: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-) -> float:
-    """Smallest singular value of the contraction over sampled t (seeded pair).
+def zk_injectivity_margin(n: int, seed: int = 0) -> float:
+    """Smallest singular value of the contraction over t in MARGIN_TS (seeded pair).
 
     The sampled pair is Hermitian, so each interpolant is wrapped in a
     ``HermOp`` and its smallest singular value is its smallest |eigenvalue|.
@@ -368,19 +357,15 @@ def zk_injectivity_margin(
     a = HermOp(compact_injective_sample(rng, n))
     b = HermOp(compact_injective_sample(rng, n))
     path = zk_path(a, b, grid)
-    return min(_min_singular(HermOp(path(t))) for t in ts)
+    return min(_min_singular(HermOp(path(t))) for t in MARGIN_TS)
 
 
-def odd_retraction_defect(
-    dim: int,
-    seed: int = 0,
-    ts: tuple[float, ...] = (0.25, 0.5, 0.75),
-) -> float:
+def odd_retraction_defect(dim: int, seed: int = 0) -> float:
     """Constraint defect of the log retraction on a seeded odd unitary.
 
     Builds u = exp(i H) with H an odd-embedded random matrix (so J u J = u*
     exactly and the spectrum stays clear of -1) and returns the worst
-    ``odd_unitary_defect`` of the retraction over the sampled t.
+    ``odd_unitary_defect`` of the retraction over t in RETRACTION_TS.
     """
     if dim % 2 != 0:
         raise ValidationError("odd unitaries live on a doubled (even-dim) space")
@@ -391,4 +376,4 @@ def odd_retraction_defect(
     C *= 2.5 / np.linalg.norm(C, 2)  # keeps spec(H) inside (-pi, pi)
     # H = odd_embedding(C) is a temporary, so its matrix and eigenvectors are freed after func_calc
     path = log_path(func_calc(odd_embedding(C), lambda lam: np.exp(1j * lam)))
-    return max(odd_unitary_defect(path(t)) for t in ts)
+    return max(odd_unitary_defect(path(t)) for t in RETRACTION_TS)

@@ -7,16 +7,18 @@ Plain complex ndarrays are the working representation of bounded operators.
 * tridiagonal: the real bands (d, e) of a symmetric tridiagonal matrix, built
   by ``HermOp.tridiagonal``; the dense ``matrix`` is assembled only when read.
 
-Both hand out the same spectral API: ``eigenvalues`` and ``eigenvectors``
-(computed once and memoized), ``lowest_eigenvalue()``, ``eigenvector(k)`` and
-``spectrum(lo, hi)``, the eigenvalues in a closed window with the global index
-of the first.  A banded operator solves only what is asked (a Sturm count for
-the index plus LAPACK ``stebz`` bisection for a window or for one eigenvalue,
-the real tridiagonal solver for eigenpairs); a dense one slices its full
-spectrum.  A banded operator also factors T - z once (``shifted``, LAPACK
-``gttrf``) for repeated solves with T - z and its adjoint.  On top of these
-live the spectral functional calculus and the operator norm, which everything
-else in the package is built from.
+Both hand out the same API, so no other module reads the storage:
+``eigenvalues`` and ``eigenvectors`` (memoized), ``lowest_eigenvalue()``,
+``eigenvector(k)``, ``spectrum(lo, hi)`` (a closed window's eigenvalues and
+the global index of the first), ``norm()``, ``is_zero()``, ``T - S``, ``T @ x``
+and ``shifted(z)`` (LU factors of T - z, for solves with it and its adjoint).
+A banded operator solves only what is asked (a Sturm count for the index,
+LAPACK ``stebz`` bisection for a window or one eigenvalue, the real
+tridiagonal solver for eigenpairs, ``gttrf`` for T - z), applies its
+three-term product and subtracts on its bands; a dense one slices its full
+spectrum and factors with ``getrf``.  On top of these live the spectral
+functional calculus and the operator norm, which everything else in the
+package is built from.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Union
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import zgetrf, zgetrs, zgttrf, zgttrs
 
 from .errors import DegeneracyError, DomainError, ValidationError
 
@@ -62,31 +64,27 @@ def require_finite(A: np.ndarray) -> None:
 def op_norm(M) -> float:
     """Operator (spectral) norm: the largest singular value.
 
-    Hermitian inputs are detected cheaply and routed through ``eigvalsh``,
-    which is both faster and more accurate than a general SVD.  A non-finite
-    entry is a ValidationError naming it.
+    A non-finite entry is a ValidationError naming it.  A ``HermOp`` has its
+    own ``norm()``, which reads its spectrum instead.
     """
     A = as_matrix(M)
-    if A.size == 0:
-        return 0.0
-    scale = np.linalg.norm(A)
-    if scale == 0.0:
-        return 0.0
-    if not math.isfinite(scale):  # the search runs only here, so finite input pays nothing
-        require_finite(A)
-    if np.linalg.norm(A - adjoint(A)) <= 1e-12 * scale:
-        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    return float(np.linalg.norm(A, 2))
+    require_finite(A)
+    return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
 def hermiticity_defect(M: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part, relative to ||M||_F."""
+    """Frobenius norm of the anti-Hermitian part, relative to ||M||_F.
+
+    Both norms are taken of M / max |entry|, so large finite entries cannot
+    overflow them; a non-finite entry makes the defect NaN.
+    """
     A = as_matrix(M)
-    scale = np.linalg.norm(A)
+    scale = np.max(np.abs(A), initial=0.0)
     if scale == 0.0:
         return 0.0
-    with np.errstate(invalid="ignore"):  # inf - inf: the defect is NaN, not a warning
-        return float(np.linalg.norm(A - adjoint(A)) / scale)
+    with np.errstate(invalid="ignore"):  # inf / inf: the defect is NaN, not a warning
+        A = A / scale
+        return float(np.linalg.norm(A - adjoint(A)) / np.linalg.norm(A))
 
 
 def _sturm_count(d: np.ndarray, e2: np.ndarray, x: float, pivmin: float) -> int:
@@ -109,28 +107,33 @@ def _sturm_count(d: np.ndarray, e2: np.ndarray, x: float, pivmin: float) -> int:
 
 
 class ShiftedFactor:
-    """LU factors of T - z for a real symmetric tridiagonal T (LAPACK ``gttrf``).
+    """LU factors of T - z for a Hermitian T, built once by ``HermOp.shifted``.
 
-    Built once by ``HermOp.shifted``; each ``solve`` is one O(n) ``gttrs``
-    sweep.  Since T is real symmetric, (T - z)* = T - conj(z), so the adjoint
+    Bands of dim >= MIN_FACTOR_DIM are factored by LAPACK ``gttrf``, so each
+    ``solve`` is one O(n) ``gttrs`` sweep; a dense or smaller operator by
+    ``getrf``.  Since T is Hermitian, (T - z)* = T - conj(z), so the adjoint
     solve serves both shifts of a conjugate pair.
     """
 
-    __slots__ = ("_lu",)
+    __slots__ = ("_lu", "_trs", "_trans")
 
-    def __init__(self, d: np.ndarray, e: np.ndarray, z: complex):
-        off = e.astype(complex)
-        *lu, info = zgttrf(off, d - z, off)
+    def __init__(self, op: HermOp, z: complex):
+        if op.bands is not None and op.dim >= MIN_FACTOR_DIM:
+            off = op.bands[1].astype(complex)
+            *self._lu, info = zgttrf(off, op.bands[0] - z, off)
+            name, self._trs, self._trans = "zgttrf", zgttrs, ("N", "C")
+        else:
+            *self._lu, info = zgetrf(op.matrix - z * np.eye(op.dim), overwrite_a=True)
+            name, self._trs, self._trans = "zgetrf", zgetrs, (0, 2)
         if info != 0:  # an exactly zero pivot: z is an eigenvalue in floating point
-            raise DegeneracyError(f"T - ({z}) of dim {d.size} is singular: zgttrf info = {info}")
-        self._lu = lu
+            raise DegeneracyError(f"T - ({z}) of dim {op.dim} is singular: {name} info = {info}")
 
     def solve(self, x, adjoint: bool = False) -> np.ndarray:
         """(T - z)^-1 x, or (T - z)^-* x when ``adjoint``; x is a vector or a block of columns."""
         b = np.asarray(x, dtype=complex)
-        y, info = zgttrs(*self._lu, b.reshape(b.shape[0], -1), trans="C" if adjoint else "N")
+        y, info = self._trs(*self._lu, b.reshape(b.shape[0], -1), trans=self._trans[adjoint])
         if info != 0:
-            raise ValidationError(f"zgttrs rejected argument {-info} (right-hand side shape {b.shape})")
+            raise ValidationError(f"LU solve rejected argument {-info} (right-hand side shape {b.shape})")
         return y.reshape(b.shape)
 
 
@@ -267,20 +270,52 @@ class HermOp:
         return V[:, 0]
 
     def shifted(self, z: complex) -> ShiftedFactor:
-        """The LU factors of T - z, for solves with T - z and its adjoint (banded storage only).
+        """The LU factors of T - z, for solves with T - z and its adjoint.
 
-        For real symmetric T and non-real z, T - z is never singular:
+        For Hermitian T and non-real z, T - z is never singular:
         |lambda - z| >= |Im z| for every eigenvalue.  A real z at an
         eigenvalue raises ``DegeneracyError``.
         """
         z = complex(z)
-        if self.bands is None:
-            raise ValidationError("shifted factors need banded storage; this operator is dense")
-        if self.dim < MIN_FACTOR_DIM:
-            raise ValidationError(f"shifted factors need dim >= {MIN_FACTOR_DIM}, got {self.dim}")
         if not cmath.isfinite(z):
             raise ValidationError(f"shift {z} is not finite")
-        return ShiftedFactor(*self.bands, z)
+        return ShiftedFactor(self, z)
+
+    def norm(self) -> float:
+        """The operator norm max |lambda|.
+
+        A banded operator bisects for its two extreme eigenvalues alone
+        (``stebz``); a dense one reads its cached spectrum.
+        """
+        if self.bands is None:
+            lo, hi = self.eigenvalues[[0, -1]]
+        else:
+            lo, hi = (scipy.linalg.eigvalsh_tridiagonal(*self.bands, select="i", select_range=(k, k))[0]
+                      for k in (0, self.dim - 1))
+        return float(max(-lo, hi))
+
+    def is_zero(self) -> bool:
+        """True iff every stored entry is zero; nothing is solved."""
+        stored = self.bands if self.bands is not None else (self._matrix,)
+        return not any(a.any() for a in stored)
+
+    def __sub__(self, other: "HermOp") -> "HermOp":
+        """The difference T - S, banded when both operands are."""
+        if self.dim != other.dim:
+            raise ValidationError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if self.bands is not None and other.bands is not None:
+            return HermOp.tridiagonal(*(a - b for a, b in zip(self.bands, other.bands)))
+        return HermOp(self.matrix - other.matrix)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """T x for a vector x: the three-term product on bands, never the dense matrix."""
+        if self.bands is None:
+            return self._matrix @ x
+        d, e = self.bands
+        y = d * x
+        y[:-1] += e * x[1:]
+        y[1:] += e * x[:-1]
+        return y
 
     def spectrum(self, lo: float, hi: float) -> tuple[int, np.ndarray]:
         """Eigenvalues in the closed window [lo, hi] and the global index of the first.

@@ -15,13 +15,13 @@ Cayley transform, and the second resolvent identity (Kato, I 5 and IV 2) gives
 The product subtracts nothing but the stored B - A, so close operators keep
 their digits.  Far ones lose digits in proportion to ||B - A|| (the solve with
 A + i returns the gap from a right-hand side of that size); only a gap read
-above 1 + PROJECTION_ATOL raises.  Its evaluator depends on storage:
-
-* two banded ``HermOp``s: the largest singular value by Lanczos (ARPACK via
-  ``svds``), each apply two O(n) solves with one ``gttrf`` factor per operator
-  around the tridiagonal B - A; no eigenvectors, no dense n x n matrix;
-* two ``HermOp``s otherwise: the product formed with two dense LU solves;
-* anything else: the graph projections on the doubled space.
+above 1 + PROJECTION_ATOL raises.  Every pair of ``HermOp``s, dense, banded or
+mixed, is evaluated the same way: the largest singular value by Lanczos
+(ARPACK via ``svds``), each apply two solves with one ``HermOp.shifted``
+factor per operand around ``B - A``.  Storage stays inside ``linalg``: banded
+operands solve in O(n) and never form a dense matrix or eigenvectors.  Below
+ARPACK's dimension limit the product is formed from the same factors.
+Anything else takes the graph projections on the doubled space.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
-from .linalg import MIN_FACTOR_DIM, HermOp, MatrixLike, as_hermop, as_matrix, op_norm
+from .linalg import HermOp, MatrixLike, as_hermop, as_matrix, op_norm
 from .transforms import PROJECTION_ATOL, bounded_transform, graph_projection
 
 
@@ -47,30 +47,21 @@ def riesz_dist(A: MatrixLike, B: MatrixLike) -> float:
 
 
 def _resolvent_gap(A: HermOp, B: HermOp) -> float:
-    """||(A + i)^-1 (B - A) (B + i)^-1|| for banded A, B by Lanczos on the solves.
+    """||(A + i)^-1 (B - A) (B + i)^-1|| by Lanczos on the solves, or formed below dim 3.
 
-    ``gap_dist`` forms the same product with dense LU solves for other pairs.
     The start vector is fixed, so the result is reproducible to the bit.
     """
     # imported here: loading scipy.sparse.linalg would add to every command's start-up
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
-    n = A.dim
-    dd, de = ((b - a).astype(complex) for a, b in zip(A.bands, B.bands))  # the bands of B - A
-    if not (dd.any() or de.any()):
+    n, D = A.dim, B - A
+    if D.is_zero():
         return 0.0  # ARPACK cannot start on the zero operator
-
-    def D(y):  # (B - A) y for a vector y
-        z = dd * y
-        z[:-1] += de * y[1:]
-        z[1:] += de * y[:-1]
-        return z
-
     fa, fb = A.shifted(-1j), B.shifted(-1j)
     R = LinearOperator(
         (n, n),
-        matvec=lambda x: fa.solve(D(fb.solve(x.ravel()))),  # R reshapes the result to x's shape
-        rmatvec=lambda x: fb.solve(D(fa.solve(x.ravel(), adjoint=True)), adjoint=True),
+        matvec=lambda x: fa.solve(D @ fb.solve(x.ravel())),  # R reshapes the result to x's shape
+        rmatvec=lambda x: fb.solve(D @ fa.solve(x.ravel(), adjoint=True), adjoint=True),
         dtype=complex,
     )
     budget = 10 * n  # ARPACK's default number of restarts
@@ -78,6 +69,8 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
     what = f"Lanczos for ||(A + i)^-1 (B - A) (B + i)^-1|| at dim {n}"
     try:
         with np.errstate(over="raise", invalid="raise"):  # fail, not warn, on overflow
+            if n < 3:  # below ARPACK's limit: form the product, one column per apply
+                return op_norm(R @ np.eye(n))
             s = svds(R, k=1, tol=0, maxiter=budget, v0=v0, return_singular_vectors=False)
     except ArpackNoConvergence as exc:
         raise NonConvergenceError(f"{what} did not converge within {budget} restarts") from exc
@@ -89,17 +82,13 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
 def gap_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Operator-norm distance of the graph projections; always <= 1.
 
-    A ``HermOp`` pair evaluates ||(A + i)^-1 (B - A) (B + i)^-1|| (Lanczos on the
-    banded solves at dim >= 3, else two dense LU solves) and raises ``ConditioningError``
-    above 1 + PROJECTION_ATOL, a far pair; anything else takes the doubled space.
+    A ``HermOp`` pair of any storage evaluates ||(A + i)^-1 (B - A) (B + i)^-1||
+    (``_resolvent_gap``) and raises ``ConditioningError`` above
+    1 + PROJECTION_ATOL, a far pair; anything else takes the doubled space.
     """
     _check_dims(A, B)
     if isinstance(A, HermOp) and isinstance(B, HermOp):  # no doubled space needed
-        if A.bands is not None and B.bands is not None and A.dim >= MIN_FACTOR_DIM:
-            gap = _resolvent_gap(A, B)
-        else:
-            a, b, shift = A.matrix, B.matrix, 1j * np.eye(A.dim)
-            gap = op_norm(np.linalg.solve(a + shift, (b - a) @ np.linalg.inv(b + shift)))
+        gap = _resolvent_gap(A, B)
         if not gap <= 1.0 + PROJECTION_ATOL:  # also catches NaN
             raise ConditioningError(f"gap {gap!r} exceeds 1: a far pair lost its digits")
         return gap

@@ -37,10 +37,9 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
-from .linalg import HermOp, op_norm
+from .linalg import HermOp
 
 WINDOW_FLOOR = 1e-7
 ZERO_ATOL = 1e-9
@@ -48,37 +47,21 @@ ENDPOINT_MATCH_RTOL = 1e-9
 MIDPOINT_OFFSETS = (0.5, 0.5 + 1.0 / 16.0, 0.5 - 1.0 / 16.0, 0.5 + 1.0 / 8.0)
 
 
-def _band_norm(d: np.ndarray, e: np.ndarray) -> float:
-    """Spectral norm of the real symmetric tridiagonal (d, e), from its two extreme eigenvalues."""
-    lo, hi = (scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(k, k))[0]
-              for k in (0, d.size - 1))
-    return float(max(-lo, hi))
-
-
 def _check_match(left: HermOp, right: HermOp, what: str) -> None:
-    """Raise unless two operators agree to ENDPOINT_MATCH_RTOL relative to scale.
+    """Raise unless ||left - right|| <= ENDPOINT_MATCH_RTOL (1 + ||left||).
 
-    The same object always matches, without building its matrix.  Two banded
-    operators are compared on their bands, so neither is densified: equal
-    bands match, and otherwise both norms come from extreme eigenvalues.  The
-    scale ``1 + ||left||`` is at least 1, so it is computed only when the
-    mismatch already exceeds the bare tolerance.
+    The same object always matches without a solve.  Otherwise both norms are
+    ``HermOp.norm()``, so two banded operators are compared on their bands and
+    neither is densified.  The scale ``1 + ||left||`` is at least 1, so it is
+    computed only when the mismatch already exceeds the bare tolerance.
     """
     if left is right:
         return
     if left.dim != right.dim:
         raise ValidationError(f"{what} have dimensions {left.dim} and {right.dim}")
-    banded = left.bands is not None and right.bands is not None
-    if banded:
-        (dl, el), (dr, er) = left.bands, right.bands
-        if np.array_equal(dl, dr) and np.array_equal(el, er):
-            return
-        mismatch = _band_norm(dl - dr, el - er)
-    else:
-        mismatch = op_norm(left.matrix - right.matrix)
+    mismatch = (left - right).norm()
     if mismatch > ENDPOINT_MATCH_RTOL:
-        scale = _band_norm(dl, el) if banded else op_norm(left.matrix)
-        tol = ENDPOINT_MATCH_RTOL * (1.0 + scale)
+        tol = ENDPOINT_MATCH_RTOL * (1.0 + left.norm())
         if mismatch > tol:
             raise ValidationError(f"{what} differ by {mismatch:.3e} (tol {tol:.3e})")
 

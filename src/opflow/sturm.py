@@ -108,6 +108,8 @@ def assemble_robin_operator(x: ProjectivePoint, n: int) -> RobinOperator:
     if x.is_dirichlet:
         return RobinOperator(x, n, HermOp.tridiagonal(d, e), SCHEME_DIRICHLET, nodes, weights)
     d[-1] = 2.0 / h**2 - 2.0 * (x.x0 / x.x1) / h
+    if not math.isfinite(d[-1]):
+        raise ValidationError(f"boundary entry d[-1] = {d[-1]} overflows at [{x.x0} : {x.x1}], n = {n}")
     e[-1] = -math.sqrt(2.0) / h**2
     weights[-1] = h / 2.0
     return RobinOperator(x, n, HermOp.tridiagonal(d, e), SCHEME_GHOST, nodes, weights)
@@ -244,20 +246,20 @@ def dichotomy_row(x1: float, n: int) -> tuple[float, float]:
     """Certified transform-distance lower bound and graph distance to Dirichlet.
 
     The lower bound is max(0, -min eig of the bounded transform at [1:x1]),
-    valid because the Dirichlet comparison operator is verified positive, so
-    sorted-eigenvalue pairing already forces the transform distance above it.
-    Both lowest eigenvalues come from index-selected bisection (``stebz``), not
-    a full spectrum.  The graph distance is the resolvent distance
-    ||(A + i)^-1 - (B + i)^-1|| = ||(A + i)^-1 (B - A) (B + i)^-1||; both
-    operators are banded, so the product runs by Lanczos on one tridiagonal
-    factor each around B - A, not through dense LU solves (see ``metrics``).
+    that is -lambda / hypot(1, lambda), which reads 1 even where lambda^2
+    overflows; it is valid because the Dirichlet comparison operator is
+    verified positive, so sorted-eigenvalue pairing already forces the
+    transform distance above it.  Both lowest eigenvalues come from
+    index-selected bisection (``stebz``), not a full spectrum.  The graph
+    distance is ||(A + i)^-1 (B - A) (B + i)^-1||; both operators are banded,
+    so its Lanczos runs on one tridiagonal factor each (see ``metrics``).
     """
     robin = assemble_robin_operator(ProjectivePoint(1.0, x1), n)
     dirichlet = assemble_robin_operator(ProjectivePoint(1.0, 0.0), n)
     if dirichlet.matrix.lowest_eigenvalue() <= 0.0:  # pragma: no cover
         raise ValidationError("Dirichlet comparison operator is not positive")
     lam0 = robin.matrix.lowest_eigenvalue()
-    riesz_lower = max(0.0, -lam0 / math.sqrt(1.0 + lam0 * lam0))
+    riesz_lower = max(0.0, -lam0 / math.hypot(1.0, lam0))
     return riesz_lower, gap_dist(robin.matrix, dirichlet.matrix)
 
 

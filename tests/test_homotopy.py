@@ -39,17 +39,6 @@ def smooth_spd(n, strength=0.5):
     return HermOp(np.eye(n) + strength * K / np.linalg.norm(K, 2))
 
 
-class TestGridSpace:
-    def test_weights_sum_to_one(self):
-        g = GridSpace.make(128)
-        assert abs(float(g.weights.sum()) - 1.0) < 1e-12
-        assert np.all(g.weights > 0)
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValidationError):
-            GridSpace(4, np.linspace(0, 1, 4), np.array([0.5, 0.5, 0.5, 0.5]))
-
-
 class TestIsometries:
     def test_shrink_identity_at_one(self):
         g = GridSpace.make(64)
@@ -143,11 +132,11 @@ class TestZkContraction:
             return min_singular(M)
 
         monkeypatch.setattr(homotopy, "_min_singular", counting)
-        margin = zk_injectivity_margin(32, seed=0, ts=T_SAMPLES)
-        assert len(calls) == 2 + len(T_SAMPLES)
+        margin = zk_injectivity_margin(32, seed=0)
+        assert len(calls) == 2 + len(homotopy.MARGIN_TS)
         assert set(calls) == {HermOp}  # Hermitian samples: margins from eigenvalues, no SVD
         monkeypatch.undo()
-        assert margin == zk_injectivity_margin(32, seed=0, ts=T_SAMPLES)
+        assert margin == zk_injectivity_margin(32, seed=0)
 
     def test_hermop_operands_get_eigenvalue_margins(self, monkeypatch):
         calls = []

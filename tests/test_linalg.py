@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,6 +150,12 @@ class TestOpNorm:
             B = random_complex(rng, 6)
             assert op_norm(A @ B) <= op_norm(A) * op_norm(B) + 1e-10
             assert op_norm(A + B) <= op_norm(A) + op_norm(B) + 1e-10
+
+    def test_large_finite_entries_build_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = HermOp(np.diag([1e200, 1.0, 2.0]))
+            assert op.norm() == 1e200 and op_norm(op.matrix) == 1e200
 
     def test_equals_spectral_radius_for_hermitian(self):
         rng = np.random.default_rng(6)
@@ -364,13 +371,65 @@ class TestTridiagonal:
         with pytest.raises(DegeneracyError, match="singular: zgttrf info = 2"):
             op.shifted(2.0)
 
-    def test_shifted_needs_banded_storage_of_dim_three(self):
-        with pytest.raises(ValidationError, match="banded storage"):
-            HermOp(np.eye(4)).shifted(-1j)
-        with pytest.raises(ValidationError, match="dim >= 3"):
-            HermOp.tridiagonal([1.0, 2.0], [0.5]).shifted(-1j)
-        with pytest.raises(ValidationError, match="not finite"):
-            HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5]).shifted(complex(np.nan, 1.0))
+    @pytest.mark.parametrize("z", [-1j, 2.5 + 0.3j])
+    @pytest.mark.parametrize("storage, n", [("dense", 6), ("dense", 1), ("banded", 1), ("banded", 2)])
+    def test_getrf_solves_match_dense(self, storage, n, z):
+        """Dense operators, and bands below the gttrf limit, factor with getrf."""
+        rng = np.random.default_rng(n)
+        if storage == "dense":
+            op = HermOp(random_hermitian(rng, n, 3.0))
+        else:
+            op = HermOp.tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+        factor = op.shifted(z)
+        shifted = op.matrix - z * np.eye(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        X = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        for rhs in (x, X):
+            np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(shifted, rhs), atol=1e-12)
+            np.testing.assert_allclose(factor.solve(rhs, adjoint=True),
+                                       np.linalg.solve(adjoint(shifted), rhs), atol=1e-12)
+
+    def test_dense_shift_at_an_exact_eigenvalue_is_singular(self):
+        with pytest.raises(DegeneracyError, match="singular: zgetrf info = 2"):
+            HermOp(np.diag([1.0, 2.0, 3.0])).shifted(2.0)
+
+    def test_shift_must_be_finite(self):
+        for op in (HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5]), HermOp(np.eye(2))):
+            with pytest.raises(ValidationError, match="not finite"):
+                op.shifted(complex(np.nan, 1.0))
+
+    def test_norm_is_the_operator_norm(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5, 40):
+            banded = HermOp.tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+            dense = op_norm(banded.matrix)
+            assert abs(banded.norm() - dense) <= 1e-13 * dense
+            assert abs(HermOp(banded.matrix).norm() - dense) <= 1e-13 * dense
+
+    def test_difference_stays_banded_and_applies_its_bands(self):
+        rng = np.random.default_rng(10)
+        A, B = (HermOp.tridiagonal(rng.standard_normal(7), rng.standard_normal(6)) for _ in range(2))
+        D = B - A
+        assert D._matrix is None and A._matrix is None and B._matrix is None
+        x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        np.testing.assert_allclose(D @ x, (B.matrix - A.matrix) @ x, rtol=0.0, atol=1e-14)
+        mixed = HermOp(B.matrix) - A
+        assert np.array_equal(mixed.matrix, (B - A).matrix)
+        np.testing.assert_allclose(mixed @ x, D @ x, rtol=0.0, atol=1e-14)
+        with pytest.raises(ValidationError, match="dimension mismatch: 7 vs 2"):
+            A - HermOp(np.eye(2))
+
+    def test_zero_test_runs_no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        A = HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", refuse)
+        assert (A - HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])).is_zero()
+        assert not (A - HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.25])).is_zero()
+        assert (HermOp(A.matrix) - A).is_zero()
+        assert not HermOp(np.diag([0.0, 1e-300])).is_zero()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lowest_eigenvalue_matches_the_full_spectrum(self, seed):

@@ -166,11 +166,12 @@ def low_rank_gap(A, B, E, S):
 
 
 class TestResolventGap:
-    """One identity, (A + i)^-1 - (B + i)^-1 = (A + i)^-1 (B - A) (B + i)^-1, two evaluators.
+    """One identity, (A + i)^-1 - (B + i)^-1 = (A + i)^-1 (B - A) (B + i)^-1, one evaluator.
 
-    Banded pairs take Lanczos on the tridiagonal solves around the band
-    difference; other ``HermOp`` pairs form the product with dense LU solves.
-    Neither subtracts nearly equal quantities, so close pairs keep their digits.
+    Every ``HermOp`` pair takes Lanczos on the solves with one shifted factor
+    per operand around B - A (banded pairs on their bands), and forms the
+    product below dim 3.  It subtracts nothing nearly equal, so close pairs
+    keep their digits.
     """
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -234,14 +235,15 @@ class TestResolventGap:
         (1e-200, 400, False),
         (1e-200, 16, False),
         (1e-50, 16, True),
+        (1e-200, 16, True),
     ])
     def test_far_pairs_fail_loudly(self, x1, n, dense):
         """A far pair whose product reads above 1, or whose Lanczos overflows, raises."""
-        pair = robin_dirichlet(x1, n)
-        if dense:
-            pair = [HermOp(op.matrix) for op in pair]
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the failure comes without a RuntimeWarning
+            warnings.simplefilter("error")  # neither building nor failing warns
+            pair = robin_dirichlet(x1, n)
+            if dense:
+                pair = [HermOp(op.matrix) for op in pair]
             with pytest.raises(ConditioningError):
                 gap_dist(*pair)
 

@@ -1,5 +1,8 @@
 """The package's public surface: a name is added to or dropped from it only on purpose."""
 
+import ast
+from pathlib import Path
+
 import opflow
 
 PUBLIC_NAMES = [
@@ -83,3 +86,17 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(opflow.__all__) == PUBLIC_NAMES
+
+
+def test_only_linalg_knows_an_operators_storage():
+    """No module but ``linalg`` reads ``.bands`` or ``MIN_FACTOR_DIM``: every
+    other one asks a ``HermOp`` to factor, subtract, norm or apply itself."""
+    readers = {}
+    for path in sorted(Path(opflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("bands", "MIN_FACTOR_DIM"):
+                readers.setdefault(path.name, set()).add(name)
+    assert set(readers) == {"linalg.py"}, readers

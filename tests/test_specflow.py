@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from opflow import specflow
 from opflow.errors import NonConvergenceError, ValidationError
-from opflow.linalg import HermOp, op_norm
+from opflow.linalg import HermOp
 from opflow.specflow import Crossing, OperatorPath, SpecFlowReport, concat, spectral_flow
 from opflow.sturm import robin_generator
 
@@ -226,13 +226,6 @@ class TestConcat:
         concat(left, right(1e-6))
         with pytest.raises(ValidationError, match="junction"):
             concat(left, right(1e-3))
-
-    def test_band_norm_is_the_operator_norm(self):
-        rng = np.random.default_rng(8)
-        for n in (1, 2, 5, 40):
-            d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-            dense = op_norm(HermOp.tridiagonal(d, e).matrix)
-            assert abs(specflow._band_norm(d, e) - dense) <= 1e-13 * dense
 
     def test_robin_loop_split_at_half(self):
         gen = robin_generator(200)

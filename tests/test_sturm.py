@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opflow import sturm
 from opflow.errors import DomainError, ValidationError
 from opflow.sturm import (
     SCHEME_DIRICHLET,
@@ -56,6 +57,10 @@ class TestAssembly:
     def test_minimum_grid(self):
         with pytest.raises(ValidationError):
             assemble_robin_operator(DIRICHLET, 8)
+
+    def test_boundary_entry_overflow_names_the_parameter(self):
+        with pytest.raises(ValidationError, match=r"d\[-1\] = -inf .* \[1\.0 : 1e-310\], n = 400"):
+            assemble_robin_operator(ProjectivePoint(1.0, 1e-310), 400)
 
     def test_schemes(self):
         assert assemble_robin_operator(DIRICHLET, 32).scheme == SCHEME_DIRICHLET
@@ -242,6 +247,12 @@ class TestDichotomy:
             riesz_lower, gap = dichotomy_row(x1, 400)
             assert riesz_lower >= 0.9
         assert gap <= 0.2  # x1 = 1e-4 row
+
+    @pytest.mark.parametrize("x1", [1e-152, 1e-200])
+    def test_far_parameter_bound_is_one(self, monkeypatch, x1):
+        """lambda_0 ~ -2n/x1 squared would overflow; the bound is still 1."""
+        monkeypatch.setattr(sturm, "gap_dist", lambda A, B: 0.0)  # far pairs raise there
+        assert dichotomy_row(x1, 400) == (1.0, 0.0)
 
     def test_soft_parameter_has_weak_bound(self):
         riesz_lower, _ = dichotomy_row(0.9, 400)
