@@ -12,8 +12,8 @@ Both hand out the same API, so no other module reads the storage:
 ``eigenvector(k)``, ``spectrum(lo, hi)`` (a closed window's eigenvalues and
 the global index of the first), ``norm()``, ``is_zero()``, ``T - S``, ``T @ x``
 and ``shifted(z)`` (LU factors of T - z, for solves with it and its adjoint).
-A banded operator solves only what is asked (a Sturm count for the index,
-LAPACK ``stebz`` bisection for a window or one eigenvalue, the real
+A banded operator solves only what is asked (LAPACK ``stebz``: its own count
+for a window's index, bisection for the window or one eigenvalue; the real
 tridiagonal solver for eigenpairs, ``gttrf`` for T - z), applies its
 three-term product and subtracts on its bands; a dense one slices its full
 spectrum and factors with ``getrf``.  On top of these live the spectral
@@ -30,9 +30,9 @@ from typing import Callable, Union
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgetrf, zgetrs, zgttrf, zgttrs
+from scipy.linalg.lapack import dstebz, zgetrf, zgetrs, zgttrf, zgttrs
 
-from .errors import DegeneracyError, DomainError, ValidationError
+from .errors import DegeneracyError, DomainError, NonConvergenceError, ValidationError
 
 HERMITICITY_RTOL = 1e-12
 MIN_FACTOR_DIM = 3  # scipy's gttrf wrapper rejects smaller bands; ARPACK needs 3 too
@@ -69,7 +69,7 @@ def op_norm(M) -> float:
     """
     A = as_matrix(M)
     require_finite(A)
-    return float(np.linalg.norm(A, 2)) if A.size else 0.0
+    return float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
 
 
 def hermiticity_defect(M: np.ndarray) -> float:
@@ -85,25 +85,6 @@ def hermiticity_defect(M: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):  # inf / inf: the defect is NaN, not a warning
         A = A / scale
         return float(np.linalg.norm(A - adjoint(A)) / np.linalg.norm(A))
-
-
-def _sturm_count(d: np.ndarray, e2: np.ndarray, x: float, pivmin: float) -> int:
-    """Number of eigenvalues <= x of the symmetric tridiagonal matrix (d, e).
-
-    The count of non-positive pivots of the LDL* factorization of T - x
-    (Sylvester's law of inertia), ``e2`` holding the squared off-diagonal.
-    Pivots below ``pivmin`` count as negative, as in LAPACK's ``laebz``, so
-    that it agrees with the counts ``stebz`` bisects by.
-    """
-    count = 0
-    q = 1.0
-    for di, e2i in zip(d.tolist(), [0.0, *e2.tolist()]):
-        q = di - e2i / q - x
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q <= 0.0:
-            count += 1
-    return count
 
 
 class ShiftedFactor:
@@ -183,7 +164,7 @@ class HermOp:
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
             raise ValidationError("tridiagonal bands have non-finite entries")
         big = np.flatnonzero(np.abs(e) > math.sqrt(np.finfo(float).max))  # e * e overflows
-        if big.size:  # the Sturm count and stebz square the off-diagonal
+        if big.size:  # stebz squares the off-diagonal
             raise ValidationError(f"off-diagonal e[{big[0]}] = {e[big[0]]:g} overflows when squared")
         d.setflags(write=False)
         e.setflags(write=False)
@@ -248,12 +229,15 @@ class HermOp:
                         self._eigvals = w
         return self._eigvecs
 
-    def lowest_eigenvalue(self) -> float:
-        """The smallest eigenvalue; a banded operator bisects for it alone (``stebz``)."""
+    def _eigenvalue(self, k: int) -> float:
+        """The k-th eigenvalue in ascending order; a banded operator bisects for it alone (``stebz``)."""
         if self.bands is None:
-            return float(self.eigenvalues[0])
-        w = scipy.linalg.eigvalsh_tridiagonal(*self.bands, select="i", select_range=(0, 0))
-        return float(w[0])
+            return float(self.eigenvalues[k])
+        return float(scipy.linalg.eigvalsh_tridiagonal(*self.bands, select="i", select_range=(k, k))[0])
+
+    def lowest_eigenvalue(self) -> float:
+        """The smallest eigenvalue: index-selected ``stebz`` on bands, the cached spectrum if dense."""
+        return self._eigenvalue(0)
 
     def eigenvector(self, k: int) -> np.ndarray:
         """The unit eigenvector of the k-th eigenvalue in ascending order (k from 0).
@@ -282,17 +266,8 @@ class HermOp:
         return ShiftedFactor(self, z)
 
     def norm(self) -> float:
-        """The operator norm max |lambda|.
-
-        A banded operator bisects for its two extreme eigenvalues alone
-        (``stebz``); a dense one reads its cached spectrum.
-        """
-        if self.bands is None:
-            lo, hi = self.eigenvalues[[0, -1]]
-        else:
-            lo, hi = (scipy.linalg.eigvalsh_tridiagonal(*self.bands, select="i", select_range=(k, k))[0]
-                      for k in (0, self.dim - 1))
-        return float(max(-lo, hi))
+        """The operator norm max |lambda|, from the two extreme eigenvalues alone."""
+        return max(-self._eigenvalue(0), self._eigenvalue(self.dim - 1))
 
     def is_zero(self) -> bool:
         """True iff every stored entry is zero; nothing is solved."""
@@ -322,9 +297,12 @@ class HermOp:
 
         The index is the number of eigenvalues below ``lo``, so
         ``first + arange(len(values))`` are positions in the full ascending
-        spectrum.  A banded operator solves only the window; a dense one
-        slices the cached full spectrum.  A window holding no eigenvalue
-        (including lo > hi) gives an empty array.
+        spectrum.  A banded operator reads the index off LAPACK ``stebz``'s
+        own count and bisects for the window alone with the same routine from
+        the same lower edge, so the two agree; a dense one slices the cached
+        full spectrum.  A window holding no eigenvalue (including lo > hi)
+        gives an empty array.  A banded count that fails raises
+        ``NonConvergenceError``.
         """
         if math.isnan(lo) or math.isnan(hi):
             raise ValidationError(f"spectral window [{lo}, {hi}] has a NaN bound")
@@ -334,11 +312,16 @@ class HermOp:
             end = int(np.searchsorted(w, hi, side="right"))
             return first, w[first:max(first, end)]
         d, e = self.bands
-        e2 = e * e
-        pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
+        pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
         # stebz returns (vl, vu] and counts pivots below pivmin as negative
         below = float(np.nextafter(lo - 2.0 * pivmin, -np.inf))
-        first = _sturm_count(d, e2, below, pivmin)
+        # n minus stebz's count in (below, inf]: counting (-inf, below] would make
+        # lo = -inf an illegal vl = vu.  abstol = inf stops the bisection at once;
+        # the f2py wrapper rejects an empty e
+        above, *_, info = dstebz(d, e if e.size else np.zeros(1), 1, below, np.inf, 0, 0, np.inf, "E")
+        if info != 0:
+            raise NonConvergenceError(f"stebz count above {lo} failed on dim {self.dim}: info = {info}")
+        first = self.dim - above
         if hi < lo:
             w = np.empty(0)
         else:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from opflow import linalg
 from opflow.cli import main
 from opflow.manifest import validate_manifest, verify_outputs
 
@@ -245,6 +246,14 @@ def test_lanczos_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch):
     assert main(["dichotomy", "--grid", "32", "--points", "2", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("dichotomy: ")
+
+
+def test_failed_stebz_count_is_one_stderr_line(tmp_path, capsys, monkeypatch):
+    real = linalg.dstebz
+    monkeypatch.setattr(linalg, "dstebz", lambda *args: (*real(*args)[:-1], 1))
+    assert main(["specflow", "--grid", "64", "--samples", "16", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("specflow: ") and "info = 1" in err
 
 
 def test_usage_error_in_a_process_has_no_traceback(tmp_path):

@@ -7,7 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opflow.errors import DegeneracyError, DomainError, ValidationError
+from opflow import linalg
+from opflow.errors import DegeneracyError, DomainError, NonConvergenceError, ValidationError
 from opflow.linalg import HermOp, adjoint, as_matrix, func_calc, herm_eig, op_norm
 
 
@@ -241,6 +242,29 @@ def tridiagonal_bands(draw):
     return scale * d, scale * e, scale * edges
 
 
+def ulp_shift(x, k):
+    """x moved k representable floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+@st.composite
+def split_bands(draw):
+    """Bands whose off-diagonals sit on either side of stebz's splitting rule.
+
+    stebz splits the band where e_j^2 <= ulp^2 |d_j d_j-1| + safemin; the
+    diagonal entries are a few ulps off round values, so eigenvalues of the
+    split-off blocks fall within rounding of window edges drawn near them.
+    """
+    n = draw(st.integers(1, 6))
+    d = [ulp_shift(draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])), draw(st.integers(-2, 2)))
+         for _ in range(n)]
+    e = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([0.0, 1e-30, 1e-20, 1e-17, 1e-12, 1.0]))
+         for _ in range(n - 1)]
+    return np.array(d), np.array(e)
+
+
 class TestEigenvector:
     @pytest.mark.parametrize("k", [0, 3, 19])
     def test_banded_pair_matches_the_full_solve(self, k):
@@ -322,6 +346,37 @@ class TestTridiagonal:
         assert (got_first, values.size) == (first, count)
         w = np.array([-1.0, 0.0, 1.0, 1.0, 2.0])
         assert np.array_equal(values, w[first:first + count])
+
+    def test_split_band_keeps_the_eigenvalue_below_the_edge(self):
+        # e[0]^2 is below stebz's splitting threshold, so the first diagonal entry
+        # is an eigenvalue of its own, one ulp below the window's lower edge
+        below_half = 0.49999999999999994
+        first, values = HermOp.tridiagonal([below_half, below_half, 0.5], [-1e-30, 1.0]).spectrum(0.5, 10.0)
+        assert first == 2
+        np.testing.assert_allclose(values, [1.5], rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bands=split_bands(), data=st.data())
+    def test_adjacent_windows_tile_the_spectrum(self, bands, data):
+        d, e = bands
+        op = HermOp.tridiagonal(d, e)
+        big = 10.0
+        first, values = op.spectrum(-big, big)
+        assert (first, values.size) == (0, d.size)
+        edge = st.one_of(st.sampled_from(d.tolist()), st.floats(-3.0, 3.0))
+        lo, hi = sorted(ulp_shift(data.draw(edge), data.draw(st.integers(-2, 2))) for _ in range(2))
+        first, values = op.spectrum(lo, hi)
+        # the next window starts one float above hi; below 1e-250 its lower edge
+        # moves by the 2 pivmin guard and may skip an eigenvalue at hi
+        if abs(hi) >= 1e-250:
+            assert first + values.size == op.spectrum(float(np.nextafter(hi, math.inf)), big)[0]
+
+    def test_infinite_edges(self):
+        op = HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
+        w = op.eigenvalues
+        assert op.spectrum(-math.inf, math.inf)[0] == 0
+        assert np.allclose(op.spectrum(-math.inf, math.inf)[1], w, rtol=0.0, atol=1e-14)
+        assert op.spectrum(2.5, math.inf)[0] == 2 and op.spectrum(math.inf, math.inf)[0] == 3
 
     def test_dense_storage_slices_its_spectrum(self):
         op = HermOp(np.diag([3.0, -1.0, 0.5, 2.0]))
@@ -466,3 +521,35 @@ class TestTridiagonal:
         np.testing.assert_allclose(op.eigenvalues, dense.eigenvalues, atol=1e-12)
         V = op.eigenvectors
         assert op_norm((V * op.eigenvalues) @ adjoint(V) - dense.matrix) < 1e-12
+
+
+class TestBandedKernelCost:
+    """One banded ``spectrum`` is one ``stebz`` count and one ``stebz`` window.
+
+    The window is read through ``scipy.linalg.eigvalsh_tridiagonal``, not a
+    second raw ``dstebz`` call: that is the name the benchmark's tracer wraps,
+    and its robin-flow smoke test asks for at least one traced eigensolve per
+    assembled operator.
+    """
+
+    @staticmethod
+    def counting(calls, name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counted
+
+    def test_one_count_and_one_window(self, monkeypatch):
+        calls = []
+        for owner, name in ((linalg, "dstebz"), (scipy.linalg, "eigvalsh_tridiagonal")):
+            monkeypatch.setattr(owner, name, self.counting(calls, name, getattr(owner, name)))
+        HermOp.tridiagonal(np.arange(8.0), np.ones(7)).spectrum(1.0, 5.0)
+        assert sorted(calls) == ["dstebz", "eigvalsh_tridiagonal"]
+        assert not hasattr(linalg, "_sturm_count")
+
+    def test_failed_count_raises(self, monkeypatch):
+        real = linalg.dstebz
+        monkeypatch.setattr(linalg, "dstebz", lambda *args: (*real(*args)[:-1], 1))
+        with pytest.raises(NonConvergenceError, match=r"above 1\.0 failed on dim 8: info = 1"):
+            HermOp.tridiagonal(np.arange(8.0), np.ones(7)).spectrum(1.0, 5.0)
