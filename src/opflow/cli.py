@@ -271,8 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--path", choices=["robin", "const", "cross"], default="robin")
     sf.add_argument("--grid", type=int, default=800, metavar="N")
     sf.add_argument("--samples", type=int, default=64, metavar="N")
-    sf.add_argument("--window", type=float, default=1.0, metavar="W")
-    sf.add_argument("--max-depth", type=int, default=24, dest="max_depth", metavar="D")
+    sf.add_argument("--window", type=float, default=1.0, metavar="W",
+                    help="read each point's spectrum on [-2W, 2W]; it places the crossing "
+                         "brackets but does not decide the flow (default: 1.0)")
+    sf.add_argument("--max-depth", type=int, default=24, dest="max_depth", metavar="D",
+                    help="bisections allowed below each sample step (default: 24)")
     _add_common(sf)
     sf.set_defaults(func=cmd_specflow)
 

@@ -10,8 +10,9 @@ Plain complex ndarrays are the working representation of bounded operators.
 Both hand out the same API, so no other module reads the storage:
 ``eigenvalues`` and ``eigenvectors`` (memoized), ``lowest_eigenvalue()``,
 ``eigenvector(k)``, ``spectrum(lo, hi)`` (a closed window's eigenvalues and
-the global index of the first), ``norm()``, ``is_zero()``, ``T - S``, ``T @ x``
-and ``shifted(z)`` (LU factors of T - z, for solves with it and its adjoint).
+the global index of the first), ``norm()``, ``is_zero()``, ``T - S``, ``T @ x``,
+``shifted(z)`` (LU factors of T - z, for solves with it and its adjoint) and
+``cayley_phase()`` (arg det of the Cayley transform).
 A banded operator solves only what is asked (LAPACK ``stebz``: its own count
 for a window's index, bisection for the window or one eigenvalue; the real
 tridiagonal solver for eigenpairs, ``gttrf`` for T - z), applies its
@@ -116,6 +117,11 @@ class ShiftedFactor:
         if info != 0:
             raise ValidationError(f"LU solve rejected argument {-info} (right-hand side shape {b.shape})")
         return y.reshape(b.shape)
+
+    def diagonal_phase(self) -> float:
+        """The sum of arg U_kk over the diagonal of the upper triangular LU factor."""
+        u = self._lu[1] if self._trs is zgttrs else np.diagonal(self._lu[0])
+        return float(np.sum(np.angle(u)))
 
 
 class HermOp:
@@ -265,6 +271,21 @@ class HermOp:
             raise ValidationError(f"shift {z} is not finite")
         return ShiftedFactor(self, z)
 
+    def cayley_phase(self) -> float:
+        """arg det kappa(T) in [-pi, pi], for the Cayley transform kappa(T) = (T - i)(T + i)^-1.
+
+        For Hermitian T, det(T - i) is the conjugate of det(T + i), so the
+        phase is -2 arg det(T + i).  A banded operator reads it off one LU
+        factor of T + i as -2 sum_k arg U_kk (the row swaps' sign +-1 only
+        adds a multiple of 2 pi); a dense one, whose spectrum reads solve the
+        full spectrum anyway, sums -2 atan2(1, lambda) over its eigenvalues.
+        """
+        if self.bands is None:
+            phase = -2.0 * float(np.sum(np.arctan2(1.0, self.eigenvalues)))
+        else:
+            phase = -2.0 * self.shifted(-1j).diagonal_phase()
+        return math.remainder(phase, 2.0 * math.pi)
+
     def norm(self) -> float:
         """The operator norm max |lambda|, from the two extreme eigenvalues alone."""
         return max(-self._eigenvalue(0), self._eigenvalue(self.dim - 1))
@@ -314,7 +335,8 @@ class HermOp:
         d, e = self.bands
         pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
         # stebz returns (vl, vu] and counts pivots below pivmin as negative
-        below = float(np.nextafter(lo - 2.0 * pivmin, -np.inf))
+        with np.errstate(over="ignore"):  # below -max float lies -inf
+            below = float(np.nextafter(lo - 2.0 * pivmin, -np.inf))
         # n minus stebz's count in (below, inf]: counting (-inf, below] would make
         # lo = -inf an illegal vl = vu.  abstol = inf stops the bisection at once;
         # the f2py wrapper rejects an empty e
@@ -322,7 +344,7 @@ class HermOp:
         if info != 0:
             raise NonConvergenceError(f"stebz count above {lo} failed on dim {self.dim}: info = {info}")
         first = self.dim - above
-        if hi < lo:
+        if hi < lo or hi == -math.inf:  # empty; stebz would reject vl = vu = -inf
             w = np.empty(0)
         else:
             w = scipy.linalg.eigvalsh_tridiagonal(d, e, select="v", select_range=(below, hi))

@@ -1,33 +1,34 @@
 """Integer spectral flow along sampled paths of Hermitian operators.
 
-The flow is computed by windowed counting: on each subinterval a counting
-level a_i > 0 is placed inside a spectrum-free band of both endpoint
-operators, and the contribution is the change in the number of eigenvalues
-inside [0, a_i).  Summed over a partition this telescopes to the net signed
-count of eigenvalue crossings through zero, provided no eigenvalue path
-crosses the level a_i within a subinterval; subintervals are bisected
-(through the path's generator) until the observed eigenvalue movement is
-small against the band placing a_i.
+No eigenvalue is paired between parameters.  The flow is read off the inertia
+neg(A), the number of negative eigenvalues, and the phase of det kappa(A) for
+the Cayley transform kappa(A) = (A - i)(A + i)^-1, whose eigenvalues reach 1
+only where an eigenvalue passes through infinity.  Along a path on [a, b]
+continuous in the gap topology (Phillips, Canad. Math. Bull. 39, 1996;
+Booss-Bavnbek, Lesch & Phillips, Canad. J. Math. 57, 2005),
 
-Level selection: collect |eigenvalue| values of both endpoints inside the
-initial window, scan the gaps of that ladder from zero upward, and take the
-midpoint of the first gap wider than twice the observed movement whose
-midpoint lies at least the zero tolerance from both ends.  Away from
-crossings the first gap is (0, min |eigenvalue|), which reduces to "half the
-smallest windowed eigenvalue magnitude"; while a crossing is in progress
-that gap collapses and the rule steps over it to the next spectral gap, so
-the crossing eigenvalue is counted rather than chased.
+    SF = neg(A(a)) - neg(A(b)) + W,   Psi(A) = -2 sum_k atan2(1, lambda_k),
+    W = (lifted change of arg det kappa - Psi(A(b)) + Psi(A(a))) / 2 pi,
 
-Windowed solves: every parameter's spectrum is solved only on the window
-[-2 window0, 2 window0] (``HermOp.spectrum``, cached per parameter), and the
-eigenvalues of two endpoints are paired by their global index in the full
-ascending spectrum.  Levels never exceed window0 and movement is only read
-for eigenvalues within window0, so nothing outside the solve radius could
-change a decision, with one exception handled by the missing-partner rule: an
-index inside window0 at one endpoint but beyond the radius at the other has
-moved by more than window0, and is recorded as a movement of window0.  That
-forces the bisection the full spectrum would force, since a level is placed
-only when movement < window0 / 2.
+where W counts passages through infinity from +inf to -inf, less those the
+other way: 0 on a norm-continuous path, 1 on the Robin loop (the Dirichlet
+point).  On a closed path neg and Psi cancel, and SF is the winding of det kappa.
+
+Each parameter costs one spectrum on [-r, r], r = max(2 window0, RADIUS_MIN)
+(neg is its index ``first`` plus its negative values), and one
+``HermOp.cayley_phase``.  The windowed lift Psi_r stretches [-r, r] onto R by
+w -> w / (1 - (w / r)^2) and puts the eigenvalues outside at +-inf; on a step
+[lo, hi], x = (wrap(phase(hi) - phase(lo)) - Psi_r(hi) + Psi_r(lo)) / 2 pi
+counts passages, and the step contributes neg(lo) - neg(hi) + round(x), a
+crossing bracket if nonzero.  Psi_r is exact for passages, continuous where
+eigenvalues cross +-r and off by < 2 atan(1/r) per eigenvalue: that can move a
+bracket but not the flow, which takes Psi from the endpoints' full spectra and
+must equal the brackets' sum.  A step is bisected while its phase turns by more
+than PHASE_STEP_MAX, x is more than RESIDUAL_MAX from an integer, or it claims
+a passage that ``first`` does not show or that turns the phase or misses an
+integer by more than PASSAGE_TURN_MAX of a turn: a passing eigenvalue sits near
+kappa = 1 at both ends, a wrapped phase or a run across the window does not.
+The sampling must resolve det kappa, whose phase is read modulo a turn.
 """
 
 from __future__ import annotations
@@ -41,19 +42,20 @@ import numpy as np
 from .errors import ConditioningError, NonConvergenceError, ValidationError
 from .linalg import HermOp
 
-WINDOW_FLOOR = 1e-7
 ZERO_ATOL = 1e-9
 ENDPOINT_MATCH_RTOL = 1e-9
-MIDPOINT_OFFSETS = (0.5, 0.5 + 1.0 / 16.0, 0.5 - 1.0 / 16.0, 0.5 + 1.0 / 8.0)
+PHASE_STEP_MAX = math.pi / 2
+RESIDUAL_MAX = 0.25
+PASSAGE_TURN_MAX = 1.0 / 16.0
+RADIUS_MIN = 2.0
+TWO_PI = 2.0 * math.pi
 
 
 def _check_match(left: HermOp, right: HermOp, what: str) -> None:
     """Raise unless ||left - right|| <= ENDPOINT_MATCH_RTOL (1 + ||left||).
 
-    The same object always matches without a solve.  Otherwise both norms are
-    ``HermOp.norm()``, so two banded operators are compared on their bands and
-    neither is densified.  The scale ``1 + ||left||`` is at least 1, so it is
-    computed only when the mismatch already exceeds the bare tolerance.
+    Norms are ``HermOp.norm()``, so banded operators are never densified; the
+    same object matches without a solve, and ||left|| is read only when needed.
     """
     if left is right:
         return
@@ -103,19 +105,9 @@ class OperatorPath:
     def domain(self) -> tuple[float, float]:
         return float(self.thetas[0]), float(self.thetas[-1])
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].dim
-
     @classmethod
-    def sample(
-        cls,
-        generator: Callable[[float], HermOp],
-        a: float,
-        b: float,
-        n_samples: int,
-        closed: bool = False,
-    ) -> "OperatorPath":
+    def sample(cls, generator: Callable[[float], HermOp], a: float, b: float, n_samples: int,
+               closed: bool = False) -> "OperatorPath":
         """Sample a generator on [a, b] with ``n_samples`` subintervals.
 
         Closed paths are sampled on the half-step-rotated partition
@@ -147,7 +139,6 @@ class Crossing:
 class SpecFlowReport:
     flow: int
     partition: np.ndarray
-    window_radii: tuple[float, ...]
     crossings: tuple[Crossing, ...]
 
     def __post_init__(self):
@@ -163,131 +154,77 @@ class SpecFlowReport:
         }
 
 
-# A windowed spectrum: (global index of the first eigenvalue, the eigenvalues).
-Spectrum = tuple[int, np.ndarray]
+def _lift(w: np.ndarray, radius: float = math.inf) -> float:
+    """-2 sum atan2(1, w / (1 - (w / radius)^2)): Psi, with [-radius, radius] stretched onto R."""
+    with np.errstate(divide="ignore"):  # the window's edges map to +-inf
+        return -2.0 * float(np.sum(np.arctan2(1.0, w / np.maximum(1.0 - (w / radius) ** 2, 0.0))))
 
 
-def _pair(left: Spectrum, right: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues of both endpoints paired by global index, and the unpaired rest."""
-    (fl, wl), (fr, wr) = left, right
-    lo = max(fl, fr)
-    hi = max(lo, min(fl + wl.size, fr + wr.size))
-    unpaired = np.concatenate([wl[:lo - fl], wl[hi - fl:], wr[:lo - fr], wr[hi - fr:]])
-    return wl[lo - fl:hi - fl], wr[lo - fr:hi - fr], unpaired
+def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24) -> SpecFlowReport:
+    """Net signed count of eigenvalues crossing zero upward: neg(a) - neg(b) + W.
 
-
-def _pick_level(
-    left: Spectrum, right: Spectrum, window0: float
-) -> tuple[float | None, float]:
-    """Counting level for one subinterval, or None if it must be bisected.
-
-    Returns (level, movement).  The level lies in a band of half-width
-    > movement that is free of endpoint spectrum, at least ZERO_ATOL from
-    every endpoint |eigenvalue|, and the spec criterion movement < level/2 is
-    enforced on top.
-    """
-    el, er, unpaired = _pair(left, right)
-    relevant = (np.abs(el) <= window0) | (np.abs(er) <= window0)
-    movement = float(np.max(np.abs(el - er)[relevant])) if relevant.any() else 0.0
-    if np.any(np.abs(unpaired) <= window0):  # the missing-partner rule
-        movement = max(movement, window0)
-    mags = np.abs(np.concatenate([left[1], right[1]]))
-    ladder = np.concatenate([[0.0], np.sort(mags[mags <= window0]), [window0]])
-    for u, v in zip(ladder[:-1], ladder[1:]):
-        if v - u <= max(2.0 * movement, 4.0 * WINDOW_FLOOR):
-            continue
-        level = 0.5 * (u + v)
-        if (movement < level / 2.0 and level >= WINDOW_FLOOR
-                and u + ZERO_ATOL <= level <= v - ZERO_ATOL):
-            return level, movement
-    return None, movement
-
-
-def _near_zero(spectrum: Spectrum) -> bool:
-    return float(np.min(np.abs(spectrum[1]), initial=np.inf)) < ZERO_ATOL
-
-
-def spectral_flow(
-    path: OperatorPath,
-    window0: float = 1.0,
-    max_depth: int = 24,
-) -> SpecFlowReport:
-    """Net signed count of eigenvalues crossing zero along the path.
-
-    ``window0`` bounds the spectral region inspected for movement and level
-    placement; eigenvalues that stay outside it are ignored, which is what
-    lets families with branches escaping to +-infinity be handled.  Each
-    parameter's spectrum is solved only within twice that radius (and never
-    within less than the zero tolerance).  Open paths must not have endpoint
-    spectrum within 1e-9 of zero.  Raises a non-convergence error naming the
-    offending bracket when bisection depth is exhausted.
+    ``window0`` sets the radius of the spectrum read at each parameter, which
+    places the brackets but does not decide the flow.  Open paths need endpoint
+    spectrum at least ZERO_ATOL from zero.  Raises ``NonConvergenceError`` for a
+    step still split at ``max_depth``, ``ConditioningError`` if the brackets do
+    not sum to the flow.
     """
     if not 0.0 < window0 < math.inf:
         raise ValidationError(f"window0 must be positive and finite, got {window0}")
     if max_depth < 0:
         raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
-    radius = 2.0 * max(window0, ZERO_ATOL)
-    spectra: dict[float, Spectrum] = {}
-
-    def spectrum_at(t: float) -> Spectrum:
-        if t not in spectra:
-            spectra[t] = path.generator(t).spectrum(-radius, radius)
-        return spectra[t]
-
-    first = path.operators[0].spectrum(-radius, radius)  # a closed path ends on it again
-    for t, op in zip(path.thetas, path.operators):
-        spectra[float(t)] = first if op is path.operators[0] else op.spectrum(-radius, radius)
-
+    ends = (path.operators[0], path.operators[-1])
+    end_lift = 0.0
     if not path.closed:
-        for t in path.domain:
-            if _near_zero(spectrum_at(t)):
-                raise ValidationError(
-                    f"open-path endpoint at theta={t} has an eigenvalue within {ZERO_ATOL:g} of 0"
-                )
+        for t, op in zip(path.domain, ends):
+            if np.min(np.abs(op.eigenvalues)) < ZERO_ATOL:
+                raise ValidationError(f"open-path endpoint at theta={t} has an eigenvalue "
+                                      f"within {ZERO_ATOL:g} of 0")
+        end_lift = _lift(ends[1].eigenvalues) - _lift(ends[0].eigenvalues)
+    radius = max(2.0 * window0, RADIUS_MIN)
 
-    def refined_midpoint(lo: float, hi: float) -> float:
-        """Interior evaluation point whose spectrum avoids exact zero."""
-        for frac in MIDPOINT_OFFSETS:
-            mid = lo + frac * (hi - lo)
-            if not _near_zero(spectrum_at(mid)):
-                return mid
-        raise ConditioningError(
-            f"every candidate split of [{lo}, {hi}] has an eigenvalue at zero"
-        )
+    def evaluate(op: HermOp) -> tuple[int, int, float, float]:  # (neg, first, phase, Psi_r)
+        first, w = op.spectrum(-radius, radius)
+        return (first + int(np.count_nonzero(w < 0.0)), first, op.cayley_phase(),
+                _lift(w, radius) - TWO_PI * first)
 
-    flow = 0
-    crossings: list[Crossing] = []
-    final_segments: list[tuple[float, float, float]] = []
-    stack = [
-        (float(path.thetas[j]), float(path.thetas[j + 1]), 0)
-        for j in range(path.thetas.size - 1)
-    ]
+    points = {float(t): evaluate(op) for t, op in zip(path.thetas[:-1], path.operators[:-1])}
+    points[path.domain[1]] = points[path.domain[0]] if path.closed else evaluate(ends[1])
+    segments, lifted = [], 0.0  # segments: (lo, hi, contribution, residual)
+    stack = [(float(lo), float(hi), 0) for lo, hi in zip(path.thetas[:-1], path.thetas[1:])]
     while stack:
         lo, hi, depth = stack.pop()
-        left, right = spectrum_at(lo), spectrum_at(hi)
-        level, movement = _pick_level(left, right, window0)
-        if level is None:
+        neg_lo, first_lo, phase_lo, lift_lo = points[lo]
+        neg_hi, first_hi, phase_hi, lift_hi = points[hi]
+        step = math.remainder(phase_hi - phase_lo, TWO_PI)
+        x = (step - lift_hi + lift_lo) / TWO_PI
+        passages, moved = round(x), first_hi - first_lo
+        residual = x - passages
+        if abs(step) > PHASE_STEP_MAX or abs(residual) > RESIDUAL_MAX or passages and (
+                passages != moved or max(abs(step) / TWO_PI, abs(residual)) > PASSAGE_TURN_MAX):
             if depth >= max_depth:
                 raise NonConvergenceError(
-                    f"refinement budget exhausted on [{lo}, {hi}] "
-                    f"(movement {movement:.3e} within window {window0})"
-                )
-            mid = refined_midpoint(lo, hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
+                    f"refinement budget exhausted on [{lo}, {hi}] at depth {depth}: phase step "
+                    f"{step:.3e} (limit {PHASE_STEP_MAX:.4g}), residual {residual:.3e} (limit "
+                    f"{RESIDUAL_MAX:g}), {passages} passages against {moved} in the count below -r")
+            mid = 0.5 * (lo + hi)
+            if mid not in points:
+                points[mid] = evaluate(path.generator(mid))
+            stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
             continue
-        count_l = int(np.sum((left[1] >= 0.0) & (left[1] < level)))
-        count_r = int(np.sum((right[1] >= 0.0) & (right[1] < level)))
-        if count_r != count_l:
-            crossings.append(Crossing(lo, hi, count_r - count_l))
-        flow += count_r - count_l
-        final_segments.append((lo, hi, level))
+        lifted += step
+        segments.append((lo, hi, neg_lo - neg_hi + passages, residual))
 
-    final_segments.sort()
-    crossings.sort(key=lambda c: (c.theta_lo, c.theta_hi))
-    partition = np.array([s[0] for s in final_segments] + [final_segments[-1][1]])
-    radii = tuple(s[2] for s in final_segments)
-    return SpecFlowReport(flow, partition, radii, tuple(crossings))
+    segments.sort()
+    winding = (lifted - end_lift) / TWO_PI
+    flow = points[path.domain[0]][0] - points[path.domain[1]][0] + round(winding)
+    total = sum(s[2] for s in segments)
+    if total != flow:
+        lo, hi, _, residual = max(segments, key=lambda s: abs(s[3]))
+        raise ConditioningError(f"brackets sum to {total} but neg(a) - neg(b) + W gives {flow} (W = "
+                                f"{winding:.6f}); worst residual {residual:.3e} on [{lo}, {hi}]")
+    crossings = tuple(Crossing(lo, hi, c) for lo, hi, c, _ in segments if c)
+    return SpecFlowReport(flow, np.array([s[0] for s in segments] + [segments[-1][1]]), crossings)
 
 
 def concat(path1: OperatorPath, path2: OperatorPath) -> OperatorPath:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from opflow import linalg
+from opflow import linalg, specflow
 from opflow.cli import main
 from opflow.manifest import validate_manifest, verify_outputs
 
@@ -85,6 +85,25 @@ class TestSpecflow:
                    "--samples", "24", "--out", str(tmp_path)])
         assert rc == 0
         assert json.loads(read(tmp_path / "specflow.json"))["flow"] == 1
+
+    @pytest.mark.parametrize("window", ["10", "1e3", "1e6"])
+    def test_large_windows_count_the_crossing(self, tmp_path, window):
+        rc = main(["specflow", "--grid", "64", "--samples", "16", "--window", window,
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert json.loads(read(tmp_path / "specflow.json"))["flow"] == 1
+
+    # the robin-flow benchmark workload's output check, at its smoke and full sizes
+    @pytest.mark.parametrize("grid, samples", [("64", "16"), ("800", "64")])
+    def test_robin_flow_workload_output(self, tmp_path, grid, samples):
+        rc = main(["specflow", "--path", "robin", "--grid", grid, "--samples", samples,
+                   "--window", "1.0", "--max-depth", "24", "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads(read(tmp_path / "specflow.json"))
+        assert report["flow"] == 1
+        (crossing,) = report["crossings"]
+        assert crossing["theta_lo"] <= np.pi / 4 <= crossing["theta_hi"]
+        load_manifest(tmp_path)
 
     @pytest.mark.parametrize("flags, grid", [
         (["--path", "cross"], None),
@@ -254,6 +273,25 @@ def test_failed_stebz_count_is_one_stderr_line(tmp_path, capsys, monkeypatch):
     assert main(["specflow", "--grid", "64", "--samples", "16", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("specflow: ") and "info = 1" in err
+
+
+def test_refinement_budget_is_one_stderr_line(tmp_path, capsys):
+    assert main(["specflow", "--grid", "64", "--samples", "2", "--max-depth", "0",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("specflow: refinement budget exhausted on [")
+    assert "at depth 0: phase step" in err and "residual" in err
+
+
+def test_bracket_disagreement_is_one_stderr_line(tmp_path, capsys, monkeypatch):
+    lift = specflow._lift
+    monkeypatch.setattr(specflow, "_lift", lambda w, radius=np.inf: lift(w, radius) + (
+        1.2 * np.pi if radius == np.inf and w[0] > 0 else 0.0))
+    assert main(["specflow", "--path", "cross", "--samples", "8", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("specflow: brackets sum to 1") and "worst residual" in err
 
 
 def test_usage_error_in_a_process_has_no_traceback(tmp_path):

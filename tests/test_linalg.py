@@ -363,7 +363,7 @@ class TestTridiagonal:
         big = 10.0
         first, values = op.spectrum(-big, big)
         assert (first, values.size) == (0, d.size)
-        edge = st.one_of(st.sampled_from(d.tolist()), st.floats(-3.0, 3.0))
+        edge = st.one_of(st.sampled_from(d.tolist()), st.floats(-3.0, 3.0), st.just(-math.inf))
         lo, hi = sorted(ulp_shift(data.draw(edge), data.draw(st.integers(-2, 2))) for _ in range(2))
         first, values = op.spectrum(lo, hi)
         # the next window starts one float above hi; below 1e-250 its lower edge
@@ -377,6 +377,8 @@ class TestTridiagonal:
         assert op.spectrum(-math.inf, math.inf)[0] == 0
         assert np.allclose(op.spectrum(-math.inf, math.inf)[1], w, rtol=0.0, atol=1e-14)
         assert op.spectrum(2.5, math.inf)[0] == 2 and op.spectrum(math.inf, math.inf)[0] == 3
+        first, values = op.spectrum(-math.inf, -math.inf)
+        assert first == 0 and values.size == 0
 
     def test_dense_storage_slices_its_spectrum(self):
         op = HermOp(np.diag([3.0, -1.0, 0.5, 2.0]))
@@ -447,6 +449,22 @@ class TestTridiagonal:
     def test_dense_shift_at_an_exact_eigenvalue_is_singular(self):
         with pytest.raises(DegeneracyError, match="singular: zgetrf info = 2"):
             HermOp(np.diag([1.0, 2.0, 3.0])).shifted(2.0)
+
+    @pytest.mark.parametrize("storage, n", [("banded", 40), ("banded", 2), ("dense", 7)])
+    def test_cayley_phase_is_the_phase_of_the_eigenvalues(self, storage, n):
+        """arg det kappa(T) = sum_k arg (lambda_k - i)/(lambda_k + i) = -2 sum_k arg U_kk, modulo 2 pi."""
+        rng = np.random.default_rng(n)
+        if storage == "dense":
+            op = HermOp(random_hermitian(rng, n, 3.0))
+        else:
+            op = HermOp.tridiagonal(3.0 * rng.standard_normal(n), rng.standard_normal(n - 1))
+        phase = op.cayley_phase()
+        if storage == "banded" and n >= 3:
+            assert op._matrix is None
+        via_eigenvalues = float(np.sum(-2.0 * np.arctan2(1.0, op.eigenvalues)))
+        via_lu = -2.0 * op.shifted(-1j).diagonal_phase()
+        for other in (via_eigenvalues, via_lu):
+            assert abs(math.remainder(phase - other, 2.0 * math.pi)) <= 1e-12
 
     def test_shift_must_be_finite(self):
         for op in (HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5]), HermOp(np.eye(2))):

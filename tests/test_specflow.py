@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opflow import specflow
-from opflow.errors import NonConvergenceError, ValidationError
+from opflow.errors import ConditioningError, NonConvergenceError, ValidationError
 from opflow.linalg import HermOp
 from opflow.specflow import Crossing, OperatorPath, SpecFlowReport, concat, spectral_flow
 from opflow.sturm import robin_generator
@@ -107,12 +108,26 @@ class TestSpectralFlowBasics:
         jitter = rng.uniform(-1.0, 1.0, 64)
         gen = lambda t: HermOp(np.diag([jitter[int(t * 63.999)], 2.0]))
         path = OperatorPath.sample(gen, 0.0, 1.0, 8)
-        with pytest.raises(NonConvergenceError, match="refinement budget"):
+        with pytest.raises(NonConvergenceError,
+                           match=r"refinement budget exhausted on \[\S+, \S+\] at depth 3: "
+                                 r"phase step \S+ \(limit 1.571\), residual \S+ \(limit 0.25\)"):
             spectral_flow(path, window0=1.5, max_depth=3)
+
+    def test_disagreement_names_the_worst_step(self, monkeypatch):
+        # an exact endpoint lift 0.6 turn off the windowed one moves W but no bracket
+        lift = specflow._lift
+        shifted = lambda w, radius=math.inf: lift(w, radius) + (
+            1.2 * math.pi if radius == math.inf and w[0] > 0 else 0.0)
+        monkeypatch.setattr(specflow, "_lift", shifted)
+        path = OperatorPath.sample(CROSS, 0.0, 1.0, 8)
+        with pytest.raises(ConditioningError,
+                           match=r"brackets sum to 1 but neg\(a\) - neg\(b\) \+ W gives 0 "
+                                 r"\(W = -0.6\d+\); worst residual \S+ on \[\S+, \S+\]"):
+            spectral_flow(path, window0=1.0)
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValidationError, match="signed sum"):
-            SpecFlowReport(2, np.array([0.0, 1.0]), (0.5,), (Crossing(0.0, 1.0, 1),))
+            SpecFlowReport(2, np.array([0.0, 1.0]), (Crossing(0.0, 1.0, 1),))
 
     def test_json_shape(self):
         path = OperatorPath.sample(CROSS, 0.0, 1.0, 8)
@@ -137,18 +152,19 @@ class TestRefinementAndStability:
 
         def gen(t):
             calls.append(t)
-            return HermOp(np.diag([math.tan(2.0 * (t - 0.5)), 2.0]))
+            return HermOp(np.diag([math.tan(4.0 * (t - 0.5)), 2.0]))
 
         path = OperatorPath.sample(gen, 0.0, 1.0, 4)
         report = spectral_flow(path, window0=1.0, max_depth=20)
-        assert report.flow == 1
-        assert len(calls) > 5  # coarse sampling forces bisection
+        assert report.flow == 1  # the zero at 1/2; the passages through infinity at 1/2 +- pi/8 add none
+        assert len(calls) > 5  # det kappa turns by 2 rad a sample step, which forces bisection
         assert len(report.partition) > 5
 
     def test_perturbation_robustness(self):
         path = OperatorPath.sample(robin_generator(200), 0.0, math.pi, 32, closed=True)
         report = spectral_flow(path, window0=1.0)
-        scale = min(report.window_radii) / 10.0
+        # a tenth of the smallest |eigenvalue| at any sample, so no sample's inertia moves
+        scale = min(np.min(np.abs(op.eigenvalues)) for op in path.operators) / 10.0
         rng = np.random.default_rng(7)
         noise = {}
 
@@ -251,39 +267,30 @@ class TestRobinLoop:
             path = OperatorPath.sample(robin_generator(200), 0.0, math.pi, samples, closed=True)
             assert spectral_flow(path, window0=1.0).flow == 1
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="endpoints are paired by global index, and the passage through "
-                              "infinity shifts every index by one; the unpaired index lies "
-                              "between window0 and the solve radius, so no bisection is forced")
     def test_large_window_counts_the_crossing(self):
         path = OperatorPath.sample(robin_generator(64), 0.0, math.pi, 64, closed=True)
         assert spectral_flow(path, window0=1e5).flow == 1
 
+    # at grid 800 the windows 1e5 and 1e6 hold most of the spectrum and take 1.3 s and
+    # 5 s a run, so only the smaller grids carry them
+    @pytest.mark.parametrize("grid, samples, window0", [
+        (grid, samples, window0)
+        for grid, samples in ((64, 16), (200, 32), (800, 64))
+        for window0 in (0.1, 1.0, 10.0, 1e3, 1e5, 1e6) if grid < 800 or window0 <= 1e3
+    ])
+    def test_one_bracket_at_pi_over_4_for_every_window(self, grid, samples, window0):
+        path = OperatorPath.sample(robin_generator(grid), 0.0, math.pi, samples, closed=True)
+        report = spectral_flow(path, window0=window0)
+        assert report.flow == 1
+        (c,) = report.crossings
+        assert c.theta_lo <= math.pi / 4 <= c.theta_hi and c.direction == 1
 
-@st.composite
-def level_cases(draw):
-    """Two endpoint spectra that move a little, some magnitudes a few ulps apart."""
-    window0 = draw(st.floats(1e-3, 1e12))
-    values = [window0 * x for x in draw(st.lists(st.floats(-2.0, 2.0), max_size=6))]
-    base = window0 * draw(st.floats(0.0, 1.0))
-    values += [base + k * np.spacing(base) for k in draw(st.lists(st.integers(0, 4), max_size=4))]
-    left = np.sort([v for v in values if abs(v) <= 2.0 * window0])
-    stretch = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 0.5]))
-    first = draw(st.integers(0, left.size))  # the right window starts higher up
-    return window0, (0, left), (first, left[first:] * (1.0 + stretch))
-
-
-class TestLevelPlacement:
-    @settings(max_examples=300, deadline=None)
-    @given(level_cases())
-    def test_level_clears_every_endpoint_magnitude(self, case):
-        window0, left, right = case
-        level, movement = specflow._pick_level(left, right, window0)
-        if level is not None:
-            mags = np.abs(np.concatenate([left[1], right[1]]))
-            assert np.all(np.abs(mags - level) >= specflow.ZERO_ATOL)
-            assert specflow.WINDOW_FLOOR <= level <= window0
-            assert movement < level / 2.0
+    def test_smoke_size_bracket_starts_on_the_null_vector(self):
+        # the midpoint of the sample step around pi/4 is pi/4 itself, where [1:1]
+        # has the exact discrete null vector t; its eigenvalue computes below zero
+        path = OperatorPath.sample(robin_generator(64), 0.0, math.pi, 16, closed=True)
+        (c,) = spectral_flow(path, window0=1.0).crossings
+        assert (c.theta_lo, c.theta_hi) == (math.pi / 4, 4.5 * math.pi / 16)
 
 
 def dense_twin(path: OperatorPath) -> OperatorPath:
@@ -306,12 +313,11 @@ class TestWindowedSpectra:
         banded = spectral_flow(path, window0=1.0)
         dense = spectral_flow(dense_twin(path), window0=1.0)
         assert banded.to_json_dict() == dense.to_json_dict()
-        np.testing.assert_allclose(banded.window_radii, dense.window_radii, rtol=1e-8)
 
     def test_eigenvalue_leaving_the_solve_radius_forces_bisection(self):
-        # one eigenvalue ramps from 0.5 to 5 inside the sample step [0.25, 0.375];
-        # at 5 it lies beyond the solve radius 2 * window0 and has no partner,
-        # while the eigenvalue at 10 stays out of every window
+        # one eigenvalue ramps from 0.5 to 5 inside the sample step [0.25, 0.375],
+        # beyond the solve radius 2 * window0, and turns det kappa by 1.8 rad on
+        # the way, while the eigenvalue at 10 stays out of every window
         ramp = lambda t: 0.5 + 4.5 * min(max((t - 0.3) / 0.02, 0.0), 1.0)
         path = OperatorPath.sample(
             banded_diag_gen(ramp, lambda t: t - 0.5, lambda t: 10.0), 0.0, 1.0, 8)
@@ -345,3 +351,127 @@ class TestWindowedSpectra:
         path = OperatorPath.sample(robin_generator(64), 0.0, math.pi, 16, closed=True)
         spectral_flow(path, window0=1.0)
         assert all(op._matrix is None for op in path.operators)
+
+
+# Families with a known flow.  Each draws an integer seed and builds its path
+# from it, so hypothesis explores generic paths instead of shrinking towards
+# degenerate ones.
+SEEDS = st.integers(0, 2**32 - 1)
+WINDOWS = st.sampled_from([1.0, 10.0, 1e3])
+
+
+def unitary_path(rng, dim):
+    """t -> exp(i t H) for a random Hermitian H."""
+    X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    w, V = np.linalg.eigh(X + X.conj().T)
+    return lambda t: (V * np.exp(1j * t * w)) @ V.conj().T
+
+
+def conjugated(rng, blocks):
+    """t -> U(t) B(t) U(t)* for a random unitary path U and block-diagonal B(t)."""
+    sizes = [np.atleast_2d(block(0.0)).shape[0] for block in blocks]
+    U = unitary_path(rng, sum(sizes))
+
+    def gen(t):
+        B = scipy.linalg.block_diag(*(np.atleast_2d(block(t)) for block in blocks))
+        u = U(t)
+        return HermOp(u @ B @ u.conj().T)
+    return gen
+
+
+def linear(slope, root):
+    return lambda t: slope * (t - root)
+
+
+def constants(rng, count):
+    return [(lambda c: lambda t: c)(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0))
+            for _ in range(count)]
+
+
+def assert_brackets(report, roots):
+    """Every bracket holds the signed count of the known crossings (t, sign) inside it."""
+    for c in report.crossings:
+        assert c.direction == sum(sign for t, sign in roots if c.theta_lo <= t <= c.theta_hi)
+
+
+class TestKnownFlowFamilies:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, samples=st.integers(2, 16), window0=WINDOWS)
+    def test_diagonal_crossings_under_a_unitary_path(self, seed, samples, window0):
+        rng = np.random.default_rng(seed)
+        roots = [(rng.uniform(0.1, 0.9), int(rng.choice([-1, 1]))) for _ in range(rng.integers(1, 4))]
+        branches = [linear(sign * rng.uniform(0.5, 3.0), t) for t, sign in roots]
+        gen = conjugated(rng, branches + constants(rng, 2))
+        report = spectral_flow(OperatorPath.sample(gen, 0.0, 1.0, samples), window0=window0)
+        assert report.flow == sum(sign for _, sign in roots)
+        assert_brackets(report, roots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, samples=st.integers(2, 16), window0=WINDOWS)
+    def test_avoided_crossing_at_gap_1e_6(self, seed, samples, window0):
+        # eigenvalues of [[s1 tau, g], [g, s2 tau]]: both cross zero within
+        # ~1e-6 of the root if s1 s2 > 0, and neither does otherwise
+        rng = np.random.default_rng(seed)
+        root, gap = rng.uniform(0.1, 0.9), 1e-6
+        s1, s2 = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 3.0, 2)
+        block = lambda t: np.array([[s1 * (t - root), gap], [gap, s2 * (t - root)]])
+        gen = conjugated(rng, [block] + constants(rng, 2))
+        report = spectral_flow(OperatorPath.sample(gen, 0.0, 1.0, samples), window0=window0)
+        assert report.flow == (2 * int(np.sign(s1)) if s1 * s2 > 0 else 0)
+        for c in report.crossings:
+            assert c.theta_lo - 1e-5 <= root <= c.theta_hi + 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, samples=st.integers(2, 16), window0=WINDOWS, k=st.integers(2, 5))
+    def test_k_simultaneous_crossings(self, seed, samples, window0, k):
+        rng = np.random.default_rng(seed)
+        root, sign = rng.uniform(0.1, 0.9), int(rng.choice([-1, 1]))
+        branch = linear(sign * rng.uniform(0.5, 3.0), root)
+        gen = conjugated(rng, [branch] * k + constants(rng, 2))
+        report = spectral_flow(OperatorPath.sample(gen, 0.0, 1.0, samples), window0=window0)
+        (c,) = report.crossings
+        assert report.flow == c.direction == k * sign
+        assert c.theta_lo <= root <= c.theta_hi
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, extra=st.integers(0, 8), window0=WINDOWS, banded=st.booleans())
+    def test_tan_branches_through_infinity(self, seed, extra, window0, banded):
+        rng = np.random.default_rng(seed)
+        params = [(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 8.0), rng.uniform(0.0, 1.0))
+                  for _ in range(rng.integers(1, 4))]
+        # kappa(tan s) = -exp(2is), so det kappa turns at 2 sum |omega|: the
+        # samples keep each step below half a turn, which the engine needs
+        samples = math.ceil(2.0 * sum(abs(omega) for omega, _ in params) / math.pi) + extra
+        funcs = [(lambda omega, s: lambda t: math.tan(omega * (t - s)))(omega, s) for omega, s in params]
+        funcs += constants(rng, 1)
+        gen = (banded_diag_gen if banded else diag_gen)(*funcs)
+        roots = [(s + m * math.pi / abs(omega), int(np.sign(omega)))
+                 for omega, s in params for m in range(-8, 9)
+                 if 0.0 < s + m * math.pi / abs(omega) < 1.0]
+        report = spectral_flow(OperatorPath.sample(gen, 0.0, 1.0, samples), window0=window0)
+        assert report.flow == sum(sign for _, sign in roots)
+        assert_brackets(report, roots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, samples=st.integers(1, 4), window0=WINDOWS)
+    def test_oscillation_inside_one_sample_step(self, seed, samples, window0):
+        # sin(2 pi m t) vanishes at both ends, so only the slope decides the flow
+        rng = np.random.default_rng(seed)
+        root, slope = rng.uniform(0.1, 0.9), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
+        m, amplitude = int(rng.integers(5, 40)), rng.uniform(0.5, 3.0)
+        wiggle = lambda t: slope * (t - root) + amplitude * math.sin(2.0 * math.pi * m * t)
+        gen = conjugated(rng, [wiggle] + constants(rng, 2))
+        assert spectral_flow(OperatorPath.sample(gen, 0.0, 1.0, samples), window0=window0).flow == np.sign(slope)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, samples=st.integers(2, 16), window0=WINDOWS, dim=st.integers(3, 12))
+    def test_banded_and_dense_twins_agree(self, seed, samples, window0, dim):
+        rng = np.random.default_rng(seed)
+        d0, d1, d2 = rng.uniform(-3.0, 3.0, (3, dim))
+        e0, e1 = rng.uniform(-1.0, 1.0, (2, dim - 1))
+        gen = lambda t: HermOp.tridiagonal(d0 + t * d1 + t * t * d2, e0 + t * e1)
+        path = OperatorPath.sample(gen, 0.0, 1.0, samples)
+        banded = spectral_flow(path, window0=window0)
+        neg = lambda op: int(np.sum(np.linalg.eigvalsh(op.matrix) < 0.0))
+        assert banded.flow == neg(path.operators[0]) - neg(path.operators[-1])
+        assert banded.to_json_dict() == spectral_flow(dense_twin(path), window0=window0).to_json_dict()
