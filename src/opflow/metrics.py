@@ -3,7 +3,8 @@
 ``riesz_dist`` measures operators through the bounded transform, ``gap_dist``
 through their graph projections.  Operator norms (never Frobenius) are used
 throughout: the dichotomy phenomena this package reproduces live in the norm
-topology.  ``weyl_gap`` is the certified eigenvalue lower bound for either.
+topology.  ``weyl_gap`` is the eigenvalue lower bound for either, up to the
+rounding slack 4 dim u (||A|| + ||B||) of two computed spectra (u the unit roundoff).
 
 For self-adjoint A and B the gap needs no doubled space.  ``v_lag`` conjugates
 2p - 1 to [[0, kappa*], [kappa, 0]], with kappa(A) = 1 - 2i (A + i)^-1 the
@@ -98,8 +99,8 @@ def gap_dist(A: MatrixLike, B: MatrixLike) -> float:
 def weyl_gap(A: MatrixLike, B: MatrixLike) -> float:
     """max_k |lambda_k(A) - lambda_k(B)| over sorted eigenvalues.
 
-    By Weyl's inequality this never exceeds ||A - B||, so it certifies a
-    lower bound on the operator-norm distance of Hermitian matrices.
+    By Weyl's inequality the exact value never exceeds ||A - B||; rounding in the
+    spectra keeps weyl_gap <= ||A - B|| + 4 dim u (||A|| + ||B||), u the unit roundoff.
     """
     _check_dims(A, B)
     wa, wb = as_hermop(A).eigenvalues, as_hermop(B).eigenvalues

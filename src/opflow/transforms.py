@@ -8,13 +8,12 @@ lower-right]]`` with the first block row/column indexing the original space.
 A note on domains: in the matrix setting every operator is bounded, so the
 classical dense-range condition on ``1 - a*a`` collapses to invertibility.
 The inverse transform therefore requires a *strict* contraction, and the
-strictness tolerance (1e-8) is part of its contract.
+strictness tolerance (``STRICTNESS_ATOL``, 1e-8) is part of its contract.
 
 Each map factors its operand once and reads its ball check off that
-factorization: ``ball_projection`` and ``fredholm_factor_check`` take one SVD
-(||a|| is its largest singular value), ``cayley_ball`` one Hermitian
-eigendecomposition, ``inverse_bounded_transform`` the ``eigh`` of a*a it
-already needs.
+factorization: ``ball_projection``, ``fredholm_factor_check`` and the inverse
+transform take one SVD (||a|| is its largest singular value), ``cayley_ball``
+one eigendecomposition.  Neither transform forms a*a, which squares the condition.
 """
 
 from __future__ import annotations
@@ -40,6 +39,8 @@ from .linalg import (
 PROJECTION_ATOL = 1e-10
 BALL_ATOL = 1e-10
 LAGRANGIAN_ATOL = 1e-8
+STRICTNESS_ATOL = 1e-8  # inverse_bounded_transform needs ||a|| < 1 - STRICTNESS_ATOL
+UNITARITY_ATOL = 1e-10  # fredholm_factor_check's bound on the second factor's unitarity
 # Sqrt clamping: admissible contractions may overshoot the unit sphere by
 # BALL_ATOL, driving eigenvalues of 1 - a*a as low as about -2*BALL_ATOL.
 SQRT_CLAMP = 3e-10
@@ -122,29 +123,27 @@ def _ball_projection(U: np.ndarray, s: np.ndarray, Vh: np.ndarray, r: np.ndarray
 
 
 def bounded_transform(A: MatrixLike) -> np.ndarray:
-    """A (1 + A*A)^(-1/2); lands strictly inside the unit ball."""
+    """A (1 + A*A)^(-1/2) = U diag(s / hypot(1, s)) V*; lands strictly inside the unit ball."""
     if isinstance(A, HermOp):
         w, _ = herm_eig(A)
-        return spectral_weights(A, w / np.sqrt(1.0 + w * w))
+        return spectral_weights(A, w / np.hypot(1.0, w))
     A = as_matrix(A)
     require_finite(A)
-    w, V = np.linalg.eigh(adjoint(A) @ A)
-    inv_sqrt = (V / np.sqrt(1.0 + np.clip(w, 0.0, None))) @ adjoint(V)
-    return A @ inv_sqrt
+    U, s, Vh = np.linalg.svd(A)
+    return (U * (s / np.hypot(1.0, s))) @ Vh
 
 
 def inverse_bounded_transform(a: MatrixLike) -> np.ndarray:
-    """a (1 - a*a)^(-1/2); defined for strict contractions only."""
+    """a (1 - a*a)^(-1/2) = U diag(s / sqrt(1 - s^2)) V*; defined for strict contractions only."""
     a = matrix_of(a)
     require_finite(a)
-    w, V = np.linalg.eigh(adjoint(a) @ a)
-    norm = np.sqrt(np.max(w, initial=0.0))  # ||a||^2 is the top eigenvalue of a*a
-    if norm >= 1.0 - 1e-8:
+    U, s, Vh = np.linalg.svd(a)
+    norm = np.max(s, initial=0.0)
+    if norm >= 1.0 - STRICTNESS_ATOL:
         raise OutOfBallError(
             f"inverse transform needs a strict contraction; operator norm is {norm:.12g}"
         )
-    inv_sqrt = (V / np.sqrt(np.clip(1.0 - w, 1e-300, None))) @ adjoint(V)
-    return a @ inv_sqrt
+    return (U * (s / np.sqrt((1.0 - s) * (1.0 + s)))) @ Vh
 
 
 def graph_projection(A: MatrixLike) -> GraphProjection:
@@ -155,9 +154,9 @@ def graph_projection(A: MatrixLike) -> GraphProjection:
     """
     if isinstance(A, HermOp):
         w, _ = herm_eig(A)
-        f = 1.0 / (1.0 + w * w)
-        F = spectral_weights(A, f)
-        G = spectral_weights(A, w * f)
+        r = 1.0 / np.hypot(1.0, w)  # (1 + w^2)^(-1/2) without overflow in w^2
+        F = spectral_weights(A, r * r)
+        G = spectral_weights(A, (w * r) * r)
         H = np.eye(A.dim, dtype=complex) - F
         P = np.block([[F, G], [G, H]])
         return GraphProjection((P + adjoint(P)) / 2.0)
@@ -258,7 +257,7 @@ def fredholm_factor_check(a: MatrixLike) -> float:
 
     Builds the displayed factorization diag(-a*, a) . W and returns
     ``|| (pt(a) - p0) - diag(-a*, a) W ||``; raises if the second factor W
-    fails to be unitary to 1e-10.
+    fails to be unitary to UNITARITY_ATOL.
     """
     U, s, Vh, r = _ball_svd(matrix_of(a))
     n, a = s.size, (U * s) @ Vh       # a snapped to the ball, as the projection sees it
@@ -266,7 +265,7 @@ def fredholm_factor_check(a: MatrixLike) -> float:
     R2 = (U * r) @ adjoint(U)         # sqrt(1 - a a*)
     W = np.block([[a, -R2], [R1, adjoint(a)]])
     unitary_defect = op_norm(adjoint(W) @ W - np.eye(2 * n))
-    if unitary_defect > 1e-10:
+    if unitary_defect > UNITARITY_ATOL:
         raise ValidationError(f"second factor is not unitary: defect {unitary_defect:.3e}")
     DW = np.vstack([-adjoint(a) @ W[:n], a @ W[n:]])  # diag(-a*, a) W, one block row each
     p0 = np.zeros((2 * n, 2 * n), dtype=complex)

@@ -1,9 +1,12 @@
+import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opflow import metrics, transforms
 from opflow.errors import ConditioningError, NonConvergenceError, ValidationError
@@ -15,11 +18,13 @@ from opflow.transforms import (
     bounded_transform,
     cayley,
     graph_projection,
+    inverse_bounded_transform,
     random_hermitian,
     random_matrix,
 )
 
 RNG_PAIRS = [(np.random.default_rng(s), np.random.default_rng(s + 500)) for s in range(8)]
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class TestRieszDist:
@@ -49,6 +54,11 @@ class TestRieszDist:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"entry \(%d, %d\) is not finite" % entry):
                 riesz_dist(A, np.eye(2))
+
+    @pytest.mark.parametrize("wrap", [HermOp, np.asarray])
+    def test_eigenvalues_whose_squares_overflow(self, wrap):
+        H = np.diag([1e200, -1e160, 2.0])
+        assert riesz_dist(wrap(H), wrap(-H)) == pytest.approx(2.0, rel=1e-15)
 
 
 class TestGapDist:
@@ -280,6 +290,77 @@ class TestResolventGap:
             assert abs(gap_dist(A, B) - cayley_gap(A, B)) < 1e-15
 
 
+def mp_ball_map(M, g):
+    """U diag(g(s)) V* and ||M|| from an SVD of M's exact double entries at mpmath's precision."""
+    U, S, V = mpmath.svd_c(mpmath.matrix(np.asarray(M, dtype=complex).tolist()))
+    return U * mpmath.diag([g(s) for s in S]) * V, max(S)
+
+
+def to_complex(M):
+    return np.array(M.tolist(), dtype=complex)
+
+
+def perturbation(rng, dim, shape):
+    """A direction of norm about 1: rank one, full, or a single entry."""
+    if shape == "rank one":
+        x, y = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+        return np.outer(x / np.linalg.norm(x), (y / np.linalg.norm(y)).conj())
+    if shape == "full":
+        return random_matrix(rng, dim)
+    D = np.zeros((dim, dim), dtype=complex)
+    D[tuple(rng.integers(dim, size=2))] = 1.0
+    return D
+
+
+class TestFiftyDigitOracle:
+    """The transform layer against a 50-digit SVD of the same double entries.
+
+    Each bound is 16 dim u times the map's conditioning: F(x) = x/sqrt(1 + x^2)
+    has slope at most 1, so F(B) is owed dim u max(1, ||B||); the inverse's
+    slope is (1 - ||a||^2)^(-3/2).
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), log_norm=st.floats(-3, 3),
+           k=st.integers(-14, 14), shape=st.sampled_from(["rank one", "full", "entry"]))
+    def test_bounded_transform_is_backward_stable(self, seed, dim, log_norm, k, shape):
+        rng = np.random.default_rng(seed)
+        B = random_matrix(rng, dim, 10.0 ** log_norm) + 10.0 ** k * perturbation(rng, dim, shape)
+        with mpmath.workdps(50):
+            exact, norm = mp_ball_map(B, lambda s: s / mpmath.sqrt(1 + s * s))
+        bound = 16 * dim * UNIT_ROUNDOFF * max(1.0, float(norm))
+        assert op_norm(bounded_transform(B) - to_complex(exact)) <= bound
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.lists(st.one_of(
+        st.floats(-12, math.log10(0.999)).map(lambda e: 10.0 ** e),
+        st.floats(-3, 0, exclude_max=True).map(lambda e: 1.0 - 10.0 ** e),
+    ), min_size=1, max_size=6))
+    def test_inverse_is_stable_to_its_conditioning(self, seed, s):
+        rng = np.random.default_rng(seed)
+        dim = len(s)
+        Q1, Q2 = (np.linalg.qr(random_matrix(rng, dim))[0] for _ in range(2))
+        a = (Q1 * np.array(s)) @ Q2  # singular values s, spread over [1e-12, 0.999]
+        with mpmath.workdps(50):
+            exact, norm = mp_ball_map(a, lambda x: x / mpmath.sqrt(1 - x * x))
+        bound = 16 * dim * UNIT_ROUNDOFF * (1.0 - float(norm) ** 2) ** -1.5
+        assert op_norm(inverse_bounded_transform(a) - to_complex(exact)) <= bound
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="riesz_dist subtracts two rounded transforms, so close pairs lose "
+                              "digits (ROADMAP item 9: the Daleckii-Krein form)")
+    def test_close_riesz_pairs_match_the_daleckii_krein_form(self):
+        rng = np.random.default_rng(9)
+        g = lambda x: x / mpmath.sqrt(1 + x * x)
+        for _ in range(8):
+            A = random_hermitian(rng, 5, 10.0 ** rng.uniform(-3, 3))
+            B = HermOp(A.matrix + 10.0 ** rng.uniform(-14, -3) * random_hermitian(rng, 5).matrix)
+            with mpmath.workdps(50):
+                difference = mp_ball_map(A.matrix, g)[0] - mp_ball_map(B.matrix, g)[0]
+                exact = float(max(mpmath.svd_c(difference, compute_uv=False)))
+            assert riesz_dist(A, B) == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
 class TestWeylGap:
     def test_equal_inputs(self):
         A = HermOp(np.diag([1.0, 2.0]))
@@ -293,7 +374,26 @@ class TestWeylGap:
         for _ in range(200):
             A = random_hermitian(rng, 4, scale=3.0)
             B = random_hermitian(rng, 4, scale=3.0)
-            assert weyl_gap(A, B) <= op_norm(A.matrix - B.matrix) + 1e-10
+            assert weyl_gap(A, B) <= op_norm(A.matrix - B.matrix) + self.slack(A, B)
+
+    @staticmethod
+    def slack(A, B):
+        """The rounding slack the docstring states: 4 dim u (||A|| + ||B||)."""
+        return 4 * A.dim * UNIT_ROUNDOFF * (op_norm(A.matrix) + op_norm(B.matrix))
+
+    @pytest.mark.parametrize("dim", [2, 3, 6, 16])
+    def test_close_pairs_stay_within_the_stated_slack(self, dim):
+        """B - A is a relative 1e-16 to 1e-10 of ||A||: rounding in the spectra shows."""
+        rng = np.random.default_rng(dim)
+        excess = 0.0
+        for _ in range(200):
+            A = random_hermitian(rng, dim, 10.0 ** rng.uniform(-3, 3))
+            step = 10.0 ** rng.uniform(-16, -10) * op_norm(A.matrix)
+            B = HermOp(A.matrix + random_hermitian(rng, dim, step).matrix)
+            gap, distance = weyl_gap(A, B), op_norm(B.matrix - A.matrix)  # the stored difference
+            assert gap <= distance + self.slack(A, B)
+            excess = max(excess, gap - distance)
+        assert excess > 0.0  # the slack is needed: Weyl's bound alone fails on rounded spectra
 
     def test_lower_bounds_riesz_dist(self):
         rng = np.random.default_rng(5)

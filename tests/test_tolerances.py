@@ -27,6 +27,8 @@ PINNED = {
     "RADIUS_MIN": 2.0,
     "RESIDUAL_MAX": 0.25,
     "SQRT_CLAMP": 3e-10,
+    "STRICTNESS_ATOL": 1e-8,
+    "UNITARITY_ATOL": 1e-10,
     "ZERO_ATOL": 1e-9,
 }
 SHAPE = re.compile(r"[A-Z0-9_]*(_ATOL|_RTOL|_MAX|_MIN)|EPS_[A-Z0-9_]+|SQRT_CLAMP")

@@ -30,6 +30,8 @@ from opflow.transforms import (
 )
 
 RNG = np.random.default_rng(42)
+# eigenvalues whose squares overflow: the ball maps must not form 1 + w^2
+HUGE = np.diag([1e200, -1e160, 2.0])
 
 
 class Symplectics:
@@ -87,6 +89,11 @@ class TestBoundedTransform:
             a = bounded_transform(A)
             assert op_norm(a) < 1.0
             assert op_norm(a - adjoint(a)) < 1e-12
+
+    @pytest.mark.parametrize("wrap", [HermOp, np.asarray])
+    def test_huge_entries_map_to_the_sphere(self, wrap):
+        expected = np.diag([1.0, -1.0, 2.0 / np.sqrt(5.0)])
+        np.testing.assert_allclose(bounded_transform(wrap(HUGE)), expected, rtol=0, atol=1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(dim=st.integers(1, 12), seed=st.integers(0, 10_000))
@@ -154,6 +161,12 @@ class TestGraphProjection:
     def test_rank_is_half(self):
         rng = np.random.default_rng(6)
         assert graph_projection(random_matrix(rng, 7)).rank() == 7
+
+    def test_huge_eigenvalues_give_vertical_blocks(self):
+        f = np.array([0.0, 1e-320, 0.2])  # 1 / (1 + w^2); the middle one is subnormal
+        expected = np.block([[np.diag(f), np.diag([1e-200, -1e-160, 0.4])],
+                             [np.diag([1e-200, -1e-160, 0.4]), np.diag(1.0 - f)]])
+        np.testing.assert_allclose(graph_projection(HermOp(HUGE)).matrix, expected, rtol=0, atol=1e-15)
 
 
 class TestBallProjection:
@@ -363,6 +376,14 @@ class TestOneFactorizationPerOperand:
         monkeypatch.setattr(np.linalg, "svd", counted)
         fredholm_factor_check(a)
         assert factorizations == [(6, 6)]
+
+    @pytest.mark.parametrize("f", [bounded_transform, inverse_bounded_transform])
+    def test_ball_map_takes_one_svd_and_no_eigh(self, monkeypatch, f):
+        a = contraction(np.random.default_rng(36), 6)
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        f(a)
+        assert (len(svd), len(eigh)) == (1, 0)
 
     def test_fredholm_is_bit_equal_to_the_separate_projection(self):
         rng = np.random.default_rng(31)
