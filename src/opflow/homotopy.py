@@ -48,6 +48,7 @@ from .linalg import (
     func_calc,
     matrix_of,
     op_norm,
+    op_norm_floor,
     require_finite,
 )
 from .transforms import odd_embedding, odd_unitary_defect
@@ -57,6 +58,8 @@ INJECTIVITY_ATOL = 1e-10
 DISCRETIZATION_TS = (0.3, 0.5, 0.7)
 MARGIN_TS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 RETRACTION_TS = (0.25, 0.5, 0.75)
+UNITARY_INPUT_ATOL = 1e-10  # log_path needs ||u*u - 1|| <= UNITARY_INPUT_ATOL
+BRANCH_CUT_ATOL = 1e-8  # log_path needs every eigenvalue of u farther than this from -1
 
 
 @dataclass(frozen=True)
@@ -273,9 +276,13 @@ def compactify_homotopy(t: float, A: HermOp, k: HermOp) -> HermOp:
 def log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
     """t -> exp(t log u) along the principal branch, with u checked and factored once.
 
-    Defined for unitaries with no spectrum within 1e-8 of -1 (the branch
-    point); contracts them to 1.  Eigenvalue arguments scale linearly in t,
-    endpoints are exact for every unitary, and J u J = u* is kept for every t.
+    Defined for unitaries (||u*u - 1|| <= UNITARY_INPUT_ATOL) with no
+    spectrum within BRANCH_CUT_ATOL of -1 (the branch point); contracts them
+    to 1.  Eigenvalue arguments scale linearly in t, endpoints are exact for
+    every unitary, and J u J = u* is kept for every t.  The unitarity check
+    reads ||u*u - 1||_F first and takes the SVD only when that exceeds the
+    tolerance, so a unitary input costs no SVD; a failed check reports the
+    SVD norm.
 
     Off the branch cut 1 + u is invertible and K = i(1 - u)(1 + u)^-1 is
     Hermitian: the inverse Cayley image of u.  K has u's eigenvectors, and
@@ -289,8 +296,8 @@ def log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
     require_finite(u)
     n = u.shape[0]
     eye = np.eye(n)
-    defect = op_norm(adjoint(u) @ u - eye)
-    if defect > 1e-10:
+    defect = op_norm_floor(adjoint(u) @ u - eye, UNITARY_INPUT_ATOL)
+    if defect > UNITARY_INPUT_ATOL:
         raise ValidationError(f"input is not unitary: ||u*u - 1|| = {defect:.3e}")
     try:
         K = np.linalg.solve(eye + u, 1j * (eye - u))
@@ -299,7 +306,7 @@ def log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
     on_branch_cut = K is None or not np.all(np.isfinite(K))
     if not on_branch_cut:
         mu, Q = np.linalg.eigh((K + adjoint(K)) / 2.0)
-        on_branch_cut = bool(np.any(2.0 / np.hypot(1.0, mu) < 1e-8))
+        on_branch_cut = bool(np.any(2.0 / np.hypot(1.0, mu) < BRANCH_CUT_ATOL))
         args = 2.0 * np.arctan(mu)
 
     def at(t: float) -> np.ndarray:

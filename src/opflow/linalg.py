@@ -37,6 +37,7 @@ from .errors import DegeneracyError, DomainError, NonConvergenceError, Validatio
 
 HERMITICITY_RTOL = 1e-12
 MIN_FACTOR_DIM = 3  # scipy's gttrf wrapper rejects smaller bands; ARPACK needs 3 too
+FLOAT_EPS = float(np.finfo(float).eps)  # op_norm_floor pads ||M||_F by 4 FLOAT_EPS per entry
 
 
 def as_matrix(M) -> np.ndarray:
@@ -66,11 +67,35 @@ def op_norm(M) -> float:
     """Operator (spectral) norm: the largest singular value.
 
     A non-finite entry is a ValidationError naming it.  A ``HermOp`` has its
-    own ``norm()``, which reads its spectrum instead.
+    own ``norm()``, which reads its spectrum instead.  Every reported norm
+    comes from this one SVD; a norm that is only compared with a bound goes
+    through ``op_norm_floor``, which reads ||M||_F first.
     """
     A = as_matrix(M)
     require_finite(A)
     return float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
+
+
+def op_norm_floor(M, floor: float) -> float:
+    """max(||M||, floor), with the SVD taken only when ||M||_F cannot decide.
+
+    ||M|| <= ||M||_F, so a Frobenius norm at or below ``floor`` returns
+    ``floor`` without an SVD.  It is taken of M / max |entry|, so it neither
+    underflows nor overflows, and padded by 4 eps per entry, above its own
+    rounding and the SVD's: the result equals ``max(op_norm(M), floor)``
+    bit for bit.  A zero matrix needs no SVD; a zero floor, a non-finite
+    entry and every undecided case go to ``op_norm``, so non-finite entries
+    still raise.
+    """
+    A = as_matrix(M)
+    scale = np.max(np.abs(A), initial=0.0)
+    if scale == 0.0:
+        return max(0.0, floor)
+    if scale < floor:  # a NaN scale fails it
+        B = A / scale
+        if math.sqrt(np.vdot(B, B).real) * (1.0 + 4.0 * B.size * FLOAT_EPS) <= floor / scale:
+            return floor
+    return max(op_norm(A), floor)
 
 
 def hermiticity_defect(M: np.ndarray) -> float:

@@ -338,6 +338,11 @@ class TestLogRetraction:
             path(t)
         assert len(calls) == 1
 
+    def test_unitary_input_takes_no_svd(self, monkeypatch):
+        u = cayley(HermOp(np.diag(np.linspace(-3.0, 3.0, 8))))
+        monkeypatch.setattr(np.linalg, "svd", None)
+        log_path(u)(0.5)
+
     def test_lipschitz_in_t(self):
         u = cayley(HermOp(np.diag(np.linspace(-3.0, 3.0, 8))))
         ts = np.linspace(0.0, 1.0, 33)

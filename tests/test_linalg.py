@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from opflow import linalg
 from opflow.errors import DegeneracyError, DomainError, NonConvergenceError, ValidationError
-from opflow.linalg import HermOp, adjoint, as_matrix, func_calc, herm_eig, op_norm
+from opflow.linalg import HermOp, adjoint, as_matrix, func_calc, herm_eig, op_norm, op_norm_floor
 
 
 def random_complex(rng, n, scale=1.0):
@@ -163,6 +163,68 @@ class TestOpNorm:
         for _ in range(20):
             M = HermOp(random_hermitian(rng, 7, scale=3.0))
             assert abs(op_norm(M.matrix) - np.max(np.abs(M.eigenvalues))) < 1e-10
+
+
+@st.composite
+def floored_matrices(draw):
+    """(M, floor): a complex matrix of dim 1-8 and a floor near its two norms or at zero."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = random_complex(rng, n)
+    kind = draw(st.sampled_from(["general", "rank one", "zero"]))
+    if kind == "rank one":
+        X = np.outer(X[:, 0], np.conj(X[0]))
+    elif kind == "zero":
+        X = np.zeros_like(X)
+    M = draw(st.sampled_from([1e-170, 1e-10, 1.0, 1e200])) * X
+    scale = np.max(np.abs(M)) or 1.0
+    norm, fro = op_norm(M), scale * np.linalg.norm(M / scale)
+    floor = draw(st.one_of(
+        st.sampled_from([0.0, 1e-300, norm, fro, np.nextafter(fro, np.inf), 2.0 * fro]),
+        st.floats(0.0, 4.0).map(lambda r: r * norm),
+    ))
+    return M, float(floor)
+
+
+class TestOpNormFloor:
+    @settings(max_examples=300, deadline=None)
+    @given(floored_matrices())
+    def test_equals_the_svd_route(self, case):
+        M, floor = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert op_norm_floor(M, floor) == max(op_norm(M), floor)
+
+    @pytest.mark.parametrize("magnitude", [1e-170, 1.0, 1e200])
+    def test_a_floor_above_the_frobenius_norm_takes_no_svd(self, monkeypatch, magnitude):
+        M = magnitude * random_complex(np.random.default_rng(40), 6)
+        floor = 2.0 * magnitude * np.linalg.norm(M / magnitude)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        assert op_norm_floor(M, floor) == floor
+        assert op_norm_floor(np.zeros((3, 3)), 0.0) == 0.0
+
+    def test_tiny_entries_do_not_underflow_into_the_shortcut(self):
+        # unscaled, ||M||_F^2 of entries near 1e-170 underflows to 0, below every positive floor
+        M = 1e-170 * random_complex(np.random.default_rng(41), 5)
+        floor = (np.max(np.abs(M)) + op_norm(M)) / 2.0
+        assert np.linalg.norm(M) < 1e-300
+        assert op_norm_floor(M, floor) == op_norm(M) > floor
+
+    def test_rank_one_at_the_floor_takes_the_svd(self):
+        x = random_complex(np.random.default_rng(42), 6)[:, 0]
+        M = np.outer(x, np.conj(x))
+        for floor in (op_norm(M), np.nextafter(op_norm(M), 0.0), np.nextafter(op_norm(M), np.inf)):
+            assert op_norm_floor(M, floor) == max(op_norm(M), floor)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("floor", [0.0, 1.0, np.inf])
+    def test_non_finite_entries_still_raise(self, bad, floor):
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"entry \(1, 2\) is not finite"):
+                op_norm_floor(M, floor)
 
 
 class TestMatrixBasics:

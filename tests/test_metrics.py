@@ -265,7 +265,7 @@ class TestResolventGap:
     ])
     def test_far_pairs_match_the_difference_form(self, x1, exact):
         """n = 400; ``exact`` is ||(A + i)^-1 - (B + i)^-1||, the difference form."""
-        assert gap_dist(*robin_dirichlet(x1, 400)) == pytest.approx(exact, rel=1e-9)
+        assert gap_dist(*robin_dirichlet(x1, 400)) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
     def test_no_dense_matrix_and_no_eigenvectors(self, monkeypatch):
         def refuse(*args, **kwargs):

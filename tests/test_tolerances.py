@@ -15,6 +15,7 @@ PINNED = {
     "BALL_ATOL": 1e-10,
     "BISECTION_RTOL": 1e-12,
     "BOUNDARY_ATOL": 1e-9,
+    "BRANCH_CUT_ATOL": 1e-8,
     "ENDPOINT_MATCH_RTOL": 1e-9,
     "EPS_MAX": 4.0,
     "EPS_MIN": 1e-12,
@@ -29,6 +30,7 @@ PINNED = {
     "SQRT_CLAMP": 3e-10,
     "STRICTNESS_ATOL": 1e-8,
     "UNITARITY_ATOL": 1e-10,
+    "UNITARY_INPUT_ATOL": 1e-10,
     "ZERO_ATOL": 1e-9,
 }
 SHAPE = re.compile(r"[A-Z0-9_]*(_ATOL|_RTOL|_MAX|_MIN)|EPS_[A-Z0-9_]+|SQRT_CLAMP")

@@ -162,6 +162,15 @@ class TestGraphProjection:
         rng = np.random.default_rng(6)
         assert graph_projection(random_matrix(rng, 7)).rank() == 7
 
+    def test_non_projection_reports_both_exact_norms(self):
+        P = np.diag([1.0, 0.5]).astype(complex)
+        P[0, 1], P[1, 0] = 1e-12, -1e-12
+        idem, herm = op_norm(P @ P - P), op_norm(P - adjoint(P))
+        assert herm < transforms.PROJECTION_ATOL < idem
+        with pytest.raises(ValidationError) as info:
+            GraphProjection(P)
+        assert str(info.value) == f"not a projection: ||p^2-p|| = {idem:.3e}, ||p-p*|| = {herm:.3e}"
+
     def test_huge_eigenvalues_give_vertical_blocks(self):
         f = np.array([0.0, 1e-320, 0.2])  # 1 / (1 + w^2); the middle one is subnormal
         expected = np.block([[np.diag(f), np.diag([1e-200, -1e-160, 0.4])],
@@ -407,6 +416,14 @@ class TestOneFactorizationPerOperand:
         a = contraction(np.random.default_rng(33), 5)
         assert np.allclose(bounded_transform(inverse_bounded_transform(a)), a, atol=1e-10)
 
+    def test_valid_checks_take_no_svd(self, monkeypatch):
+        H = random_hermitian(np.random.default_rng(37), 6, scale=2.0)
+        p = graph_projection(HermOp(np.asarray(H.matrix)))
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        graph_projection(H)
+        lagrangian_to_unitary(p)
+        assert svd == []
+
     def test_graph_projection_factors_s_once(self, monkeypatch):
         A = random_matrix(np.random.default_rng(34), 6, scale=2.0)
         calls = count_calls(monkeypatch, np.linalg, "solve")
@@ -517,6 +534,12 @@ class TestIdentityInvariants:
 
     def test_suite_deterministic(self):
         assert identity_suite(dim=6, trials=5, seed=7) == identity_suite(dim=6, trials=5, seed=7)
+
+    def test_suite_is_bit_equal_to_the_svd_route(self, monkeypatch):
+        shortcut = identity_suite(dim=6, trials=40, seed=8)
+        monkeypatch.setattr(transforms, "op_norm_floor", lambda M, floor: max(op_norm(M), floor))
+        exact = identity_suite(dim=6, trials=40, seed=8)
+        assert {k: v.hex() for k, v in shortcut.items()} == {k: v.hex() for k, v in exact.items()}
 
     @pytest.mark.parametrize("kwargs, named", [({"dim": 1}, "dim = 1"), ({"dim": -3}, "dim = -3"),
                                                ({"trials": 0}, "trials = 0"),
