@@ -16,9 +16,10 @@ homotopy assertions carry.
 
 One builder, ``_isometry``, assembles each isometry as a CSR map.  A row of
 the map onto a subinterval of length l has at most ceil(1/l) + 1 nonzeros, so
-the contractions apply it sparsely; ``shrink_isometry`` and
-``stretch_isometry`` hand out its dense form.  The band-limited defects are
-reassociated to act on the smooth band, never forming an n x n product.
+the contractions and ``discretization_tolerance`` apply it sparsely;
+``shrink_isometry`` and ``stretch_isometry`` hand out its dense form.  The
+band-limited defects are reassociated to act on the smooth band, never
+forming an n x n product.
 
 The log retraction reads a unitary's spectrum off its Cayley preimage: off
 the branch cut, K = i(1 - u)(1 + u)^-1 is Hermitian with
@@ -150,8 +151,7 @@ def isometry_defect(U: np.ndarray, grid: GridSpace, modes: int = SMOOTH_MODES) -
     """Band-limited defect max_j ||(U*U - 1) phi_j||; decays like C/n."""
     U = as_matrix(U)
     V = smooth_band(grid, modes)
-    R = adjoint(U) @ (U @ V) - V
-    return float(np.max(np.linalg.norm(R, axis=0)))
+    return _band_defect(adjoint(U) @ (U @ V) - V)
 
 
 def completeness_defect(t: float, grid: GridSpace, modes: int = SMOOTH_MODES) -> float:
@@ -159,7 +159,11 @@ def completeness_defect(t: float, grid: GridSpace, modes: int = SMOOTH_MODES) ->
     U = shrink_isometry(t, grid)
     W = stretch_isometry(t, grid)
     V = smooth_band(grid, modes)
-    R = U @ (adjoint(U) @ V) + W @ (adjoint(W) @ V) - V
+    return _band_defect(U @ (adjoint(U) @ V) + W @ (adjoint(W) @ V) - V)
+
+
+def _band_defect(R: np.ndarray) -> float:
+    """The largest column norm of a residual on the smooth band."""
     return float(np.max(np.linalg.norm(R, axis=0)))
 
 
@@ -328,15 +332,21 @@ def unitary_log_retraction(t: float, u: np.ndarray) -> np.ndarray:
 
 
 def discretization_tolerance(n: int, modes: int = SMOOTH_MODES) -> float:
-    """delta(n): worst band-limited defect of the isometry pair at t in DISCRETIZATION_TS."""
+    """delta(n): worst band-limited defect of the isometry pair at t in DISCRETIZATION_TS.
+
+    The defects of ``isometry_defect`` and ``completeness_defect``, taken on
+    the real CSR maps of ``_isometry`` (every t is interior) and one smooth band.
+    """
     grid = GridSpace.make(n)
+    V = smooth_band(grid, modes)
     worst = 0.0
     for t in DISCRETIZATION_TS:
+        U, W = _isometry(0.0, t, n), _isometry(t, 1.0 - t, n)
         worst = max(
             worst,
-            isometry_defect(shrink_isometry(t, grid), grid, modes),
-            isometry_defect(stretch_isometry(t, grid), grid, modes),
-            completeness_defect(t, grid, modes),
+            _band_defect(U.T @ (U @ V) - V),
+            _band_defect(W.T @ (W @ V) - V),
+            _band_defect(U @ (U.T @ V) + W @ (W.T @ V) - V),
         )
     return worst
 

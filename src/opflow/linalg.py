@@ -38,6 +38,7 @@ from .errors import DegeneracyError, DomainError, NonConvergenceError, Validatio
 HERMITICITY_RTOL = 1e-12
 MIN_FACTOR_DIM = 3  # scipy's gttrf wrapper rejects smaller bands; ARPACK needs 3 too
 FLOAT_EPS = float(np.finfo(float).eps)  # op_norm_floor pads ||M||_F by 4 FLOAT_EPS per entry
+FROBENIUS_FLOOR = 1e-140  # op_norm_floor's unscaled ||M||_F decides only above this (no underflow)
 
 
 def as_matrix(M) -> np.ndarray:
@@ -80,14 +81,20 @@ def op_norm_floor(M, floor: float) -> float:
     """max(||M||, floor), with the SVD taken only when ||M||_F cannot decide.
 
     ||M|| <= ||M||_F, so a Frobenius norm at or below ``floor`` returns
-    ``floor`` without an SVD.  It is taken of M / max |entry|, so it neither
-    underflows nor overflows, and padded by 4 eps per entry, above its own
-    rounding and the SVD's: the result equals ``max(op_norm(M), floor)``
-    bit for bit.  A zero matrix needs no SVD; a zero floor, a non-finite
-    entry and every undecided case go to ``op_norm``, so non-finite entries
-    still raise.
+    ``floor`` without an SVD.  It is padded by 4 eps per entry, above its own
+    rounding (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1)
+    and the SVD's: the result equals ``max(op_norm(M), floor)`` bit for bit.
+    The first pass reads ||M||_F straight off vdot(M, M); it decides only
+    when that is finite and above 1e-140, where no square has underflowed
+    enough to matter.  Otherwise ||M||_F is taken again of M / max |entry|,
+    which neither underflows nor overflows.  A zero matrix needs no SVD; a
+    zero floor, a non-finite entry and every undecided case go to
+    ``op_norm``, so non-finite entries still raise.
     """
     A = as_matrix(M)
+    fro = math.sqrt(np.vdot(A, A).real)  # inf on overflow, NaN or inf on a non-finite entry
+    if math.isfinite(fro) and fro > FROBENIUS_FLOOR and fro * (1.0 + 4.0 * A.size * FLOAT_EPS) <= floor:
+        return floor
     scale = np.max(np.abs(A), initial=0.0)
     if scale == 0.0:
         return max(0.0, floor)

@@ -14,6 +14,11 @@ Each map factors its operand once and reads its ball check off that
 factorization: ``ball_projection``, ``fredholm_factor_check`` and the inverse
 transform take one SVD (||a|| is its largest singular value), ``cayley_ball``
 one eigendecomposition.  Neither transform forms a*a, which squares the condition.
+The Fredholm residual takes the ball projection it factors from its caller
+when the caller holds one: ``identity_suite`` builds and validates each
+trial's p_t(a) once and hands it to both the graph and the Fredholm check.
+Doubled-space matrices are assembled by ``_blocks``, two levels of
+``np.concatenate`` in place of ``np.block``'s per-call layout parsing.
 
 A norm that is only compared with a tolerance (the projection, Lagrangian and
 unitarity checks, the running maxima of ``identity_suite``) reads ||X||_F
@@ -104,6 +109,11 @@ def _require_ball(norm: float) -> None:
         raise OutOfBallError(f"operator norm {norm:.12g} exceeds 1 (tol {BALL_ATOL:g})")
 
 
+def _blocks(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:
+    """[[tl, tr], [bl, br]]: ``np.block`` of a 2x2 layout without its per-call parsing."""
+    return np.concatenate([np.concatenate([tl, tr], axis=1), np.concatenate([bl, br], axis=1)])
+
+
 def _ball_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """U, min(s, 1), Vh of a ball operand and sqrt(1 - s^2); the ball check reads ||a|| = s[0].
 
@@ -124,7 +134,7 @@ def _ball_projection(U: np.ndarray, s: np.ndarray, Vh: np.ndarray, r: np.ndarray
     top_left = (V * (1.0 - s * s)) @ Vh
     top_right = (V * (r * s)) @ adjoint(U)
     bottom_right = (U * (s * s)) @ adjoint(U)
-    P = np.block([[top_left, top_right], [adjoint(top_right), bottom_right]])
+    P = _blocks(top_left, top_right, adjoint(top_right), bottom_right)
     return GraphProjection((P + adjoint(P)) / 2.0)
 
 
@@ -164,7 +174,7 @@ def graph_projection(A: MatrixLike) -> GraphProjection:
         F = spectral_weights(A, r * r)
         G = spectral_weights(A, (w * r) * r)
         H = np.eye(A.dim, dtype=complex) - F
-        P = np.block([[F, G], [G, H]])
+        P = _blocks(F, G, G, H)
         return GraphProjection((P + adjoint(P)) / 2.0)
     A = as_matrix(A)
     n = A.shape[0]
@@ -172,7 +182,7 @@ def graph_projection(A: MatrixLike) -> GraphProjection:
     S = eye + adjoint(A) @ A
     p11, p12 = np.hsplit(np.linalg.solve(S, np.hstack([eye, adjoint(A)])), 2)  # one factor of S
     p22 = eye - np.linalg.solve(eye + A @ adjoint(A), eye)
-    P = np.block([[p11, p12], [adjoint(p12), p22]])
+    P = _blocks(p11, p12, adjoint(p12), p22)
     return GraphProjection((P + adjoint(P)) / 2.0)
 
 
@@ -237,7 +247,7 @@ def odd_embedding(A: MatrixLike) -> HermOp:
     A = matrix_of(A)
     n = A.shape[0]
     zero = np.zeros((n, n), dtype=complex)
-    return HermOp(np.block([[zero, adjoint(A)], [A, zero]]))
+    return HermOp(_blocks(zero, adjoint(A), A, zero))
 
 
 def proj_to_unitary(p: GraphProjection | np.ndarray) -> np.ndarray:
@@ -253,14 +263,21 @@ def proj_to_unitary(p: GraphProjection | np.ndarray) -> np.ndarray:
 
 
 def odd_unitary_defect(u: np.ndarray) -> float:
-    """Norm of J u J - u* on the doubled space (zero on the odd unitaries)."""
+    """Norm of X = J u J - u* on the doubled space (zero on the odd unitaries).
+
+    J X = u J - J u* is anti-Hermitian in floating point too, for every
+    square u: J only flips signs, so each entry is minus the conjugate of
+    its mirror.  Hence ||X|| = ||J X|| is the spectral radius of the
+    Hermitian i J X, read off one values-only ``eigvalsh`` in place of an SVD.
+    """
     u = as_matrix(u)
     n = u.shape[0]
     if n == 0 or n % 2:
         raise ValidationError(f"odd unitaries live on a doubled (even-dim) space, got dim {n}")
     require_finite(u)
     g = np.repeat([1.0, -1.0], n // 2)
-    return op_norm(g[:, None] * u * g - adjoint(u))
+    w = np.linalg.eigvalsh(1j * (u * g - g[:, None] * adjoint(u)))
+    return float(max(-w[0], w[-1]))
 
 
 def fredholm_factor_check(a: MatrixLike) -> float:
@@ -273,20 +290,26 @@ def fredholm_factor_check(a: MatrixLike) -> float:
     return op_norm(_fredholm_residual(matrix_of(a)))
 
 
-def _fredholm_residual(a: np.ndarray) -> np.ndarray:
-    """(pt(a) - p0) - diag(-a*, a) W, after checking W unitary; see ``fredholm_factor_check``."""
+def _fredholm_residual(a: np.ndarray, pa: GraphProjection | None = None) -> np.ndarray:
+    """(pt(a) - p0) - diag(-a*, a) W, after checking W unitary; see ``fredholm_factor_check``.
+
+    ``pa`` is ``ball_projection(a)`` when the caller holds it; otherwise the
+    projection is built from the SVD that gives W's blocks.
+    """
     U, s, Vh, r = _ball_svd(a)
     n, a = s.size, (U * s) @ Vh       # a snapped to the ball, as the projection sees it
     R1 = (adjoint(Vh) * r) @ Vh       # sqrt(1 - a*a)
     R2 = (U * r) @ adjoint(U)         # sqrt(1 - a a*)
-    W = np.block([[a, -R2], [R1, adjoint(a)]])
+    W = _blocks(a, -R2, R1, adjoint(a))
     unitary_defect = op_norm_floor(adjoint(W) @ W - np.eye(2 * n), UNITARITY_ATOL)
     if unitary_defect > UNITARITY_ATOL:
         raise ValidationError(f"second factor is not unitary: defect {unitary_defect:.3e}")
     DW = np.vstack([-adjoint(a) @ W[:n], a @ W[n:]])  # diag(-a*, a) W, one block row each
     p0 = np.zeros((2 * n, 2 * n), dtype=complex)
     p0[:n, :n] = np.eye(n)
-    return (_ball_projection(U, s, Vh, r).matrix - p0) - DW
+    if pa is None:
+        pa = _ball_projection(U, s, Vh, r)
+    return (pa.matrix - p0) - DW
 
 
 def horizontal_projection(n: int) -> GraphProjection:
@@ -360,7 +383,7 @@ def identity_suite(dim: int = 16, trials: int = 500, seed: int = 0) -> dict[str,
         residuals = {
             "resolvent_vs_ball": resolvent - (eye - adjoint(a) @ a),
             "graph_factorization": graph_projection(A).matrix - pa.matrix,
-            "fredholm_factorization": _fredholm_residual(a),
+            "fredholm_factorization": _fredholm_residual(a, pa),
             "round_trip": inverse_bounded_transform(a) - A,
         }
 

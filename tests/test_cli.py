@@ -327,6 +327,15 @@ def test_manifest_parameters_are_the_flags(tmp_path, command):
     assert set(load_manifest(tmp_path)["parameters"]) == expected
 
 
+def test_rerun_into_the_same_directory_replaces_its_outputs(tmp_path):
+    fresh = tmp_path / "fresh"
+    main(["specflow", "--path", "cross", "--samples", "8", "--out", str(fresh)])
+    for samples in ("16", "8"):  # the first run leaves longer files than the second writes
+        main(["specflow", "--path", "cross", "--samples", samples, "--out", str(tmp_path)])
+    assert load_manifest(tmp_path)["parameters"]["samples"] == 8
+    assert (tmp_path / "specflow.json").read_bytes() == (fresh / "specflow.json").read_bytes()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -447,6 +447,20 @@ class TestIsometryBuilder:
         assert op_norm(H - dense) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [16, 32, 100, 128, 512])
+def test_discretization_tolerance_is_the_dense_defects_on_the_csr_maps(monkeypatch, n):
+    # the sparse sums run in another order: 1 ulp apart at n = 512, bit-equal at 16 and 32
+    g = GridSpace.make(n)
+    dense = max(d for t in homotopy.DISCRETIZATION_TS
+                for d in (isometry_defect(shrink_isometry(t, g), g),
+                          isometry_defect(stretch_isometry(t, g), g), completeness_defect(t, g)))
+    monkeypatch.setattr(homotopy, "shrink_isometry", None)  # the dense maps are never built
+    monkeypatch.setattr(homotopy, "stretch_isometry", None)
+    assert discretization_tolerance(n) == pytest.approx(dense, rel=8 * np.finfo(float).eps, abs=0.0)
+    if n <= 32:
+        assert discretization_tolerance(n) == dense
+
+
 def test_discretization_tolerance_monotone():
     deltas = [discretization_tolerance(n) for n in (128, 256, 512)]
     assert deltas[0] > deltas[1] > deltas[2]

@@ -216,6 +216,44 @@ class TestOpNormFloor:
         for floor in (op_norm(M), np.nextafter(op_norm(M), 0.0), np.nextafter(op_norm(M), np.inf)):
             assert op_norm_floor(M, floor) == max(op_norm(M), floor)
 
+    @pytest.mark.parametrize("magnitude", [1e-135, 1e-150, 1e-170, 1.0, 1e150, 1e160])
+    def test_floors_at_and_beside_the_padded_bound(self, monkeypatch, magnitude):
+        # entries near 1e-135 and 1e150 decide on the unscaled vdot; near 1e-150
+        # ||M||_F falls below 1e-140, near 1e-170 the squares underflow and near
+        # 1e160 they overflow, so those take the scaled pass
+        M = magnitude * random_complex(np.random.default_rng(43), 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fro = math.sqrt(np.vdot(M, M).real)
+            unscaled = math.isfinite(fro) and fro > linalg.FROBENIUS_FLOOR
+            assert unscaled == (magnitude in (1e-135, 1.0, 1e150))
+            if not unscaled:
+                scale = np.max(np.abs(M))
+                fro = scale * np.linalg.norm(M / scale)
+            bound = fro * (1.0 + 4.0 * M.size * linalg.FLOAT_EPS)
+            for floor in (bound, np.nextafter(bound, 0.0), np.nextafter(bound, np.inf)):
+                assert op_norm_floor(M, floor) == max(op_norm(M), floor)
+            if unscaled:
+                monkeypatch.setattr(np.linalg, "svd", None)
+                monkeypatch.setattr(np, "max", None)  # nor the scaling pass
+                assert op_norm_floor(M, bound) == bound
+
+    def test_an_overflowing_vdot_with_an_infinite_floor(self):
+        M = 1e160 * random_complex(np.random.default_rng(44), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not math.isfinite(np.vdot(M, M).real)  # inf, or NaN from inf - inf
+            assert op_norm_floor(M, np.inf) == np.inf
+            assert op_norm_floor(M, 0.0) == op_norm(M)
+
+    @pytest.mark.parametrize("dot", [np.inf, np.nan])
+    def test_non_finite_entries_raise_whatever_the_dot_product_reads(self, monkeypatch, dot):
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = np.inf
+        monkeypatch.setattr(np, "vdot", lambda a, b: complex(dot, 0.0))
+        with pytest.raises(ValidationError, match=r"entry \(1, 2\) is not finite"):
+            op_norm_floor(M, np.inf)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     @pytest.mark.parametrize("floor", [0.0, 1.0, np.inf])
     def test_non_finite_entries_still_raise(self, bad, floor):

@@ -34,6 +34,12 @@ RNG = np.random.default_rng(42)
 HUGE = np.diag([1e200, -1e160, 2.0])
 
 
+def spectral_radius(H):
+    """max |lambda| of a Hermitian matrix, from its values-only eigensolve."""
+    w = np.linalg.eigvalsh(H)
+    return float(max(-w[0], w[-1]))
+
+
 class Symplectics:
     """The fixed block symmetries and conjugators of the doubled space, as dense matrices.
 
@@ -436,6 +442,20 @@ class TestOneFactorizationPerOperand:
         identity_suite(dim=5, trials=trials, seed=2)
         assert len(calls) == trials
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_identity_suite_validates_three_projections_per_trial(self, monkeypatch, trials):
+        # ball_projection(a) and the two graph projections; the Fredholm
+        # residual reuses the first instead of building a fourth
+        calls = count_calls(monkeypatch, GraphProjection, "__post_init__")
+        identity_suite(dim=5, trials=trials, seed=2)
+        assert len(calls) == 3 * trials
+
+    def test_fredholm_residual_reuses_the_projection_it_is_given(self):
+        a = contraction(np.random.default_rng(38), 5)
+        pa = ball_projection(a)
+        assert np.array_equal(transforms._fredholm_residual(a, pa),
+                              transforms._fredholm_residual(a))
+
     @pytest.mark.parametrize("norm, ok", [(1.0 + 1e-11, True), (1.0 + 2e-10, False),
                                           (1.0 + 5e-11, True), (1.0 + 8e-11, True)])
     def test_ball_threshold_unchanged(self, norm, ok):
@@ -491,12 +511,24 @@ class TestBlockForms:
         eye = np.eye(2 * h)
         for _ in range(5):
             u = random_matrix(rng, 2 * h)
-            assert odd_unitary_defect(u) == op_norm(sp.grading @ u @ sp.grading - adjoint(u))
+            X = sp.grading @ u @ sp.grading - adjoint(u)
+            assert odd_unitary_defect(u) == spectral_radius(1j * (sp.grading @ X))
             p = graph_projection(random_matrix(rng, h, scale=2.0))
             dense = sp.v_odd @ (eye - 2.0 * p.matrix) @ sp.v_odd
             assert np.array_equal(proj_to_unitary(p), dense)
             r = 2.0 * p.matrix - eye
             assert lagrangian_defect(p) == op_norm(sp.sym_i @ r + r @ sp.sym_i)
+
+    def test_odd_defect_is_the_svd_norm_to_rounding(self):
+        # u is not odd, so ||X|| is O(1); worst seen 3.43 dim u ||X|| at dim 2, 0.54 at dim 64
+        rng = np.random.default_rng(300)
+        unit = np.finfo(float).eps / 2.0
+        for dim in (2, 4, 6, 10, 16, 32, 64):
+            g = np.diag(np.repeat([1.0, -1.0], dim // 2))
+            for _ in range(40):
+                u = random_matrix(rng, dim)
+                norm = op_norm(g @ u @ g - adjoint(u))
+                assert abs(odd_unitary_defect(u) - norm) <= 8.0 * dim * unit * norm
 
     @pytest.mark.parametrize("h", range(1, 20))
     def test_lagrangian_unitary_is_the_conjugated_block(self, h):
