@@ -106,7 +106,6 @@ def _emit(args: argparse.Namespace, filename: str, payload) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / filename
-    path.unlink(missing_ok=True)  # see RunManifest.write
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if isinstance(payload, dict):
             json.dump(payload, handle, indent=2, sort_keys=True)

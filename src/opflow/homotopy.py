@@ -16,10 +16,10 @@ homotopy assertions carry.
 
 One builder, ``_isometry``, assembles each isometry as a CSR map.  A row of
 the map onto a subinterval of length l has at most ceil(1/l) + 1 nonzeros, so
-the contractions and ``discretization_tolerance`` apply it sparsely;
-``shrink_isometry`` and ``stretch_isometry`` hand out its dense form.  The
-band-limited defects are reassociated to act on the smooth band, never
-forming an n x n product.
+the contractions, ``completeness_defect`` and ``discretization_tolerance``
+apply it sparsely; ``shrink_isometry`` and ``stretch_isometry`` hand out its
+dense form.  The band-limited defects are reassociated to act on the smooth
+band, never forming an n x n product.
 
 The log retraction reads a unitary's spectrum off its Cayley preimage: off
 the branch cut, K = i(1 - u)(1 + u)^-1 is Hermitian with
@@ -155,11 +155,15 @@ def isometry_defect(U: np.ndarray, grid: GridSpace, modes: int = SMOOTH_MODES) -
 
 
 def completeness_defect(t: float, grid: GridSpace, modes: int = SMOOTH_MODES) -> float:
-    """Band-limited defect of u_t u_t* + v_t v_t* = 1 (complementary ranges)."""
-    U = shrink_isometry(t, grid)
-    W = stretch_isometry(t, grid)
+    """Band-limited defect of u_t u_t* + v_t v_t* = 1 (complementary ranges).
+
+    Defined for interior t only, and taken on the real CSR maps of ``_isometry``.
+    """
+    if not 0.0 < t < 1.0:
+        raise ValidationError(f"completeness needs t in (0, 1), got {t}")
+    U, W = _isometry(0.0, t, grid.n), _isometry(t, 1.0 - t, grid.n)
     V = smooth_band(grid, modes)
-    return _band_defect(U @ (adjoint(U) @ V) + W @ (adjoint(W) @ V) - V)
+    return _band_defect(U @ (U.T @ V) + W @ (W.T @ V) - V)
 
 
 def _band_defect(R: np.ndarray) -> float:
@@ -334,8 +338,8 @@ def unitary_log_retraction(t: float, u: np.ndarray) -> np.ndarray:
 def discretization_tolerance(n: int, modes: int = SMOOTH_MODES) -> float:
     """delta(n): worst band-limited defect of the isometry pair at t in DISCRETIZATION_TS.
 
-    The defects of ``isometry_defect`` and ``completeness_defect``, taken on
-    the real CSR maps of ``_isometry`` (every t is interior) and one smooth band.
+    The isometry defects are ``isometry_defect``'s, taken on the real CSR
+    maps of ``_isometry`` (every t is interior) rather than their dense form.
     """
     grid = GridSpace.make(n)
     V = smooth_band(grid, modes)
@@ -346,7 +350,7 @@ def discretization_tolerance(n: int, modes: int = SMOOTH_MODES) -> float:
             worst,
             _band_defect(U.T @ (U @ V) - V),
             _band_defect(W.T @ (W @ V) - V),
-            _band_defect(U @ (U.T @ V) + W @ (W.T @ V) - V),
+            completeness_defect(t, grid, modes),
         )
     return worst
 

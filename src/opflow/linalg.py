@@ -84,17 +84,19 @@ def op_norm_floor(M, floor: float) -> float:
     ``floor`` without an SVD.  It is padded by 4 eps per entry, above its own
     rounding (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1)
     and the SVD's: the result equals ``max(op_norm(M), floor)`` bit for bit.
-    The first pass reads ||M||_F straight off vdot(M, M); it decides only
-    when that is finite and above 1e-140, where no square has underflowed
-    enough to matter.  Otherwise ||M||_F is taken again of M / max |entry|,
-    which neither underflows nor overflows.  A zero matrix needs no SVD; a
-    zero floor, a non-finite entry and every undecided case go to
-    ``op_norm``, so non-finite entries still raise.
+    ||M||_F is read straight off vdot(M, M) when that is finite and above
+    1e-140, where no square has underflowed enough to matter.  Only when it
+    is not (a zero, underflowing, overflowing or non-finite M) is ||M||_F
+    taken of M / max |entry|, which neither underflows nor overflows.  A zero
+    matrix needs no SVD; a zero floor, a non-finite entry and every
+    undecided case go to ``op_norm``, so non-finite entries still raise.
     """
     A = as_matrix(M)
     fro = math.sqrt(np.vdot(A, A).real)  # inf on overflow, NaN or inf on a non-finite entry
-    if math.isfinite(fro) and fro > FROBENIUS_FLOOR and fro * (1.0 + 4.0 * A.size * FLOAT_EPS) <= floor:
-        return floor
+    if math.isfinite(fro) and fro > FROBENIUS_FLOOR:
+        if fro * (1.0 + 4.0 * A.size * FLOAT_EPS) <= floor:
+            return floor
+        return max(op_norm(A), floor)
     scale = np.max(np.abs(A), initial=0.0)
     if scale == 0.0:
         return max(0.0, floor)

@@ -60,16 +60,8 @@ class RunManifest:
         return asdict(self)
 
     def write(self, path: Path | str) -> None:
-        """Write the manifest as sorted JSON, replacing any file at ``path``.
-
-        An old file is unlinked first, not truncated: on ext4 (default
-        ``auto_da_alloc``) closing a file that was truncated on open flushes
-        it to disk, about 70 ms a file, where a new file costs nothing.
-        """
         payload = self.to_dict()
         validate_manifest(payload)
-        path = Path(path)
-        path.unlink(missing_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

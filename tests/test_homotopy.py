@@ -54,6 +54,9 @@ class TestIsometries:
             shrink_isometry(0.0, g)
         with pytest.raises(ValidationError):
             stretch_isometry(1.0, g)
+        for t in (0.0, 1.0):
+            with pytest.raises(ValidationError, match=r"completeness needs t in \(0, 1\)"):
+                completeness_defect(t, g)
 
     def test_smooth_band_needs_a_mode(self):
         with pytest.raises(ValidationError, match="modes = 0"):
@@ -451,9 +454,12 @@ class TestIsometryBuilder:
 def test_discretization_tolerance_is_the_dense_defects_on_the_csr_maps(monkeypatch, n):
     # the sparse sums run in another order: 1 ulp apart at n = 512, bit-equal at 16 and 32
     g = GridSpace.make(n)
-    dense = max(d for t in homotopy.DISCRETIZATION_TS
-                for d in (isometry_defect(shrink_isometry(t, g), g),
-                          isometry_defect(stretch_isometry(t, g), g), completeness_defect(t, g)))
+    V = smooth_band(g)
+    dense = 0.0
+    for t in homotopy.DISCRETIZATION_TS:
+        U, W = shrink_isometry(t, g), stretch_isometry(t, g)
+        complete = np.max(np.linalg.norm(U @ (U.T @ V) + W @ (W.T @ V) - V, axis=0))
+        dense = max(dense, isometry_defect(U, g), isometry_defect(W, g), complete)
     monkeypatch.setattr(homotopy, "shrink_isometry", None)  # the dense maps are never built
     monkeypatch.setattr(homotopy, "stretch_isometry", None)
     assert discretization_tolerance(n) == pytest.approx(dense, rel=8 * np.finfo(float).eps, abs=0.0)
