@@ -164,7 +164,7 @@ def density_surgery(A: HermOp, c: float, B: HermOp) -> HermOp:
             f"{B.eigenvalues[int(np.argmin(np.abs(B.eigenvalues)))]!r}"
         )
     out = Vin @ (w[inside][:, None] * adjoint(Vin)) + Vout @ B.matrix @ adjoint(Vout)
-    return HermOp((out + adjoint(out)) / 2.0)
+    return HermOp(out)
 
 
 def cayley_arc_radius(c: float) -> float:

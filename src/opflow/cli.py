@@ -17,6 +17,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -75,6 +76,8 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv) -> argparse.Namesp
 
     Each known ``key = value`` pair is parsed by the subcommand's parser as
     ``--flag=value``, so it meets the same type and choice checks as the flag.
+    The presets are undone once argv is parsed, so a parser shared between
+    calls carries none into the next.
     """
     args = parser.parse_args(argv)
     path = _config_path(args)
@@ -90,8 +93,12 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv) -> argparse.Namesp
              if a.option_strings and a.dest not in ("help", "config")}
     known = [key for key in values if key in flags]
     preset = sub.parse_args([f"{flags[key]}={values[key]}" for key in known])
+    saved = {key: sub.get_default(key) for key in known}
     sub.set_defaults(**{key: getattr(preset, key) for key in known})
-    return parser.parse_args(argv)
+    try:
+        return parser.parse_args(argv)
+    finally:
+        sub.set_defaults(**saved)
 
 
 # Namespace entries that are not parameters of the computation.
@@ -309,8 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process (``build_parser`` builds a new one)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = _parse_with_config(parser, argv)
     try:
         return args.func(args, parser)

@@ -87,7 +87,7 @@ def _isometry(start: float, length: float, n: int):
     f |-> f((s - start)/length)/sqrt(length), cell-averaged: row i integrates
     the cell basis over the preimage of cell i, clipped to [0, 1].
     """
-    import scipy.sparse  # ~20 ms to import, so it stays off the start-up path
+    import scipy.sparse  # ~0.1 s to import on a 2-vCPU host, so it stays off the start-up path
 
     h = 1.0 / n
     edges = (np.arange(n + 1) * h - start) / length

@@ -20,6 +20,17 @@ three-term product and subtracts on its bands; a dense one slices its full
 spectrum and factors with ``getrf``.  On top of these live the spectral
 functional calculus and the operator norm, which everything else in the
 package is built from.
+
+scipy loads on first use, not at import: importing ``scipy.linalg`` takes
+0.13-0.16 s on a 2-vCPU host, and dense work needs only ``numpy.linalg``.  The
+first banded solve or ``shifted`` factor binds ``scipy.linalg`` and the LAPACK
+wrappers ``dstebz``, ``zgetrf``, ``zgetrs``, ``zgttrf`` and ``zgttrs`` as
+module globals, so later calls pay no import.  Reading one of those names as
+an attribute of this module binds them too (PEP 562 ``__getattr__``), and a
+name set before the first use is kept, so each can be patched at any time.
+Dense work stays on ``numpy.linalg`` even once scipy is loaded: numpy and
+scipy each bundle OpenBLAS with its own thread pool, and a call into one
+straight after a BLAS call in the other can run twice as slow.
 """
 
 from __future__ import annotations
@@ -30,8 +41,6 @@ import threading
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dstebz, zgetrf, zgetrs, zgttrf, zgttrs
 
 from .errors import DegeneracyError, DomainError, NonConvergenceError, ValidationError
 
@@ -39,6 +48,35 @@ HERMITICITY_RTOL = 1e-12
 MIN_FACTOR_DIM = 3  # scipy's gttrf wrapper rejects smaller bands; ARPACK needs 3 too
 FLOAT_EPS = float(np.finfo(float).eps)  # op_norm_floor pads ||M||_F by 4 FLOAT_EPS per entry
 FROBENIUS_FLOOR = 1e-140  # op_norm_floor's unscaled ||M||_F decides only above this (no underflow)
+
+_LAPACK_NAMES = ("dstebz", "zgetrf", "zgetrs", "zgttrf", "zgttrs")
+_scipy_bound = False  # "scipy" and _LAPACK_NAMES are absent until _need_scipy binds them
+
+
+def _need_scipy() -> None:
+    """Bind scipy.linalg and its LAPACK wrappers as module globals, on the first call only.
+
+    A name already bound, by a patch made before the first use, is kept.
+    """
+    global _scipy_bound
+    if _scipy_bound:
+        return
+    import scipy.linalg
+    from scipy.linalg import lapack
+
+    namespace = globals()
+    namespace.setdefault("scipy", scipy)
+    for name in _LAPACK_NAMES:
+        namespace.setdefault(name, getattr(lapack, name))
+    _scipy_bound = True
+
+
+def __getattr__(name: str):
+    """Bind the deferred scipy names on their first read as module attributes (PEP 562)."""
+    if not _scipy_bound and (name == "scipy" or name in _LAPACK_NAMES):
+        _need_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def as_matrix(M) -> np.ndarray:
@@ -134,6 +172,7 @@ class ShiftedFactor:
     __slots__ = ("_lu", "_trs", "_trans")
 
     def __init__(self, op: HermOp, z: complex):
+        _need_scipy()
         if op.bands is not None and op.dim >= MIN_FACTOR_DIM:
             off = op.bands[1].astype(complex)
             *self._lu, info = zgttrf(off, op.bands[0] - z, off)
@@ -243,6 +282,7 @@ class HermOp:
                     if self.bands is None:
                         w = np.linalg.eigvalsh(self._matrix)
                     else:
+                        _need_scipy()
                         w = scipy.linalg.eigvalsh_tridiagonal(*self.bands)
                     w.setflags(write=False)
                     self._eigvals = w
@@ -261,6 +301,7 @@ class HermOp:
                     if self.bands is None:
                         w, V = np.linalg.eigh(self._matrix)
                     else:
+                        _need_scipy()
                         w, V = scipy.linalg.eigh_tridiagonal(*self.bands)
                     V.setflags(write=False)
                     self._eigvecs = V
@@ -273,6 +314,7 @@ class HermOp:
         """The k-th eigenvalue in ascending order; a banded operator bisects for it alone (``stebz``)."""
         if self.bands is None:
             return float(self.eigenvalues[k])
+        _need_scipy()
         return float(scipy.linalg.eigvalsh_tridiagonal(*self.bands, select="i", select_range=(k, k))[0])
 
     def lowest_eigenvalue(self) -> float:
@@ -290,6 +332,7 @@ class HermOp:
             raise ValidationError(f"eigenvector index {k} outside [0, {self.dim})")
         if self.bands is None:
             return self.eigenvectors[:, k]
+        _need_scipy()
         _, V = scipy.linalg.eigh_tridiagonal(*self.bands, select="i", select_range=(k, k))
         return V[:, 0]
 
@@ -366,6 +409,7 @@ class HermOp:
             first = int(np.searchsorted(w, lo, side="left"))
             end = int(np.searchsorted(w, hi, side="right"))
             return first, w[first:max(first, end)]
+        _need_scipy()
         d, e = self.bands
         pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
         # stebz returns (vl, vu] and counts pivots below pivmin as negative

@@ -135,7 +135,7 @@ def _ball_projection(U: np.ndarray, s: np.ndarray, Vh: np.ndarray, r: np.ndarray
     top_right = (V * (r * s)) @ adjoint(U)
     bottom_right = (U * (s * s)) @ adjoint(U)
     P = _blocks(top_left, top_right, adjoint(top_right), bottom_right)
-    return GraphProjection((P + adjoint(P)) / 2.0)
+    return GraphProjection(P)
 
 
 def bounded_transform(A: MatrixLike) -> np.ndarray:
@@ -175,7 +175,7 @@ def graph_projection(A: MatrixLike) -> GraphProjection:
         G = spectral_weights(A, (w * r) * r)
         H = np.eye(A.dim, dtype=complex) - F
         P = _blocks(F, G, G, H)
-        return GraphProjection((P + adjoint(P)) / 2.0)
+        return GraphProjection(P)
     A = as_matrix(A)
     n = A.shape[0]
     eye = np.eye(n, dtype=complex)
@@ -183,7 +183,7 @@ def graph_projection(A: MatrixLike) -> GraphProjection:
     p11, p12 = np.hsplit(np.linalg.solve(S, np.hstack([eye, adjoint(A)])), 2)  # one factor of S
     p22 = eye - np.linalg.solve(eye + A @ adjoint(A), eye)
     P = _blocks(p11, p12, adjoint(p12), p22)
-    return GraphProjection((P + adjoint(P)) / 2.0)
+    return GraphProjection(P)
 
 
 def ball_projection(a: MatrixLike) -> GraphProjection:

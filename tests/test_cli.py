@@ -352,3 +352,56 @@ def test_start_up_does_not_load_sparse_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def _fresh_run(code: str) -> str:
+    """The last stdout line of ``code`` run by a fresh interpreter on this checkout's ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("OPFLOW_CONFIG", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.splitlines()[-1]
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_start_up_loads_no_scipy():
+    """``opflow.linalg`` binds ``scipy.linalg`` on first use, so no scipy module loads at start-up."""
+    code = f"import sys, opflow.cli; opflow.cli.build_parser(); print({LOADED_SCIPY})"
+    assert _fresh_run(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [["identities", "--dim", "6", "--trials", "40"],
+                                  ["surgery", "--instances", "5", "--eps", "0.5,0.1"]],
+                         ids=["identities", "surgery"])
+def test_dense_commands_load_no_scipy(argv, tmp_path):
+    code = (f"import sys, opflow.cli; code = opflow.cli.main({[*argv, '--out', str(tmp_path)]!r}); "
+            f"print(code, {LOADED_SCIPY})")
+    assert _fresh_run(code) == "0 []"
+    load_manifest(tmp_path)
+
+
+def test_banded_command_loads_scipy_linalg_and_keeps_the_golden_flow(tmp_path):
+    code = ("import sys, opflow.cli; code = opflow.cli.main(['specflow', '--path', 'robin', "
+            f"'--grid', '64', '--samples', '16', '--out', {str(tmp_path)!r}]); "
+            "print(code, 'scipy.linalg' in sys.modules)")
+    assert _fresh_run(code) == "0 True"
+    golden = json.loads(read(Path(__file__).with_name("golden.json")))["specflow"]
+    report = json.loads(read(tmp_path / "specflow.json"))
+    assert (report["flow"], report["crossings"], report["partition"]) == (
+        golden["flow"], golden["crossings"], golden["partition"])
+
+
+def test_config_presets_do_not_carry_into_the_next_call(tmp_path, monkeypatch):
+    """``main`` reuses one parser, so a preset must be gone when the next call parses."""
+    monkeypatch.delenv("OPFLOW_CONFIG", raising=False)
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text("samples = 8\nwindow = 2.0\nmax_depth = 3\n")
+    argv = ["specflow", "--path", "const"]
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "preset")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    preset = load_manifest(tmp_path / "preset")["parameters"]
+    plain = load_manifest(tmp_path / "plain")["parameters"]
+    assert (preset["samples"], preset["window"], preset["max_depth"]) == (8, 2.0, 3)
+    assert (plain["samples"], plain["window"], plain["max_depth"]) == (64, 1.0, 24)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -674,3 +678,27 @@ class TestBandedKernelCost:
         monkeypatch.setattr(linalg, "dstebz", lambda *args: (*real(*args)[:-1], 1))
         with pytest.raises(NonConvergenceError, match=r"above 1\.0 failed on dim 8: info = 1"):
             HermOp.tridiagonal(np.arange(8.0), np.ones(7)).spectrum(1.0, 5.0)
+
+
+@pytest.mark.parametrize("patch", [
+    "real = linalg.dstebz\nlinalg.dstebz = spy",  # the read binds scipy, the patch replaces it
+    "from scipy.linalg.lapack import dstebz as real\nlinalg.dstebz = spy",  # set before any read
+], ids=["read_then_set", "set_before_read"])
+def test_dstebz_patched_before_first_use_is_the_one_called(patch):
+    """scipy binds on first use (in a fresh interpreter), and a patch made before that is kept."""
+    code = "\n".join([
+        "import sys",
+        "from opflow import linalg",
+        "assert 'scipy' not in sys.modules",
+        "calls = []",
+        "def spy(*args):",
+        "    calls.append(args)",
+        "    return real(*args)",
+        patch,
+        "first, w = linalg.HermOp.tridiagonal([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0]).spectrum(0.5, 2.5)",
+        "print(len(calls), linalg.dstebz is spy, first, w.tolist())",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["1", "True", "1", "[1.0,", "2.0]"]

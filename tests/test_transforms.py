@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opflow import transforms
+from opflow.classify import density_surgery
 from opflow.errors import OutOfBallError, ValidationError
-from opflow.linalg import HermOp, adjoint, op_norm
+from opflow.linalg import HermOp, adjoint, as_matrix, op_norm
 from opflow.transforms import (
     GraphProjection,
     ball_projection,
@@ -579,3 +580,50 @@ class TestIdentityInvariants:
     def test_suite_rejects_degenerate_sizes(self, kwargs, named):
         with pytest.raises(ValidationError, match=named):
             identity_suite(**kwargs)
+
+
+def _surgery_operands(rng):
+    """An operator with no eigenvalue near +-3, c = 3, and a block to replace its outside part."""
+    w = np.concatenate([rng.uniform(-2.5, 2.5, 4), rng.choice([-1.0, 1.0], 4) * rng.uniform(4, 9, 4)])
+    Q = np.linalg.qr(random_matrix(rng, 8))[0]
+    return HermOp((Q * w) @ adjoint(Q)), 3.0, HermOp(np.diag(rng.uniform(4, 9, 4)))
+
+
+@pytest.mark.parametrize("operands, build", [
+    (lambda rng: (random_matrix(rng, 8, 0.5),), ball_projection),
+    (lambda rng: (random_hermitian(rng, 8, 3.0),), graph_projection),
+    (lambda rng: (random_matrix(rng, 8, 3.0),), graph_projection),
+    (_surgery_operands, density_surgery),
+], ids=["ball_projection", "graph_projection_hermop", "graph_projection_matrix", "density_surgery"])
+def test_constructors_check_the_assembled_matrix(monkeypatch, operands, build):
+    """Each assembled projection or operator reaches its constructor unsymmetrized.
+
+    ``GraphProjection`` and ``HermOp`` check hermiticity before they
+    symmetrize, so a caller that passed (P + P*)/2 would make that check read
+    exactly 0: it could never fail.  A matrix assembled from floating-point
+    products is rarely exactly Hermitian, so over a few draws each call site
+    must hand over at least one that is not.
+    """
+    received = []
+    hermop_init, projection_check = HermOp.__init__, GraphProjection.__post_init__
+
+    def hermop_spy(self, matrix):
+        received.append(as_matrix(matrix))
+        hermop_init(self, matrix)
+
+    def projection_spy(self):
+        received.append(as_matrix(self.matrix))
+        projection_check(self)
+
+    rng = np.random.default_rng(3)
+    exact = []
+    for _ in range(5):
+        args = operands(rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(HermOp, "__init__", hermop_spy)
+            patch.setattr(GraphProjection, "__post_init__", projection_spy)
+            build(*args)
+        (M,) = received  # the one constructor call the site makes
+        exact.append(np.array_equal(M, adjoint(M)))
+        received.clear()
+    assert not all(exact)
