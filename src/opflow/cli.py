@@ -7,11 +7,12 @@ errors to them (``ValidationError`` 2; ``NonConvergenceError``, ``ConditioningEr
 stderr line; others are bugs and keep their traceback).  Argument domains are the library's.
 
 A flat key-value config file (``key = value`` lines, ``#`` comments) can
-preset any flag of the chosen command.  Each value is parsed exactly like
-the flag it names (same type and choice checks, exit 2 on a bad value);
-keys that are not flags of that command are ignored, and explicit flags win.
-The config path comes from ``--config`` or the ``OPFLOW_CONFIG`` environment
-variable.
+preset any flag of the chosen command.  Each known pair is inserted as
+``--flag=value`` right after the command name and parsed with the rest, so it
+meets the flag's own type and choice checks (exit 2 on a bad value), and an
+explicit flag, parsed later, wins.  Keys that are not flags of that command
+are ignored.  The config path comes from ``--config`` or the ``OPFLOW_CONFIG``
+environment variable.
 """
 
 from __future__ import annotations
@@ -72,12 +73,12 @@ def _config_path(args: argparse.Namespace) -> str | None:
 
 
 def _parse_with_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse argv, with the config file's values as the subcommand's defaults.
+    """Parse argv, with the config file's values inserted ahead of the subcommand's flags.
 
-    Each known ``key = value`` pair is parsed by the subcommand's parser as
-    ``--flag=value``, so it meets the same type and choice checks as the flag.
-    The presets are undone once argv is parsed, so a parser shared between
-    calls carries none into the next.
+    The known keys are the subcommand's own: its namespace less ``command``,
+    ``func`` and ``config``.  Every flag is ``--`` plus its dest with ``_`` as
+    ``-``, so ``max_depth = 3`` becomes ``--max-depth=3``.  The parser itself
+    is never changed, so one parser serves every call.
     """
     args = parser.parse_args(argv)
     path = _config_path(args)
@@ -87,18 +88,11 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv) -> argparse.Namesp
         values = _read_config(path)
     except (OSError, ValueError) as exc:
         parser.error(f"bad config file: {exc}")
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subs.choices[args.command]
-    flags = {a.dest: a.option_strings[-1] for a in sub._actions
-             if a.option_strings and a.dest not in ("help", "config")}
-    known = [key for key in values if key in flags]
-    preset = sub.parse_args([f"{flags[key]}={values[key]}" for key in known])
-    saved = {key: sub.get_default(key) for key in known}
-    sub.set_defaults(**{key: getattr(preset, key) for key in known})
-    try:
-        return parser.parse_args(argv)
-    finally:
-        sub.set_defaults(**saved)
+    known = vars(args).keys() - {"command", "func", "config"}
+    presets = [f"--{key.replace('_', '-')}={values[key]}" for key in values if key in known]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + presets + argv[at:])
 
 
 # Namespace entries that are not parameters of the computation.

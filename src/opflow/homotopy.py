@@ -162,7 +162,11 @@ def completeness_defect(t: float, grid: GridSpace, modes: int = SMOOTH_MODES) ->
     if not 0.0 < t < 1.0:
         raise ValidationError(f"completeness needs t in (0, 1), got {t}")
     U, W = _isometry(0.0, t, grid.n), _isometry(t, 1.0 - t, grid.n)
-    V = smooth_band(grid, modes)
+    return _completeness(U, W, smooth_band(grid, modes))
+
+
+def _completeness(U, W, V: np.ndarray) -> float:
+    """The band defect of u_t u_t* + v_t v_t* = 1 for a built pair."""
     return _band_defect(U @ (U.T @ V) + W @ (W.T @ V) - V)
 
 
@@ -341,17 +345,12 @@ def discretization_tolerance(n: int, modes: int = SMOOTH_MODES) -> float:
     The isometry defects are ``isometry_defect``'s, taken on the real CSR
     maps of ``_isometry`` (every t is interior) rather than their dense form.
     """
-    grid = GridSpace.make(n)
-    V = smooth_band(grid, modes)
+    V = smooth_band(GridSpace.make(n), modes)
     worst = 0.0
     for t in DISCRETIZATION_TS:
         U, W = _isometry(0.0, t, n), _isometry(t, 1.0 - t, n)
-        worst = max(
-            worst,
-            _band_defect(U.T @ (U @ V) - V),
-            _band_defect(W.T @ (W @ V) - V),
-            completeness_defect(t, grid, modes),
-        )
+        worst = max(worst, _band_defect(U.T @ (U @ V) - V), _band_defect(W.T @ (W @ V) - V),
+                    _completeness(U, W, V))
     return worst
 
 

@@ -22,12 +22,11 @@ functional calculus and the operator norm, which everything else in the
 package is built from.
 
 scipy loads on first use, not at import: importing ``scipy.linalg`` takes
-0.13-0.16 s on a 2-vCPU host, and dense work needs only ``numpy.linalg``.  The
-first banded solve or ``shifted`` factor binds ``scipy.linalg`` and the LAPACK
-wrappers ``dstebz``, ``zgetrf``, ``zgetrs``, ``zgttrf`` and ``zgttrs`` as
-module globals, so later calls pay no import.  Reading one of those names as
-an attribute of this module binds them too (PEP 562 ``__getattr__``), and a
-name set before the first use is kept, so each can be patched at any time.
+0.13-0.16 s on a 2-vCPU host, and dense work needs only ``numpy.linalg``.  Each
+banded solve and each ``shifted`` factor imports ``scipy.linalg`` in the
+function and calls its LAPACK wrappers as ``scipy.linalg.lapack.dstebz`` and
+so on; once loaded, the import statement is a dictionary lookup, and a
+wrapper patched on ``scipy.linalg.lapack`` is the one called.
 Dense work stays on ``numpy.linalg`` even once scipy is loaded: numpy and
 scipy each bundle OpenBLAS with its own thread pool, and a call into one
 straight after a BLAS call in the other can run twice as slow.
@@ -47,36 +46,7 @@ from .errors import DegeneracyError, DomainError, NonConvergenceError, Validatio
 HERMITICITY_RTOL = 1e-12
 MIN_FACTOR_DIM = 3  # scipy's gttrf wrapper rejects smaller bands; ARPACK needs 3 too
 FLOAT_EPS = float(np.finfo(float).eps)  # op_norm_floor pads ||M||_F by 4 FLOAT_EPS per entry
-FROBENIUS_FLOOR = 1e-140  # op_norm_floor's unscaled ||M||_F decides only above this (no underflow)
-
-_LAPACK_NAMES = ("dstebz", "zgetrf", "zgetrs", "zgttrf", "zgttrs")
-_scipy_bound = False  # "scipy" and _LAPACK_NAMES are absent until _need_scipy binds them
-
-
-def _need_scipy() -> None:
-    """Bind scipy.linalg and its LAPACK wrappers as module globals, on the first call only.
-
-    A name already bound, by a patch made before the first use, is kept.
-    """
-    global _scipy_bound
-    if _scipy_bound:
-        return
-    import scipy.linalg
-    from scipy.linalg import lapack
-
-    namespace = globals()
-    namespace.setdefault("scipy", scipy)
-    for name in _LAPACK_NAMES:
-        namespace.setdefault(name, getattr(lapack, name))
-    _scipy_bound = True
-
-
-def __getattr__(name: str):
-    """Bind the deferred scipy names on their first read as module attributes (PEP 562)."""
-    if not _scipy_bound and (name == "scipy" or name in _LAPACK_NAMES):
-        _need_scipy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+FROBENIUS_FLOOR = 1e-140  # op_norm_floor's ||M||_F decides only above this (no underflow)
 
 
 def as_matrix(M) -> np.ndarray:
@@ -122,26 +92,16 @@ def op_norm_floor(M, floor: float) -> float:
     ``floor`` without an SVD.  It is padded by 4 eps per entry, above its own
     rounding (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1)
     and the SVD's: the result equals ``max(op_norm(M), floor)`` bit for bit.
-    ||M||_F is read straight off vdot(M, M) when that is finite and above
-    1e-140, where no square has underflowed enough to matter.  Only when it
-    is not (a zero, underflowing, overflowing or non-finite M) is ||M||_F
-    taken of M / max |entry|, which neither underflows nor overflows.  A zero
-    matrix needs no SVD; a zero floor, a non-finite entry and every
-    undecided case go to ``op_norm``, so non-finite entries still raise.
+    ||M||_F is read straight off vdot(M, M), and decides only when that is
+    finite and above FROBENIUS_FLOOR, where no square has underflowed enough
+    to matter.  Every other case (a zero, underflowing, overflowing or
+    non-finite M, a zero floor, a norm above the floor) goes to ``op_norm``,
+    so non-finite entries still raise.
     """
     A = as_matrix(M)
     fro = math.sqrt(np.vdot(A, A).real)  # inf on overflow, NaN or inf on a non-finite entry
-    if math.isfinite(fro) and fro > FROBENIUS_FLOOR:
-        if fro * (1.0 + 4.0 * A.size * FLOAT_EPS) <= floor:
-            return floor
-        return max(op_norm(A), floor)
-    scale = np.max(np.abs(A), initial=0.0)
-    if scale == 0.0:
-        return max(0.0, floor)
-    if scale < floor:  # a NaN scale fails it
-        B = A / scale
-        if math.sqrt(np.vdot(B, B).real) * (1.0 + 4.0 * B.size * FLOAT_EPS) <= floor / scale:
-            return floor
+    if math.isfinite(fro) and fro > FROBENIUS_FLOOR and fro * (1.0 + 4.0 * A.size * FLOAT_EPS) <= floor:
+        return floor
     return max(op_norm(A), floor)
 
 
@@ -172,14 +132,14 @@ class ShiftedFactor:
     __slots__ = ("_lu", "_trs", "_trans")
 
     def __init__(self, op: HermOp, z: complex):
-        _need_scipy()
+        from scipy.linalg import lapack
         if op.bands is not None and op.dim >= MIN_FACTOR_DIM:
             off = op.bands[1].astype(complex)
-            *self._lu, info = zgttrf(off, op.bands[0] - z, off)
-            name, self._trs, self._trans = "zgttrf", zgttrs, ("N", "C")
+            *self._lu, info = lapack.zgttrf(off, op.bands[0] - z, off)
+            name, self._trs, self._trans = "zgttrf", lapack.zgttrs, ("N", "C")
         else:
-            *self._lu, info = zgetrf(op.matrix - z * np.eye(op.dim), overwrite_a=True)
-            name, self._trs, self._trans = "zgetrf", zgetrs, (0, 2)
+            *self._lu, info = lapack.zgetrf(op.matrix - z * np.eye(op.dim), overwrite_a=True)
+            name, self._trs, self._trans = "zgetrf", lapack.zgetrs, (0, 2)
         if info != 0:  # an exactly zero pivot: z is an eigenvalue in floating point
             raise DegeneracyError(f"T - ({z}) of dim {op.dim} is singular: {name} info = {info}")
 
@@ -193,7 +153,8 @@ class ShiftedFactor:
 
     def diagonal_phase(self) -> float:
         """The sum of arg U_kk over the diagonal of the upper triangular LU factor."""
-        u = self._lu[1] if self._trs is zgttrs else np.diagonal(self._lu[0])
+        banded = self._trans[0] == "N"  # gttrs takes "N"/"C", getrs 0/2
+        u = self._lu[1] if banded else np.diagonal(self._lu[0])
         return float(np.sum(np.angle(u)))
 
 
@@ -282,7 +243,7 @@ class HermOp:
                     if self.bands is None:
                         w = np.linalg.eigvalsh(self._matrix)
                     else:
-                        _need_scipy()
+                        import scipy.linalg
                         w = scipy.linalg.eigvalsh_tridiagonal(*self.bands)
                     w.setflags(write=False)
                     self._eigvals = w
@@ -301,7 +262,7 @@ class HermOp:
                     if self.bands is None:
                         w, V = np.linalg.eigh(self._matrix)
                     else:
-                        _need_scipy()
+                        import scipy.linalg
                         w, V = scipy.linalg.eigh_tridiagonal(*self.bands)
                     V.setflags(write=False)
                     self._eigvecs = V
@@ -314,7 +275,7 @@ class HermOp:
         """The k-th eigenvalue in ascending order; a banded operator bisects for it alone (``stebz``)."""
         if self.bands is None:
             return float(self.eigenvalues[k])
-        _need_scipy()
+        import scipy.linalg
         return float(scipy.linalg.eigvalsh_tridiagonal(*self.bands, select="i", select_range=(k, k))[0])
 
     def lowest_eigenvalue(self) -> float:
@@ -332,7 +293,7 @@ class HermOp:
             raise ValidationError(f"eigenvector index {k} outside [0, {self.dim})")
         if self.bands is None:
             return self.eigenvectors[:, k]
-        _need_scipy()
+        import scipy.linalg
         _, V = scipy.linalg.eigh_tridiagonal(*self.bands, select="i", select_range=(k, k))
         return V[:, 0]
 
@@ -409,7 +370,7 @@ class HermOp:
             first = int(np.searchsorted(w, lo, side="left"))
             end = int(np.searchsorted(w, hi, side="right"))
             return first, w[first:max(first, end)]
-        _need_scipy()
+        import scipy.linalg
         d, e = self.bands
         pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
         # stebz returns (vl, vu] and counts pivots below pivmin as negative
@@ -418,7 +379,8 @@ class HermOp:
         # n minus stebz's count in (below, inf]: counting (-inf, below] would make
         # lo = -inf an illegal vl = vu.  abstol = inf stops the bisection at once;
         # the f2py wrapper rejects an empty e
-        above, *_, info = dstebz(d, e if e.size else np.zeros(1), 1, below, np.inf, 0, 0, np.inf, "E")
+        above, *_, info = scipy.linalg.lapack.dstebz(
+            d, e if e.size else np.zeros(1), 1, below, np.inf, 0, 0, np.inf, "E")
         if info != 0:
             raise NonConvergenceError(f"stebz count above {lo} failed on dim {self.dim}: info = {info}")
         first = self.dim - above

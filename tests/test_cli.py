@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
-from opflow import linalg, specflow
+from opflow import cli, specflow
 from opflow.cli import main
 from opflow.manifest import validate_manifest, verify_outputs
 
@@ -268,8 +269,8 @@ def test_lanczos_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_stebz_count_is_one_stderr_line(tmp_path, capsys, monkeypatch):
-    real = linalg.dstebz
-    monkeypatch.setattr(linalg, "dstebz", lambda *args: (*real(*args)[:-1], 1))
+    real = lapack.dstebz
+    monkeypatch.setattr(lapack, "dstebz", lambda *args: (*real(*args)[:-1], 1))
     assert main(["specflow", "--grid", "64", "--samples", "16", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("specflow: ") and "info = 1" in err
@@ -391,6 +392,19 @@ def test_banded_command_loads_scipy_linalg_and_keeps_the_golden_flow(tmp_path):
     report = json.loads(read(tmp_path / "specflow.json"))
     assert (report["flow"], report["crossings"], report["partition"]) == (
         golden["flow"], golden["crossings"], golden["partition"])
+
+
+@pytest.mark.parametrize("command", ["specgraph", "specflow", "dichotomy", "identities",
+                                     "homotopy-demo", "surgery"])
+def test_every_parameter_can_be_preset(tmp_path, command):
+    """A config key becomes ``--`` plus the key with ``_`` as ``-``, so that must name a flag."""
+    parser = cli.build_parser()
+    plain = vars(parser.parse_args([command]))
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in plain.items()
+                           if key not in ("command", "func", "config")))
+    preset = vars(cli._parse_with_config(parser, [command, "--config", str(cfg)]))
+    assert preset == {**plain, "config": str(cfg)}
 
 
 def test_config_presets_do_not_carry_into_the_next_call(tmp_path, monkeypatch):

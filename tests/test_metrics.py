@@ -240,6 +240,12 @@ class TestResolventGap:
         with pytest.raises(NonConvergenceError, match=r"dim 64 .* 640 restarts"):
             gap_dist(*robin_dirichlet(0.05, 64))
 
+    def test_a_gap_within_tolerance_below_one_is_accepted(self):
+        # ||(0 + i)^-1 b (b + i)^-1|| = b / sqrt(b^2 + 1) = 1 - 5e-13: inside 1 - PROJECTION_ATOL
+        b = 1e6
+        gap = gap_dist(HermOp(np.zeros((4, 4))), HermOp(b * np.eye(4)))
+        assert gap == pytest.approx(b / math.hypot(b, 1.0), rel=0.0, abs=1e-15)
+
     @pytest.mark.parametrize("x1, n, dense", [
         (1e-50, 400, False),
         (1e-200, 400, False),

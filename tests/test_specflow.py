@@ -44,6 +44,22 @@ class TestOperatorPath:
         with pytest.raises(ValidationError, match="closed"):
             OperatorPath(np.array([0.0, 1.0]), ops, lambda t: ops[0], closed=True)
 
+    def test_requires_strictly_ascending(self):
+        ops = (HermOp(np.eye(2)),) * 3
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            OperatorPath(np.array([0.0, 0.5, 0.5]), ops, lambda t: ops[0])
+
+    def test_closed_sampling_off_the_origin(self):
+        calls = []
+
+        def gen(t):
+            calls.append(t)
+            return HermOp(np.eye(2))
+
+        path = OperatorPath.sample(gen, 1.0, 3.0, 4, closed=True)
+        np.testing.assert_array_equal(path.thetas, [1.25, 1.75, 2.25, 2.75, 3.25])
+        assert calls == [1.25, 1.75, 2.25, 2.75]
+
     def test_closed_sampling_repeats_first_operator(self):
         path = OperatorPath.sample(robin_generator(32), 0.0, math.pi, 8, closed=True)
         assert path.operators[0] is path.operators[-1]
@@ -96,6 +112,29 @@ class TestSpectralFlowBasics:
         path = OperatorPath.sample(CROSS, 0.0, 1.0, 4)
         with pytest.raises(ValidationError, match="max_depth"):
             spectral_flow(path, window0=1.0, max_depth=-1)
+
+    def test_zero_max_depth_is_allowed(self):
+        path = OperatorPath.sample(CONST, 0.0, 1.0, 4)
+        assert spectral_flow(path, window0=1.0, max_depth=0).flow == 0
+
+    def test_spectrum_is_read_on_twice_the_window(self, monkeypatch):
+        windows, spectrum = set(), HermOp.spectrum
+
+        def spy(op, lo, hi):
+            windows.add((lo, hi))
+            return spectrum(op, lo, hi)
+
+        monkeypatch.setattr(HermOp, "spectrum", spy)
+        spectral_flow(OperatorPath.sample(CROSS, 0.0, 1.0, 8), window0=3.0)
+        assert windows == {(-6.0, 6.0)}
+
+    def test_positive_max_depth_is_honoured(self):
+        # one sample step across a slope-4 crossing needs three bisections
+        path = OperatorPath.sample(diag_gen(lambda t: 4.0 * (t - 0.3), lambda t: 2.0), 0.0, 1.0, 1)
+        report = spectral_flow(path, window0=1.0, max_depth=3)
+        assert report.flow == 1 and np.diff(report.partition).min() == 0.125
+        with pytest.raises(NonConvergenceError, match="at depth 2: "):
+            spectral_flow(path, window0=1.0, max_depth=2)
 
     def test_open_endpoint_kernel_rejected(self):
         gen = diag_gen(lambda t: t, lambda t: 2.0)
@@ -475,3 +514,43 @@ class TestKnownFlowFamilies:
         neg = lambda op: int(np.sum(np.linalg.eigvalsh(op.matrix) < 0.0))
         assert banded.flow == neg(path.operators[0]) - neg(path.operators[-1])
         assert banded.to_json_dict() == spectral_flow(dense_twin(path), window0=window0).to_json_dict()
+
+
+class TestRobinFlowClosedForm:
+    """The Robin loop against a closed form taken from its bordered structure, not the engine.
+
+    Off the Dirichlet point the Robin matrix on n nodes is
+    [[T', b e_l], [b e_l^T, c(theta)]]: T' is the Dirichlet block on n - 1
+    nodes (h = 1/n), b = -sqrt(2)/h^2 and c(theta) = 2/h^2 - 2 cot(theta)/h.
+    T' is positive definite, so Haynsworth's inertia additivity gives
+    neg(A(theta)) = [c(theta) < b^2 (T'^-1)_ll], and the one zero crossing
+    sits at cot theta* = (h/2)(2/h^2 - b^2 (T'^-1)_ll).
+    """
+
+    @pytest.mark.parametrize("n", [16, 64, 200, 800])
+    def test_flow_bracket_and_inertia_match_the_closed_form(self, n):
+        h = 1.0 / n
+        T = (2.0 * np.eye(n - 1) - np.eye(n - 1, k=1) - np.eye(n - 1, k=-1)) / h**2
+        assert np.linalg.eigvalsh(T)[0] > 0.0
+        b = -math.sqrt(2.0) / h**2
+        schur = b * b * np.linalg.solve(T, np.eye(n - 1)[:, -1])[-1]  # b^2 (T'^-1)_ll
+
+        def c(theta):
+            return 2.0 / h**2 - 2.0 * math.cos(theta) / (h * math.sin(theta))
+
+        theta_star = math.atan2(1.0, (h / 2.0) * (2.0 / h**2 - schur))
+        gen = robin_generator(n)
+        d, e = gen(1.0).bands
+        np.testing.assert_allclose(d, [*np.diag(T), c(1.0)], rtol=1e-12)
+        np.testing.assert_allclose(e, [*np.diag(T, 1), b], rtol=1e-12)
+
+        report = spectral_flow(OperatorPath.sample(gen, 0.0, math.pi, 64, closed=True))
+        assert report.flow == 1 and len(report.crossings) == 1
+        assert report.crossings[0].theta_lo < theta_star < report.crossings[0].theta_hi
+        checked = 0
+        for theta in report.partition:
+            if math.remainder(theta, math.pi) == 0.0 or abs(theta - theta_star) < 1e-9:
+                continue  # the Dirichlet point, and the crossing itself
+            assert gen(theta).spectrum(0.0, 0.0)[0] == int(c(theta) < schur), theta
+            checked += 1
+        assert checked >= 64
