@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, NonConvergenceError, ValidationError
 
 HERMITICITY_RTOL = 1e-12
-MIN_FACTOR_DIM = 3  # scipy's gttrf wrapper rejects smaller bands; ARPACK needs 3 too
+MIN_FACTOR_DIM = 3  # scipy's gttrf wrapper rejects smaller bands
 FLOAT_EPS = float(np.finfo(float).eps)  # op_norm_floor pads ||M||_F by 4 FLOAT_EPS per entry
 FROBENIUS_FLOOR = 1e-140  # op_norm_floor's ||M||_F decides only above this (no underflow)
 

@@ -17,21 +17,25 @@ The product subtracts nothing but the stored B - A, so close operators keep
 their digits.  Far ones lose digits in proportion to ||B - A|| (the solve with
 A + i returns the gap from a right-hand side of that size); only a gap read
 above 1 + PROJECTION_ATOL raises.  Every pair of ``HermOp``s, dense, banded or
-mixed, is evaluated the same way: the largest singular value by Lanczos
-(ARPACK via ``svds``), each apply two solves with one ``HermOp.shifted``
-factor per operand around ``B - A``.  Storage stays inside ``linalg``: banded
-operands solve in O(n) and never form a dense matrix or eigenvectors.  Below
-ARPACK's dimension limit the product is formed from the same factors.
-Anything else takes the graph projections on the doubled space.
+mixed, is evaluated the same way: the largest singular value by our own
+Lanczos, which stops at the first converged step (``_resolvent_gap``), each
+step four solves with one ``HermOp.shifted`` factor per operand around
+``B - A``.  Storage stays inside ``linalg``: banded operands solve in O(n) and
+never form a dense matrix or eigenvectors.  Anything else takes the graph
+projections on the doubled space.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
-from .linalg import HermOp, MatrixLike, as_hermop, as_matrix, op_norm
+from .linalg import FLOAT_EPS, HermOp, MatrixLike, as_hermop, as_matrix, op_norm
 from .transforms import PROJECTION_ATOL, bounded_transform, graph_projection
+
+LANCZOS_STEPS = 500  # _resolvent_gap's step budget: exact at k = n, so any dim <= 500 converges
 
 
 def _check_dims(A: MatrixLike, B: MatrixLike) -> None:
@@ -48,37 +52,67 @@ def riesz_dist(A: MatrixLike, B: MatrixLike) -> float:
 
 
 def _resolvent_gap(A: HermOp, B: HermOp) -> float:
-    """||(A + i)^-1 (B - A) (B + i)^-1|| by Lanczos on the solves, or formed below dim 3.
+    """||(A + i)^-1 (B - A) (B + i)^-1|| by Lanczos on M = R*R, R the product.
 
-    The start vector is fixed, so the result is reproducible to the bit.
+    Step k applies M once (four solves, two applies of B - A), orthogonalizes
+    against every earlier Lanczos vector in two classical Gram-Schmidt passes
+    and reads the top eigenpair (theta, y) of the tridiagonal T_k.  It stops
+    as soon as the Ritz residual beta_k |y_k| <= eps theta, ARPACK's ``tol = 0``
+    test, or at k = n, where T_n is M up to rounding.  M is scaled by 1/s^2,
+    s a power of 2 near max |R v_1|, so a gap below 1e-154 does not square to 0.
+
+    Not ``svds``: ARPACK tests for convergence only after a full cycle of
+    ``ncv`` = 20 vectors (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*),
+    while a Robin-Dirichlet pair converges in 4-8 steps (Parlett, *The
+    Symmetric Eigenvalue Problem*, ch. 13), and no smaller fixed ``ncv``
+    suits far pairs, whose clustered top singular values need many more.
+    There is no restart: the basis grows with the steps taken, and a pair
+    not converged within ``LANCZOS_STEPS`` steps raises ``NonConvergenceError``.
+    Overflow raises ``ConditioningError``.  The start vector is fixed, so the
+    result is reproducible to the bit.
     """
-    # imported here: scipy.sparse.linalg takes ~0.15 s to load on a 2-vCPU host, which
-    # would add to every command's start-up
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
+    import scipy.linalg
 
     n, D = A.dim, B - A
     if D.is_zero():
-        return 0.0  # ARPACK cannot start on the zero operator
+        return 0.0
     fa, fb = A.shifted(-1j), B.shifted(-1j)
-    R = LinearOperator(
-        (n, n),
-        matvec=lambda x: fa.solve(D @ fb.solve(x.ravel())),  # R reshapes the result to x's shape
-        rmatvec=lambda x: fb.solve(D @ fa.solve(x.ravel(), adjoint=True), adjoint=True),
-        dtype=complex,
-    )
-    budget = 10 * n  # ARPACK's default number of restarts
-    v0 = np.random.default_rng(0).standard_normal(n)
+    Q = np.empty((min(n, 16), n), dtype=complex)  # row j: the j-th Lanczos vector
+    v = np.random.default_rng(0).standard_normal(n)
+    Q[0] = v / np.linalg.norm(v)
+    alpha, beta = [], []
     what = f"Lanczos for ||(A + i)^-1 (B - A) (B + i)^-1|| at dim {n}"
     try:
         with np.errstate(over="raise", invalid="raise"):  # fail, not warn, on overflow
-            if n < 3:  # below ARPACK's limit: form the product, one column per apply
-                return op_norm(R @ np.eye(n))
-            s = svds(R, k=1, tol=0, maxiter=budget, v0=v0, return_singular_vectors=False)
-    except ArpackNoConvergence as exc:
-        raise NonConvergenceError(f"{what} did not converge within {budget} restarts") from exc
-    except (ArpackError, FloatingPointError) as exc:
+            for k in range(1, n + 1):
+                V = Q[:k]
+                u = fa.solve(D @ fb.solve(V[-1]))
+                if k == 1:  # a power of 2 scales exactly; ||M / s^2|| >= 1/4
+                    s = math.ldexp(1.0, math.frexp(np.max(np.abs(u)))[1])
+                u /= s
+                w = fb.solve(D @ fa.solve(u, adjoint=True), adjoint=True) / s
+                alpha.append(0.0)
+                for _ in range(2):  # classical Gram-Schmidt twice: orthonormal to rounding
+                    h = (V @ w.conj()).conj()  # V* w without a conjugated copy of V
+                    w -= h @ V
+                    alpha[-1] += h[-1].real
+                beta.append(float(np.linalg.norm(w)))
+                if not math.isfinite(beta[-1]):  # a NaN from LAPACK sets no floating-point flag
+                    raise FloatingPointError(f"Lanczos vector norm {beta[-1]} is not finite")
+                theta, y_k = alpha[0], 1.0  # T_1 = [alpha_1]
+                if k > 1:  # the top pair alone: O(k), not O(k^2)
+                    ritz, y = scipy.linalg.eigh_tridiagonal(
+                        alpha, beta[:-1], select="i", select_range=(k - 1, k - 1))
+                    theta, y_k = ritz[0], y[-1, 0]
+                if k == n or beta[-1] * abs(y_k) <= FLOAT_EPS * theta:
+                    return s * math.sqrt(theta)
+                if k == LANCZOS_STEPS:
+                    raise NonConvergenceError(f"{what} did not converge within {k} steps")
+                if k == len(Q):  # the basis grows with the steps taken, doubling
+                    Q = np.concatenate([Q, np.empty((min(k, n - k), n), dtype=complex)])
+                Q[k] = w / beta[-1]
+    except FloatingPointError as exc:
         raise ConditioningError(f"{what} failed: {exc}") from exc
-    return float(s[0])
 
 
 def gap_dist(A: MatrixLike, B: MatrixLike) -> float:

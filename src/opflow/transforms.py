@@ -22,8 +22,9 @@ Doubled-space matrices are assembled by ``_blocks``, two levels of
 
 A norm that is only compared with a tolerance (the projection, Lagrangian and
 unitarity checks, the running maxima of ``identity_suite``) reads ||X||_F
-first and takes the SVD only when that cannot decide (``op_norm_floor``); a
-reported value, and the message of a failed check, always takes the SVD.
+first and takes the SVD only when that cannot decide (``op_norm_floor``); an
+exactly zero residual takes neither.  A reported value, and the message of a
+failed check, always takes the SVD.
 """
 
 from __future__ import annotations
@@ -233,11 +234,12 @@ def lagrangian_to_unitary(p: GraphProjection) -> np.ndarray:
     one to -1, and on graph projections of Hermitian operators it reproduces
     the Cayley transform.
     """
-    defect = op_norm_floor(_lagrangian_residual(p), LAGRANGIAN_ATOL)
-    if defect > LAGRANGIAN_ATOL:
-        raise ValidationError(
-            f"projection is not Lagrangian: anticommutator norm {defect:.3e} > {LAGRANGIAN_ATOL:g}"
-        )
+    residual = _lagrangian_residual(p)
+    if residual.any():  # an exactly Lagrangian p, a zero residual, needs no norm
+        defect = op_norm_floor(residual, LAGRANGIAN_ATOL)
+        if defect > LAGRANGIAN_ATOL:
+            raise ValidationError(f"projection is not Lagrangian: anticommutator norm "
+                                  f"{defect:.3e} > {LAGRANGIAN_ATOL:g}")
     h, P = p.half, p.matrix
     return P[h:, h:] - P[:h, :h] - 1j * (P[:h, h:] + P[h:, :h])
 
@@ -346,8 +348,9 @@ def identity_suite(dim: int = 16, trials: int = 500, seed: int = 0) -> dict[str,
     block factorization, the Lagrangian condition for Hermitian graphs,
     the odd-embedding square, and the transform round trips.  Each running
     maximum reads a residual's ||X||_F first and takes its SVD only when that
-    exceeds the maximum so far (``op_norm_floor``), so the first trial of
-    every identity takes the SVD and the maxima are the SVD norms throughout.
+    exceeds the maximum so far (``op_norm_floor``), so the first nonzero
+    residual of every identity takes the SVD and the maxima are the SVD norms
+    throughout; an exactly zero residual is skipped.
     """
     if dim < 2:
         raise ValidationError(f"identity suite needs dim >= 2, got dim = {dim!r}")
@@ -406,6 +409,7 @@ def identity_suite(dim: int = 16, trials: int = 500, seed: int = 0) -> dict[str,
         residuals["odd_commuting_square"] = proj_to_unitary(pa) - cayley_ball(odd_embedding(a))
 
         for key, X in residuals.items():
-            dev[key] = op_norm_floor(X, dev[key])
+            if X.any():  # a zero residual leaves the maximum as it is, without an SVD
+                dev[key] = op_norm_floor(X, dev[key])
 
     return dev

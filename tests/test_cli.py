@@ -6,10 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from scipy.linalg import lapack
 
-from opflow import cli, specflow
+from opflow import cli, metrics, specflow
 from opflow.cli import main
 from opflow.manifest import validate_manifest, verify_outputs
 
@@ -259,10 +258,7 @@ def test_far_pair_is_a_threshold_failure(tmp_path, capsys):
 
 
 def test_lanczos_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch):
-    def stall(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", stall)
+    monkeypatch.setattr(metrics, "LANCZOS_STEPS", 2)  # the Robin pairs need more steps
     assert main(["dichotomy", "--grid", "32", "--points", "2", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("dichotomy: ")
@@ -353,6 +349,14 @@ def test_start_up_does_not_load_sparse_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_dichotomy_loads_no_sparse_module(tmp_path):
+    """``gap_dist`` runs its own Lanczos, so ``dichotomy`` never imports ``scipy.sparse``."""
+    code = ("import sys, opflow.cli; code = opflow.cli.main(['dichotomy', '--grid', '40', "
+            f"'--points', '3', '--out', {str(tmp_path)!r}]); "
+            "print(code, 'scipy.sparse' in sys.modules, 'scipy.sparse.linalg' in sys.modules)")
+    assert _fresh_run(code) == "0 False False"
 
 
 def _fresh_run(code: str) -> str:

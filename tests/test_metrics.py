@@ -1,16 +1,16 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opflow import metrics, transforms
 from opflow.errors import ConditioningError, NonConvergenceError, ValidationError
-from opflow.linalg import HermOp, op_norm
+from opflow.linalg import HermOp, ShiftedFactor, op_norm
 from opflow.metrics import gap_dist, riesz_dist, weyl_gap
 from opflow.sturm import ProjectivePoint, assemble_robin_operator
 from opflow.transforms import (
@@ -146,6 +146,28 @@ def cayley_gap(A, B):
     return 0.5 * op_norm(cayley(A) - cayley(B))
 
 
+def adversarial_pair(kind, n, dense, seed):
+    """A ``HermOp`` pair of dim n ("far", "close") or 2 (n // 2) ("split", at least 2)."""
+    rng = np.random.default_rng(seed)
+
+    def bands(m):
+        return rng.standard_normal(m), rng.standard_normal(m - 1)
+
+    if kind == "split":  # two equal blocks split by a zero off-diagonal
+        m = max(n // 2, 1)
+        pair = [(np.concatenate([d, d]), np.concatenate([e, [0.0], e]))
+                for d, e in (bands(m), bands(m))]
+    else:
+        d, e = bands(n)
+        step = 10.0 ** rng.uniform(-12, -4) if kind == "close" else 1.0
+        pair = [(d, e), (d + step * rng.standard_normal(n), e + step * rng.standard_normal(n - 1))]
+    A, B = (HermOp.tridiagonal(d, e) for d, e in pair)
+    if dense:
+        U = np.linalg.qr(random_matrix(rng, A.dim))[0]
+        A, B = (HermOp(U @ op.matrix @ U.conj().T) for op in (A, B))
+    return A, B
+
+
 def mp_resolvent(M):
     """(M + i)^-1 in mpmath from the exact double entries of M."""
     n = M.shape[0]
@@ -179,9 +201,8 @@ class TestResolventGap:
     """One identity, (A + i)^-1 - (B + i)^-1 = (A + i)^-1 (B - A) (B + i)^-1, one evaluator.
 
     Every ``HermOp`` pair takes Lanczos on the solves with one shifted factor
-    per operand around B - A (banded pairs on their bands), and forms the
-    product below dim 3.  It subtracts nothing nearly equal, so close pairs
-    keep their digits.
+    per operand around B - A (banded pairs on their bands), at every dim.  It
+    subtracts nothing nearly equal, so close pairs keep their digits.
     """
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -218,6 +239,17 @@ class TestResolventGap:
         exact = low_rank_gap(A, B, E, S)
         assert abs(gap_dist(A, B) - exact) <= 1e-14 * exact
 
+    @pytest.mark.parametrize("delta", [1e-100, 1e-170, 1e-300])
+    def test_tiny_differences_keep_their_digits(self, delta):
+        """A zero diagonal entry moved to delta: gap^2 underflows below 1e-154 unless M is scaled."""
+        n, k = 50, 20
+        d = np.linspace(-2.0, 2.0, n)
+        d[k] = 0.0
+        A = HermOp.tridiagonal(d, np.ones(n - 1))
+        B = HermOp.tridiagonal(np.where(np.arange(n) == k, delta, d), np.ones(n - 1))
+        exact = low_rank_gap(A, B, np.eye(n)[:, k:k + 1], np.array([[delta]]))
+        assert abs(gap_dist(A, B) - exact) <= 1e-14 * exact
+
     @pytest.mark.parametrize("x1", [1e-4, 1e-2, 0.3, 0.9])
     def test_matches_the_dense_cayley_route(self, x1):
         robin, dirichlet = robin_dirichlet(x1, 400)
@@ -233,12 +265,28 @@ class TestResolventGap:
         assert gap_dist(robin, robin_dirichlet(0.05, 50)[0]) == 0.0
 
     def test_no_convergence_is_reported(self, monkeypatch):
-        def stall(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", stall)
-        with pytest.raises(NonConvergenceError, match=r"dim 64 .* 640 restarts"):
+        monkeypatch.setattr(metrics, "LANCZOS_STEPS", 2)  # the Robin pair needs 4-8 steps
+        with pytest.raises(NonConvergenceError, match=r"dim 64 .* within 2 steps"):
             gap_dist(*robin_dirichlet(0.05, 64))
+
+    def test_memory_grows_with_the_steps_taken(self):
+        """Six steps at n = 20000 fill 6 of the 16 first basis rows; the budget allocates nothing."""
+        n = 20000
+        pair = robin_dirichlet(1e-4, n)
+        gap_dist(*pair)  # scipy.linalg loads outside the measurement
+        tracemalloc.start()
+        try:
+            gap_dist(*pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * n * 16  # 16 basis rows, two factors and the work vectors: about 31
+
+    def test_a_non_finite_solve_is_a_conditioning_error(self, monkeypatch):
+        monkeypatch.setattr(ShiftedFactor, "solve",
+                            lambda f, x, adjoint=False: np.full(np.shape(x), np.nan, complex))
+        with pytest.raises(ConditioningError, match="dim 16 failed: .* not finite"):
+            gap_dist(*robin_dirichlet(0.05, 16))
 
     def test_a_gap_within_tolerance_below_one_is_accepted(self):
         # ||(0 + i)^-1 b (b + i)^-1|| = b / sqrt(b^2 + 1) = 1 - 5e-13: inside 1 - PROJECTION_ATOL
@@ -289,11 +337,49 @@ class TestResolventGap:
             assert 0.0 < gap_dist(*pair) < 1.0
             assert all(op._eigvecs is None and op._eigvals is None for op in pair)
 
-    def test_small_banded_pairs_take_the_dense_product(self):
+    def test_lanczos_is_exact_at_dims_one_and_two(self):
+        """At k = n the Krylov space is the whole space, so no dim is too small for Lanczos."""
         for n in (1, 2):
             A = HermOp.tridiagonal(np.arange(n, dtype=float), np.ones(n - 1))
             B = HermOp.tridiagonal(np.full(n, 3.0), np.zeros(n - 1))
             assert abs(gap_dist(A, B) - cayley_gap(A, B)) < 1e-15
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["far", "split", "close"]), n=st.integers(1, 60),
+           dense=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_adversarial_pairs_match_the_formed_product(self, kind, n, dense, seed):
+        """Lanczos against the SVD of R = (A + i)^-1 (B - A) (B + i)^-1 formed by numpy.
+
+        Far pairs of random bands have clustered top singular values; split
+        bands repeat one block, so every singular value is doubled; close
+        pairs differ by 1e-12 to 1e-4.  A dense pair is the banded one
+        conjugated by one random unitary.
+        """
+        A, B = adversarial_pair(kind, n, dense, seed)
+        eye = np.eye(A.dim)
+        R = np.linalg.solve(A.matrix + 1j * eye,
+                            (B.matrix - A.matrix) @ np.linalg.inv(B.matrix + 1j * eye))
+        assert gap_dist(A, B) == pytest.approx(op_norm(R), rel=1e-12, abs=0.0)
+
+    def test_dichotomy_rows_stop_when_converged(self, monkeypatch):
+        """Steps per row of ``dichotomy --grid 400``: each step takes four solves.
+
+        ``svds`` took 21-22 products of R*R on every row, a full restart cycle.
+        """
+        calls = []
+        solve = ShiftedFactor.solve
+
+        def counted(factor, *args, **kwargs):
+            calls.append(1)
+            return solve(factor, *args, **kwargs)
+
+        monkeypatch.setattr(ShiftedFactor, "solve", counted)
+        steps = []
+        for x1 in np.geomspace(1e-4, 0.9, 9):
+            calls.clear()
+            gap_dist(*robin_dirichlet(float(x1), 400))
+            steps.append(len(calls) / 4)
+        assert steps == [8, 8, 7, 7, 6, 5, 4, 4, 4]
 
 
 def mp_ball_map(M, g):

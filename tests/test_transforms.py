@@ -277,6 +277,17 @@ class TestLagrangian:
             H = random_hermitian(rng, 6, scale=3.0)
             assert lagrangian_defect(graph_projection(H)) < 1e-9
 
+    def test_exactly_lagrangian_projections_take_no_norm(self, monkeypatch):
+        def refuse(M, floor):
+            raise AssertionError("norm taken of a zero residual")
+
+        projections = (vertical_projection(3), horizontal_projection(3),
+                       graph_projection(HermOp(np.diag([1.0, -2.0, 0.5]))))
+        monkeypatch.setattr(transforms, "op_norm_floor", refuse)
+        for p in projections:
+            assert lagrangian_defect(p) == 0.0
+            assert op_norm(lagrangian_to_unitary(p)) == pytest.approx(1.0, rel=1e-15)
+
 
 class TestOddEmbedding:
     def test_scalar(self):
