@@ -49,6 +49,7 @@ from .sturm import (
     analytic_eigenvalues,
     assemble_robin_operator,
     dichotomy_row,
+    dichotomy_sweep,
     eigenfunction_concentration,
     robin_generator,
     spectral_graph,

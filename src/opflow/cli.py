@@ -43,7 +43,7 @@ from .homotopy import (
 from .linalg import HermOp
 from .manifest import RunManifest
 from .specflow import OperatorPath, spectral_flow
-from .sturm import dichotomy_row, robin_generator, spectral_graph
+from .sturm import dichotomy_sweep, robin_generator, spectral_graph
 from .transforms import identity_suite
 from .classify import surgery_bound_trials
 
@@ -165,11 +165,9 @@ def cmd_dichotomy(args, parser) -> int:
         parser.error("--points must be at least 2")
     if not (0 < args.x1_min < args.x1_max < math.inf):
         parser.error("need 0 < --x1-min < --x1-max < inf")
-    sweep = np.geomspace(args.x1_min, args.x1_max, args.points)
-    rows = []
-    for x1 in sweep:
-        riesz_lower, gap = dichotomy_row(float(x1), args.grid)
-        rows.append((_fmt(x1), _fmt(riesz_lower), _fmt(gap)))
+    x1s = np.geomspace(args.x1_min, args.x1_max, args.points)
+    rows = [(_fmt(x1), _fmt(riesz_lower), _fmt(gap))
+            for x1, (riesz_lower, gap) in zip(x1s, dichotomy_sweep(x1s.tolist(), args.grid))]
     csv_path = _emit(args, "dichotomy.csv", ("x1,riesz_lower_bound,gap_dist", rows))
     print(f"wrote {csv_path}")
     return 0

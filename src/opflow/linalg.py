@@ -14,19 +14,24 @@ the global index of the first), ``norm()``, ``is_zero()``, ``T - S``, ``T @ x``,
 ``shifted(z)`` (LU factors of T - z, for solves with it and its adjoint) and
 ``cayley_phase()`` (arg det of the Cayley transform).
 A banded operator solves only what is asked (LAPACK ``stebz``: its own count
-for a window's index, bisection for the window or one eigenvalue; the real
-tridiagonal solver for eigenpairs, ``gttrf`` for T - z), applies its
-three-term product and subtracts on its bands; a dense one slices its full
-spectrum and factors with ``getrf``.  On top of these live the spectral
-functional calculus and the operator norm, which everything else in the
-package is built from.
+for a window's index, bisection for the window or one eigenvalue, ``stein``
+for its vector; the tridiagonal solver for all eigenpairs, ``gttrf`` for
+T - z), applies its three-term product and subtracts on its bands; a dense
+one slices its full spectrum and factors with ``getrf``.  On top of these
+live the spectral functional calculus and the operator norm, which
+everything else in the package is built from.
 
 scipy loads on first use, not at import: importing ``scipy.linalg`` takes
 0.13-0.16 s on a 2-vCPU host, and dense work needs only ``numpy.linalg``.  Each
 banded solve and each ``shifted`` factor imports ``scipy.linalg`` in the
 function and calls its LAPACK wrappers as ``scipy.linalg.lapack.dstebz`` and
 so on; once loaded, the import statement is a dictionary lookup, and a
-wrapper patched on ``scipy.linalg.lapack`` is the one called.
+wrapper patched on ``scipy.linalg.lapack`` is the one called.  The cached
+full spectrum and a window's values go through scipy's
+``eigh_tridiagonal``/``eigvalsh_tridiagonal``, the names the benchmark's
+tracer counts.  An index-selected pair (each lowest eigenvalue and norm, each
+Lanczos step in ``metrics``) calls ``stebz`` and ``stein`` itself: at dim <= 8
+the wrapper spends about 10 of its 13 us re-checking bands already checked.
 Dense work stays on ``numpy.linalg`` even once scipy is loaded: numpy and
 scipy each bundle OpenBLAS with its own thread pool, and a call into one
 straight after a BLAS call in the other can run twice as slow.
@@ -118,6 +123,25 @@ def hermiticity_defect(M: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):  # inf / inf: the defect is NaN, not a warning
         A = A / scale
         return float(np.linalg.norm(A - adjoint(A)) / np.linalg.norm(A))
+
+
+def _tridiagonal_pair(d, e, k: int, vector: bool = False) -> tuple[float, np.ndarray | None]:
+    """The k-th eigenvalue (from 0, ascending) of the real tridiagonal (d, e), and its unit vector if asked.
+
+    Index-selected ``stebz`` (``abstol = 0``), then ``stein``: the calls and
+    ordering of scipy's ``eigh_tridiagonal(select="i")``, bit for bit.  A
+    nonzero ``info`` raises ``NonConvergenceError``.
+    """
+    if len(d) == 1:  # the f2py wrappers reject an empty e; scipy returns d[0] and [1.0] too
+        return float(d[0]), np.ones(1)
+    from scipy.linalg import lapack
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "B" if vector else "E")
+    name, V = "stebz", None
+    if info == 0 and vector:
+        name, (V, info) = "stein", lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise NonConvergenceError(f"{name} for eigenvalue {k} of dim {len(d)} failed: info = {info}")
+    return float(w[0]), None if V is None else V[:, 0]
 
 
 class ShiftedFactor:
@@ -275,8 +299,7 @@ class HermOp:
         """The k-th eigenvalue in ascending order; a banded operator bisects for it alone (``stebz``)."""
         if self.bands is None:
             return float(self.eigenvalues[k])
-        import scipy.linalg
-        return float(scipy.linalg.eigvalsh_tridiagonal(*self.bands, select="i", select_range=(k, k))[0])
+        return _tridiagonal_pair(*self.bands, k)[0]
 
     def lowest_eigenvalue(self) -> float:
         """The smallest eigenvalue: index-selected ``stebz`` on bands, the cached spectrum if dense."""
@@ -293,9 +316,7 @@ class HermOp:
             raise ValidationError(f"eigenvector index {k} outside [0, {self.dim})")
         if self.bands is None:
             return self.eigenvectors[:, k]
-        import scipy.linalg
-        _, V = scipy.linalg.eigh_tridiagonal(*self.bands, select="i", select_range=(k, k))
-        return V[:, 0]
+        return _tridiagonal_pair(*self.bands, k, vector=True)[1]
 
     def shifted(self, z: complex) -> ShiftedFactor:
         """The LU factors of T - z, for solves with T - z and its adjoint.

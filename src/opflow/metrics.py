@@ -20,9 +20,10 @@ above 1 + PROJECTION_ATOL raises.  Every pair of ``HermOp``s, dense, banded or
 mixed, is evaluated the same way: the largest singular value by our own
 Lanczos, which stops at the first converged step (``_resolvent_gap``), each
 step four solves with one ``HermOp.shifted`` factor per operand around
-``B - A``.  Storage stays inside ``linalg``: banded operands solve in O(n) and
-never form a dense matrix or eigenvectors.  Anything else takes the graph
-projections on the doubled space.
+``B - A`` and one top Ritz pair straight from LAPACK ``stebz`` and ``stein``.
+Storage stays inside ``linalg``: banded operands solve in O(n) and never form
+a dense matrix or eigenvectors.  Anything else takes the graph projections on
+the doubled space.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
-from .linalg import FLOAT_EPS, HermOp, MatrixLike, as_hermop, as_matrix, op_norm
+from .linalg import FLOAT_EPS, HermOp, MatrixLike, _tridiagonal_pair, as_hermop, as_matrix, op_norm
 from .transforms import PROJECTION_ATOL, bounded_transform, graph_projection
 
 LANCZOS_STEPS = 500  # _resolvent_gap's step budget: exact at k = n, so any dim <= 500 converges
@@ -56,7 +57,8 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
 
     Step k applies M once (four solves, two applies of B - A), orthogonalizes
     against every earlier Lanczos vector in two classical Gram-Schmidt passes
-    and reads the top eigenpair (theta, y) of the tridiagonal T_k.  It stops
+    and reads the top eigenpair (theta, y) of the tridiagonal T_k (``stebz``
+    and ``stein``, as ``eigh_tridiagonal(select="i")`` would).  It stops
     as soon as the Ritz residual beta_k |y_k| <= eps theta, ARPACK's ``tol = 0``
     test, or at k = n, where T_n is M up to rounding.  M is scaled by 1/s^2,
     s a power of 2 near max |R v_1|, so a gap below 1e-154 does not square to 0.
@@ -71,8 +73,6 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
     Overflow raises ``ConditioningError``.  The start vector is fixed, so the
     result is reproducible to the bit.
     """
-    import scipy.linalg
-
     n, D = A.dim, B - A
     if D.is_zero():
         return 0.0
@@ -101,9 +101,8 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
                     raise FloatingPointError(f"Lanczos vector norm {beta[-1]} is not finite")
                 theta, y_k = alpha[0], 1.0  # T_1 = [alpha_1]
                 if k > 1:  # the top pair alone: O(k), not O(k^2)
-                    ritz, y = scipy.linalg.eigh_tridiagonal(
-                        alpha, beta[:-1], select="i", select_range=(k - 1, k - 1))
-                    theta, y_k = ritz[0], y[-1, 0]
+                    theta, y = _tridiagonal_pair(alpha, beta[:-1], k - 1, vector=True)
+                    y_k = y[-1]
                 if k == n or beta[-1] * abs(y_k) <= FLOAT_EPS * theta:
                     return s * math.sqrt(theta)
                 if k == LANCZOS_STEPS:

@@ -242,25 +242,33 @@ def eigenfunction_concentration(
     return math.sqrt(-lam), mass_left
 
 
+def dichotomy_sweep(x1s, n: int) -> list[tuple[float, float]]:
+    """``dichotomy_row`` for each of ``x1s``; one Dirichlet operator, checked once, serves every row."""
+    dirichlet = assemble_robin_operator(ProjectivePoint(1.0, 0.0), n).matrix
+    if dirichlet.lowest_eigenvalue() <= 0.0:  # pragma: no cover
+        raise ValidationError("Dirichlet comparison operator is not positive")
+    rows = []
+    for x1 in x1s:
+        robin = assemble_robin_operator(ProjectivePoint(1.0, x1), n).matrix
+        lam0 = robin.lowest_eigenvalue()
+        rows.append((max(0.0, -lam0 / math.hypot(1.0, lam0)), gap_dist(robin, dirichlet)))
+    return rows
+
+
 def dichotomy_row(x1: float, n: int) -> tuple[float, float]:
     """Certified transform-distance lower bound and graph distance to Dirichlet.
 
     The lower bound is max(0, -min eig of the bounded transform at [1:x1]),
     that is -lambda / hypot(1, lambda), which reads 1 even where lambda^2
     overflows; it is valid because the Dirichlet comparison operator is
-    verified positive, so sorted-eigenvalue pairing already forces the
-    transform distance above it.  Both lowest eigenvalues come from
-    index-selected bisection (``stebz``), not a full spectrum.  The graph
-    distance is ||(A + i)^-1 (B - A) (B + i)^-1||; both operators are banded,
-    so its Lanczos runs on one tridiagonal factor each (see ``metrics``).
+    verified positive (once per sweep: this is a one-row ``dichotomy_sweep``),
+    so sorted-eigenvalue pairing already forces the transform distance above
+    it.  Both lowest eigenvalues come from index-selected bisection
+    (``stebz``), not a full spectrum.  The graph distance is
+    ||(A + i)^-1 (B - A) (B + i)^-1||; both operators are banded, so its
+    Lanczos runs on one tridiagonal factor each (see ``metrics``).
     """
-    robin = assemble_robin_operator(ProjectivePoint(1.0, x1), n)
-    dirichlet = assemble_robin_operator(ProjectivePoint(1.0, 0.0), n)
-    if dirichlet.matrix.lowest_eigenvalue() <= 0.0:  # pragma: no cover
-        raise ValidationError("Dirichlet comparison operator is not positive")
-    lam0 = robin.matrix.lowest_eigenvalue()
-    riesz_lower = max(0.0, -lam0 / math.hypot(1.0, lam0))
-    return riesz_lower, gap_dist(robin.matrix, dirichlet.matrix)
+    return dichotomy_sweep([x1], n)[0]
 
 
 def robin_generator(n: int):

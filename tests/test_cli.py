@@ -264,6 +264,17 @@ def test_lanczos_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("dichotomy: ")
 
 
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_failed_banded_eigenpair_is_one_stderr_line(tmp_path, capsys, monkeypatch, routine):
+    """stebz fails on the comparison operator's lowest eigenvalue, stein on a Ritz vector."""
+    real = getattr(lapack, routine)
+    monkeypatch.setattr(lapack, routine, lambda *args: (*real(*args)[:-1], 1))
+    assert main(["dichotomy", "--grid", "32", "--points", "2", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"dichotomy: {routine[1:]} for eigenvalue ")
+    assert "failed: info = 1" in err and "LinAlgError" not in err
+
+
 def test_failed_stebz_count_is_one_stderr_line(tmp_path, capsys, monkeypatch):
     real = lapack.dstebz
     monkeypatch.setattr(lapack, "dstebz", lambda *args: (*real(*args)[:-1], 1))

@@ -401,6 +401,37 @@ class TestEigenvector:
             op.eigenvector(k)
 
 
+class TestTridiagonalPair:
+    """Index-selected banded eigenpairs straight from LAPACK ``stebz`` and ``stein``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(bands=st.one_of(tridiagonal_bands(), split_bands().map(lambda de: (*de, None))))
+    def test_bit_identical_to_scipys_wrappers(self, bands):
+        d, e, _ = bands
+        op = HermOp.tridiagonal(d, e)
+        for k in range(d.size):
+            value = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(k, k))
+            w, V = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(k, k))
+            pair = linalg._tridiagonal_pair(d, e, k, vector=True)
+            assert op._eigenvalue(k) == value[0]
+            assert pair[0] == w[0] and np.array_equal(pair[1], V[:, 0])
+            assert np.array_equal(op.eigenvector(k), V[:, 0])
+            assert linalg._tridiagonal_pair(list(d), list(e), k, vector=True)[0] == w[0]  # Lanczos lists
+
+    @pytest.mark.parametrize("routine, read", [
+        ("dstebz", lambda op: op.lowest_eigenvalue()),
+        ("dstebz", lambda op: op.norm()),
+        ("dstein", lambda op: op.eigenvector(3)),
+    ])
+    def test_failure_names_routine_index_dim_and_info(self, monkeypatch, routine, read):
+        real = getattr(scipy.linalg.lapack, routine)
+        monkeypatch.setattr(scipy.linalg.lapack, routine, lambda *args: (*real(*args)[:-1], 2))
+        op = HermOp.tridiagonal(np.arange(8.0), np.ones(7))
+        with pytest.raises(NonConvergenceError, match=rf"^{routine[1:]} for eigenvalue [03] of dim 8 "
+                                                      r"failed: info = 2$"):
+            read(op)
+
+
 class TestTridiagonal:
     @settings(max_examples=300, deadline=None)
     @given(bands=tridiagonal_bands(), data=st.data())
@@ -614,6 +645,8 @@ class TestTridiagonal:
         A = HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", refuse)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", refuse)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", refuse)
         assert (A - HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])).is_zero()
         assert not (A - HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.25])).is_zero()
         assert (HermOp(A.matrix) - A).is_zero()

@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -321,6 +322,17 @@ class TestResolventGap:
         """n = 400; ``exact`` is ||(A + i)^-1 - (B + i)^-1||, the difference form."""
         assert gap_dist(*robin_dirichlet(x1, 400)) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="item 11's bordered route")
+    def test_silent_far_pair_on_one_grid(self):
+        """Robin [1 : 1e-50] against [1 : -1e-50] at n = 40 differ only in d[-1] (by 1.6e52).
+
+        The exact gap |delta| ||(A + i)^-1 e_n|| ||(B - i)^-1 e_n|| = 6.6268e-51,
+        from the two resolvent columns solved with mpmath at 120 digits.
+        ``gap_dist`` returns 7.0e-20 and, that being below 1, raises nothing.
+        """
+        A, B = (assemble_robin_operator(ProjectivePoint(1.0, x1), 40).matrix for x1 in (1e-50, -1e-50))
+        assert gap_dist(A, B) == pytest.approx(6.6268456268641994317e-51, rel=1e-9, abs=0.0)
+
     def test_no_dense_matrix_and_no_eigenvectors(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("dense eigh called")
@@ -360,6 +372,25 @@ class TestResolventGap:
         R = np.linalg.solve(A.matrix + 1j * eye,
                             (B.matrix - A.matrix) @ np.linalg.inv(B.matrix + 1j * eye))
         assert gap_dist(A, B) == pytest.approx(op_norm(R), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["far", "split", "close"]), n=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ritz_pairs_are_scipys_bit_for_bit(self, kind, n, seed):
+        """Each step's top Ritz pair equals ``eigh_tridiagonal(select="i")`` on the same T_k."""
+        pairs, pair = [], metrics._tridiagonal_pair
+
+        def recorded(d, e, k, vector=False):
+            pairs.append((list(d), list(e), k, pair(d, e, k, vector)))
+            return pairs[-1][-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_tridiagonal_pair", recorded)
+            gap_dist(*adversarial_pair(kind, n, False, seed))
+        assert pairs or n == 1 or (kind == "split" and n < 4)  # M = c I converges at step 1
+        for d, e, k, (theta, y) in pairs:
+            w, V = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(k, k))
+            assert k == len(d) - 1 and theta == w[0] and np.array_equal(y, V[:, 0])
 
     def test_dichotomy_rows_stop_when_converged(self, monkeypatch):
         """Steps per row of ``dichotomy --grid 400``: each step takes four solves.

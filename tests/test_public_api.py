@@ -41,6 +41,7 @@ PUBLIC_NAMES = [
     "default_compact_factor",
     "density_surgery",
     "dichotomy_row",
+    "dichotomy_sweep",
     "discretization_tolerance",
     "eigenfunction_concentration",
     "errors",

@@ -16,6 +16,7 @@ from opflow.sturm import (
     analytic_eigenvalues,
     assemble_robin_operator,
     dichotomy_row,
+    dichotomy_sweep,
     eigenfunction_concentration,
     negative_eigenvalue_root,
     robin_generator,
@@ -47,6 +48,7 @@ class TestProjectivePoint:
     def test_theta_in_range(self):
         for theta in (0.1, 1.2, 2.9):
             assert abs(ProjectivePoint.from_angle(theta).theta - theta) < 1e-12
+        assert DIRICHLET.theta == ProjectivePoint(-1.0, 0.0).theta == 0.0  # not pi
 
     def test_zero_rejected(self):
         with pytest.raises(ValidationError):
@@ -57,6 +59,14 @@ class TestAssembly:
     def test_minimum_grid(self):
         with pytest.raises(ValidationError):
             assemble_robin_operator(DIRICHLET, 8)
+        assert assemble_robin_operator(DIRICHLET, sturm.MIN_GRID).matrix.dim == sturm.MIN_GRID
+
+    @pytest.mark.parametrize("x", [ProjectivePoint(1.0, 0.3), NEUMANN, DIRICHLET])
+    def test_eigenfunctions_are_orthonormal_in_the_weights(self, x):
+        """The half-weight last cell of the ghost scheme is what makes them orthogonal."""
+        op = assemble_robin_operator(x, 32)
+        psi = np.array([op.eigenfunction(k) for k in range(4)])
+        np.testing.assert_allclose((psi * op.weights) @ psi.T, np.eye(4), atol=1e-12)
 
     def test_boundary_entry_overflow_names_the_parameter(self):
         with pytest.raises(ValidationError, match=r"d\[-1\] = -inf .* \[1\.0 : 1e-310\], n = 400"):
@@ -102,6 +112,7 @@ class TestOracle:
     def test_balanced_contains_zero(self):
         evs = analytic_eigenvalues(ProjectivePoint(1.0, 1.0), 3)
         assert abs(evs[0]) < 1e-12
+        assert evs[1] == pytest.approx(4.493409457909064**2, rel=1e-10)  # tan mu = mu
 
     def test_half_parameter_negative_root(self):
         x = ProjectivePoint(1.0, 0.5)
@@ -158,6 +169,13 @@ class TestSpectralGraph:
         assert len(brackets) == 1
         lo, hi = brackets[0]
         assert lo <= math.pi / 4 <= hi + 2 * math.pi / 64
+
+    def test_indices_count_from_the_window_edge(self):
+        for theta, indices, values in spectral_graph(16, 64, window=300.0):
+            full = assemble_robin_operator(ProjectivePoint.from_angle(theta), 64).matrix.eigenvalues
+            below = int(np.sum(full < -300.0))
+            assert np.array_equal(indices, below + np.arange(values.size))
+            np.testing.assert_allclose(values, full[indices], rtol=1e-12, atol=1e-9)
 
     def test_neumann_fiber(self):
         records = spectral_graph(16, 400, window=30.0)
@@ -269,6 +287,27 @@ class TestDichotomy:
             gaps.append(gap)
         assert elapsed < 1.0  # the n = 10^4 row: banded solves only
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_sweep_checks_one_comparison_operator(self, monkeypatch):
+        """One Dirichlet assembly and one read of its lowest eigenvalue for the whole sweep."""
+        x1s = [1e-4, 1e-2, 0.9]
+        rows = [dichotomy_row(x1, 64) for x1 in x1s]
+        assembled, lowest = [], []
+        assemble, read = sturm.assemble_robin_operator, sturm.HermOp.lowest_eigenvalue
+
+        def counted_assemble(x, n):
+            assembled.append(x.is_dirichlet)
+            return assemble(x, n)
+
+        def counted_read(op):
+            lowest.append(op)
+            return read(op)
+
+        monkeypatch.setattr(sturm, "assemble_robin_operator", counted_assemble)
+        monkeypatch.setattr(sturm.HermOp, "lowest_eigenvalue", counted_read)
+        assert dichotomy_sweep(x1s, 64) == rows
+        assert assembled == [True, False, False, False]
+        assert len(lowest) == 4 and len({id(op) for op in lowest}) == 4  # the Dirichlet op once
 
     def test_transform_eigenvalue_signs(self):
         robin = assemble_robin_operator(ProjectivePoint(1.0, 1e-3), 400)
