@@ -36,8 +36,6 @@ from .homotopy import (
     rk_contraction,
     shrink_isometry,
     stretch_isometry,
-    unitary_log_retraction,
-    zk_contraction,
     zk_path,
 )
 from .linalg import HermOp, adjoint, func_calc, herm_eig, op_norm
@@ -48,7 +46,6 @@ from .sturm import (
     RobinOperator,
     analytic_eigenvalues,
     assemble_robin_operator,
-    dichotomy_row,
     dichotomy_sweep,
     eigenfunction_concentration,
     robin_generator,

@@ -50,12 +50,11 @@ class SymmetricTuple:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def from_positive(cls, positive: Iterable[float], include_zero: bool = False) -> "SymmetricTuple":
+    def from_positive(cls, positive: Iterable[float]) -> "SymmetricTuple":
         pos = sorted(float(p) for p in positive)
         if any(p <= 0 for p in pos):
             raise ValidationError("from_positive expects strictly positive points")
-        pts = [-p for p in reversed(pos)] + ([0.0] if include_zero else []) + pos
-        return cls(tuple(pts))
+        return cls(tuple([-p for p in reversed(pos)] + pos))
 
     def union(self, other: "SymmetricTuple") -> "SymmetricTuple":
         return SymmetricTuple(tuple(sorted(set(self.points) | set(other.points))))

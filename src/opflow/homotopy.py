@@ -27,9 +27,9 @@ u = (1 + iK)(1 - iK)^-1, so one Hermitian eigensolve of K gives u's
 eigenvectors and, through e^(i phi) = e^(2i arctan mu), its principal
 arguments.
 
-To evaluate a homotopy at many values of t, build its path once:
-``zk_path(a, b, grid)`` and ``log_path(u)`` check their operands once and
-return t -> value; ``zk_contraction`` and ``unitary_log_retraction`` take one t.
+The homotopies are paths: ``zk_path(a, b, grid)`` and ``log_path(u)`` check
+their operands once (``log_path`` also factors u) and return t -> value, so
+evaluating at many t repeats neither.
 """
 
 from __future__ import annotations
@@ -221,16 +221,11 @@ def zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float], 
     return at
 
 
-def zk_contraction(t: float, a: MatrixLike, b: MatrixLike, grid: GridSpace) -> np.ndarray:
-    """The zk contraction at one t: ``zk_path(a, b, grid)(t)``."""
-    return zk_path(a, b, grid)(t)
-
-
 def rk_contraction(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> HermOp:
     """(1/t) u_t A u_t* + 1/(1-t) v_t B v_t* on invertible Hermitian inputs.
 
     The endpoint conventions return A at t = 0 and B at t = 1.  Inverting
-    intertwines this with ``zk_contraction`` of the inverses; the relation is
+    intertwines this with ``zk_path`` of the inverses; the relation is
     exact where the grid aligns with the cut (see ``inversion_consistency``).
     The isometries are applied as sparse maps.
     """
@@ -255,7 +250,7 @@ def inversion_consistency(t: float, A: HermOp, B: HermOp, grid: GridSpace) -> fl
     Hinv = np.linalg.inv(H.matrix)
     ainv = func_calc(A, lambda x: 1.0 / x)
     binv = func_calc(B, lambda x: 1.0 / x)
-    return op_norm(Hinv - zk_contraction(t, ainv, binv, grid))
+    return op_norm(Hinv - zk_path(ainv, binv, grid)(t))
 
 
 def default_compact_factor(dim: int) -> HermOp:
@@ -332,11 +327,6 @@ def log_path(u: np.ndarray) -> Callable[[float], np.ndarray]:
         return (Q * np.exp(1j * t * args)) @ adjoint(Q)
 
     return at
-
-
-def unitary_log_retraction(t: float, u: np.ndarray) -> np.ndarray:
-    """The log retraction at one t: ``log_path(u)(t)``."""
-    return log_path(u)(t)
 
 
 def discretization_tolerance(n: int, modes: int = SMOOTH_MODES) -> float:

@@ -10,20 +10,20 @@ Plain complex ndarrays are the working representation of bounded operators.
 Both hand out the same API, so no other module reads the storage:
 ``eigenvalues`` and ``eigenvectors`` (memoized), ``lowest_eigenvalue()``,
 ``eigenvector(k)``, ``spectrum(lo, hi)`` (a closed window's eigenvalues and
-the global index of the first), ``norm()``, ``is_zero()``, ``T - S``, ``T @ x``,
-``shifted(z)`` (LU factors of T - z, for solves with it and its adjoint) and
+the global index of the first), ``norm()``, ``T - S``, ``T @ x``,
+``resolvent()`` (LU factors of T + i, for solves with it and its adjoint) and
 ``cayley_phase()`` (arg det of the Cayley transform).
 A banded operator solves only what is asked (LAPACK ``stebz``: its own count
 for a window's index, bisection for the window or one eigenvalue, ``stein``
 for its vector; the tridiagonal solver for all eigenpairs, ``gttrf`` for
-T - z), applies its three-term product and subtracts on its bands; a dense
+T + i), applies its three-term product and subtracts on its bands; a dense
 one slices its full spectrum and factors with ``getrf``.  On top of these
 live the spectral functional calculus and the operator norm, which
 everything else in the package is built from.
 
 scipy loads on first use, not at import: importing ``scipy.linalg`` takes
 0.13-0.16 s on a 2-vCPU host, and dense work needs only ``numpy.linalg``.  Each
-banded solve and each ``shifted`` factor imports ``scipy.linalg`` in the
+banded solve and each ``resolvent`` factor imports ``scipy.linalg`` in the
 function and calls its LAPACK wrappers as ``scipy.linalg.lapack.dstebz`` and
 so on; once loaded, the import statement is a dictionary lookup, and a
 wrapper patched on ``scipy.linalg.lapack`` is the one called.  The cached
@@ -39,7 +39,6 @@ straight after a BLAS call in the other can run twice as slow.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from typing import Callable, Union
@@ -145,30 +144,29 @@ def _tridiagonal_pair(d, e, k: int, vector: bool = False) -> tuple[float, np.nda
 
 
 class ShiftedFactor:
-    """LU factors of T - z for a Hermitian T, built once by ``HermOp.shifted``.
+    """LU factors of T + i for a Hermitian T, built once by ``HermOp.resolvent``.
 
     Bands of dim >= MIN_FACTOR_DIM are factored by LAPACK ``gttrf``, so each
     ``solve`` is one O(n) ``gttrs`` sweep; a dense or smaller operator by
-    ``getrf``.  Since T is Hermitian, (T - z)* = T - conj(z), so the adjoint
-    solve serves both shifts of a conjugate pair.
+    ``getrf``.  The adjoint solve is the solve with (T + i)* = T - i.
     """
 
     __slots__ = ("_lu", "_trs", "_trans")
 
-    def __init__(self, op: HermOp, z: complex):
+    def __init__(self, op: HermOp):
         from scipy.linalg import lapack
         if op.bands is not None and op.dim >= MIN_FACTOR_DIM:
             off = op.bands[1].astype(complex)
-            *self._lu, info = lapack.zgttrf(off, op.bands[0] - z, off)
+            *self._lu, info = lapack.zgttrf(off, op.bands[0] + 1j, off)
             name, self._trs, self._trans = "zgttrf", lapack.zgttrs, ("N", "C")
         else:
-            *self._lu, info = lapack.zgetrf(op.matrix - z * np.eye(op.dim), overwrite_a=True)
+            *self._lu, info = lapack.zgetrf(op.matrix + 1j * np.eye(op.dim), overwrite_a=True)
             name, self._trs, self._trans = "zgetrf", lapack.zgetrs, (0, 2)
-        if info != 0:  # an exactly zero pivot: z is an eigenvalue in floating point
-            raise DegeneracyError(f"T - ({z}) of dim {op.dim} is singular: {name} info = {info}")
+        if info != 0:  # an exactly zero pivot, as LAPACK reports it
+            raise DegeneracyError(f"T + i of dim {op.dim} is singular: {name} info = {info}")
 
     def solve(self, x, adjoint: bool = False) -> np.ndarray:
-        """(T - z)^-1 x, or (T - z)^-* x when ``adjoint``; x is a vector or a block of columns."""
+        """(T + i)^-1 x, or (T - i)^-1 x when ``adjoint``; x is a vector or a block of columns."""
         b = np.asarray(x, dtype=complex)
         y, info = self._trs(*self._lu, b.reshape(b.shape[0], -1), trans=self._trans[adjoint])
         if info != 0:
@@ -318,17 +316,9 @@ class HermOp:
             return self.eigenvectors[:, k]
         return _tridiagonal_pair(*self.bands, k, vector=True)[1]
 
-    def shifted(self, z: complex) -> ShiftedFactor:
-        """The LU factors of T - z, for solves with T - z and its adjoint.
-
-        For Hermitian T and non-real z, T - z is never singular:
-        |lambda - z| >= |Im z| for every eigenvalue.  A real z at an
-        eigenvalue raises ``DegeneracyError``.
-        """
-        z = complex(z)
-        if not cmath.isfinite(z):
-            raise ValidationError(f"shift {z} is not finite")
-        return ShiftedFactor(self, z)
+    def resolvent(self) -> ShiftedFactor:
+        """LU factors of T + i, for solves with it and its adjoint T - i; |lambda + i| >= 1 keeps it regular."""
+        return ShiftedFactor(self)
 
     def cayley_phase(self) -> float:
         """arg det kappa(T) in [-pi, pi], for the Cayley transform kappa(T) = (T - i)(T + i)^-1.
@@ -342,17 +332,16 @@ class HermOp:
         if self.bands is None:
             phase = -2.0 * float(np.sum(np.arctan2(1.0, self.eigenvalues)))
         else:
-            phase = -2.0 * self.shifted(-1j).diagonal_phase()
+            phase = -2.0 * self.resolvent().diagonal_phase()
         return math.remainder(phase, 2.0 * math.pi)
 
     def norm(self) -> float:
         """The operator norm max |lambda|, from the two extreme eigenvalues alone."""
         return max(-self._eigenvalue(0), self._eigenvalue(self.dim - 1))
 
-    def is_zero(self) -> bool:
-        """True iff every stored entry is zero; nothing is solved."""
-        stored = self.bands if self.bands is not None else (self._matrix,)
-        return not any(a.any() for a in stored)
+    def _max_entry(self) -> float:
+        """max |T_ij|, read off the stored entries: a banded operator's bands, never its matrix."""
+        return max(float(np.abs(a).max(initial=0.0)) for a in self.bands or (self._matrix,))
 
     def __sub__(self, other: "HermOp") -> "HermOp":
         """The difference T - S, banded when both operands are."""

@@ -15,15 +15,15 @@ Cayley transform, and the second resolvent identity (Kato, I 5 and IV 2) gives
 
 The product subtracts nothing but the stored B - A, so close operators keep
 their digits.  Far ones lose digits in proportion to ||B - A|| (the solve with
-A + i returns the gap from a right-hand side of that size); only a gap read
-above 1 + PROJECTION_ATOL raises.  Every pair of ``HermOp``s, dense, banded or
-mixed, is evaluated the same way: the largest singular value by our own
-Lanczos, which stops at the first converged step (``_resolvent_gap``), each
-step four solves with one ``HermOp.shifted`` factor per operand around
-``B - A`` and one top Ritz pair straight from LAPACK ``stebz`` and ``stein``.
-Storage stays inside ``linalg``: banded operands solve in O(n) and never form
-a dense matrix or eigenvectors.  Anything else takes the graph projections on
-the doubled space.
+A + i returns the gap from a right-hand side of that size): a gap above
+1 + PROJECTION_ATOL raises, and so does one below eps max |(B - A)_ij|, which
+has no certified digit.  Every pair of ``HermOp``s, dense, banded or mixed, is
+evaluated the same way: the largest singular value by our own Lanczos, which
+stops at the first converged step (``_resolvent_gap``), each step four solves
+with one ``HermOp.resolvent`` factor per operand around ``B - A`` and one top
+Ritz pair straight from LAPACK ``stebz`` and ``stein``.  Storage stays inside
+``linalg``: banded operands solve in O(n) and never form a dense matrix or
+eigenvectors.  Anything else takes the graph projections on the doubled space.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def riesz_dist(A: MatrixLike, B: MatrixLike) -> float:
     return op_norm(bounded_transform(A) - bounded_transform(B))
 
 
-def _resolvent_gap(A: HermOp, B: HermOp) -> float:
-    """||(A + i)^-1 (B - A) (B + i)^-1|| by Lanczos on M = R*R, R the product.
+def _resolvent_gap(A: HermOp, B: HermOp, D: HermOp) -> float:
+    """||(A + i)^-1 D (B + i)^-1||, D = B - A, by Lanczos on M = R*R, R the product.
 
     Step k applies M once (four solves, two applies of B - A), orthogonalizes
     against every earlier Lanczos vector in two classical Gram-Schmidt passes
@@ -73,10 +73,8 @@ def _resolvent_gap(A: HermOp, B: HermOp) -> float:
     Overflow raises ``ConditioningError``.  The start vector is fixed, so the
     result is reproducible to the bit.
     """
-    n, D = A.dim, B - A
-    if D.is_zero():
-        return 0.0
-    fa, fb = A.shifted(-1j), B.shifted(-1j)
+    n = A.dim
+    fa, fb = A.resolvent(), B.resolvent()
     Q = np.empty((min(n, 16), n), dtype=complex)  # row j: the j-th Lanczos vector
     v = np.random.default_rng(0).standard_normal(n)
     Q[0] = v / np.linalg.norm(v)
@@ -118,14 +116,24 @@ def gap_dist(A: MatrixLike, B: MatrixLike) -> float:
     """Operator-norm distance of the graph projections; always <= 1.
 
     A ``HermOp`` pair of any storage evaluates ||(A + i)^-1 (B - A) (B + i)^-1||
-    (``_resolvent_gap``) and raises ``ConditioningError`` above
-    1 + PROJECTION_ATOL, a far pair; anything else takes the doubled space.
+    (``_resolvent_gap``); anything else takes the doubled space.  A pair
+    raises ``ConditioningError`` above 1 + PROJECTION_ATOL (a far pair) and
+    below eps m, m = max |(B - A)_ij| <= ||B - A||: the resolvent norms are
+    <= 1, so the product errs by O(eps ||B - A||) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3) and below eps m no digit is
+    certified.  The factor 1 still keeps Robin [1 : 1e-8] against Dirichlet
+    at n = 400 (gap / (eps m) = 31, relative error 7e-11).
     """
     _check_dims(A, B)
     if isinstance(A, HermOp) and isinstance(B, HermOp):  # no doubled space needed
-        gap = _resolvent_gap(A, B)
+        D = B - A
+        gap = _resolvent_gap(A, B, D)
         if not gap <= 1.0 + PROJECTION_ATOL:  # also catches NaN
             raise ConditioningError(f"gap {gap!r} exceeds 1: a far pair lost its digits")
+        m = D._max_entry()
+        if gap < FLOAT_EPS * m:  # strict, so an equal pair (m = 0) returns 0
+            raise ConditioningError(f"gap {gap:.3e} has no certified digit: below eps m, "
+                                    f"m = max |(B - A)_ij| = {m:.3e}, at dim {A.dim}")
         return gap
     return op_norm(graph_projection(A).matrix - graph_projection(B).matrix)
 

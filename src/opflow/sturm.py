@@ -54,7 +54,7 @@ class ProjectivePoint:
         if r == 0.0 or not math.isfinite(r):
             raise ValidationError("projective point needs a finite nonzero representative")
         x0, x1 = self.x0 / r, self.x1 / r
-        if x0 < 0.0 or (x0 == 0.0 and x1 < 0.0):
+        if x0 < 0.0:
             x0, x1 = -x0, -x1
         if abs(x0) < 1e-15:
             x0, x1 = 0.0, 1.0
@@ -243,7 +243,16 @@ def eigenfunction_concentration(
 
 
 def dichotomy_sweep(x1s, n: int) -> list[tuple[float, float]]:
-    """``dichotomy_row`` for each of ``x1s``; one Dirichlet operator, checked once, serves every row."""
+    """Per x1: a certified lower bound on the transform distance to Dirichlet, and the gap.
+
+    The bound is max(0, -min eig of the bounded transform at [1:x1]), that is
+    -lambda / hypot(1, lambda), which reads 1 even where lambda^2 overflows.
+    It holds because the Dirichlet operator, assembled once per sweep, is
+    verified positive, so sorted-eigenvalue pairing forces the transform
+    distance above it.  Both lowest eigenvalues come from index-selected
+    bisection (``stebz``).  The gap ||(A + i)^-1 (B - A) (B + i)^-1|| runs
+    Lanczos on one tridiagonal factor per operand (see ``metrics``).
+    """
     dirichlet = assemble_robin_operator(ProjectivePoint(1.0, 0.0), n).matrix
     if dirichlet.lowest_eigenvalue() <= 0.0:  # pragma: no cover
         raise ValidationError("Dirichlet comparison operator is not positive")
@@ -253,22 +262,6 @@ def dichotomy_sweep(x1s, n: int) -> list[tuple[float, float]]:
         lam0 = robin.lowest_eigenvalue()
         rows.append((max(0.0, -lam0 / math.hypot(1.0, lam0)), gap_dist(robin, dirichlet)))
     return rows
-
-
-def dichotomy_row(x1: float, n: int) -> tuple[float, float]:
-    """Certified transform-distance lower bound and graph distance to Dirichlet.
-
-    The lower bound is max(0, -min eig of the bounded transform at [1:x1]),
-    that is -lambda / hypot(1, lambda), which reads 1 even where lambda^2
-    overflows; it is valid because the Dirichlet comparison operator is
-    verified positive (once per sweep: this is a one-row ``dichotomy_sweep``),
-    so sorted-eigenvalue pairing already forces the transform distance above
-    it.  Both lowest eigenvalues come from index-selected bisection
-    (``stebz``), not a full spectrum.  The graph distance is
-    ||(A + i)^-1 (B - A) (B + i)^-1||; both operators are banded, so its
-    Lanczos runs on one tridiagonal factor each (see ``metrics``).
-    """
-    return dichotomy_sweep([x1], n)[0]
 
 
 def robin_generator(n: int):

@@ -18,13 +18,13 @@ from opflow.homotopy import (
     default_compact_factor,
     compactify_homotopy,
     discretization_tolerance,
+    log_path,
     odd_retraction_defect,
     rk_contraction,
     shrink_isometry,
     stretch_isometry,
-    unitary_log_retraction,
-    zk_contraction,
     zk_injectivity_margin,
+    zk_path,
 )
 from opflow.linalg import HermOp
 from opflow.specflow import OperatorPath, spectral_flow
@@ -32,7 +32,7 @@ from opflow.sturm import (
     ProjectivePoint,
     analytic_eigenvalues,
     assemble_robin_operator,
-    dichotomy_row,
+    dichotomy_sweep,
     negative_eigenvalue_root,
     robin_generator,
     spectral_graph,
@@ -115,7 +115,7 @@ def test_criterion_4_negative_branch_oracle():
 
 
 def test_criterion_5_riesz_gap_dichotomy():
-    riesz_lower, gap = dichotomy_row(1e-4, 400)
+    [(riesz_lower, gap)] = dichotomy_sweep([1e-4], 400)
     ok = riesz_lower >= 0.9 and gap <= 0.2
     report("5 transform/graph distance dichotomy", ok,
            f"certified transform-distance lower bound {riesz_lower:.4f} (>=0.9), "
@@ -151,15 +151,16 @@ def test_criterion_8_homotopy_suite():
     k = default_compact_factor(n)
     u = np.eye(n, dtype=complex)
 
+    zk = zk_path(a, b, grid)
     endpoints = (
-        np.array_equal(zk_contraction(0.0, a, b, grid), a)
-        and np.array_equal(zk_contraction(1.0, a, b, grid), b)
+        np.array_equal(zk(0.0), a)
+        and np.array_equal(zk(1.0), b)
         and rk_contraction(0.0, A, B, grid) is A
         and rk_contraction(1.0, A, B, grid) is B
         and compactify_homotopy(0.0, A, k) is A
         and np.array_equal(shrink_isometry(1.0, grid), np.eye(n))
         and np.array_equal(stretch_isometry(0.0, grid), np.eye(n))
-        and np.array_equal(unitary_log_retraction(0.0, u), np.eye(n, dtype=complex))
+        and np.array_equal(log_path(u)(0.0), np.eye(n, dtype=complex))
     )
     margin = zk_injectivity_margin(128, seed=0)
     odd_defect = odd_retraction_defect(64, seed=0)

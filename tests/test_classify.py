@@ -42,6 +42,10 @@ class TestSymmetricTuple:
         with pytest.raises(ValidationError, match="ascending"):
             SymmetricTuple((1.0, -1.0))
 
+    def test_repeated_point_rejected(self):
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            SymmetricTuple((-1.0, -1.0, 1.0, 1.0))
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             SymmetricTuple(())
@@ -50,6 +54,11 @@ class TestSymmetricTuple:
         tau = SymmetricTuple.from_positive([1.0, 2.0])
         sig = SymmetricTuple.from_positive([1.5])
         assert tau.union(sig).points == (-2.0, -1.5, -1.0, 1.0, 1.5, 2.0)
+
+    @pytest.mark.parametrize("positive", [[0.0, 1.0], [1.0, -2.0]])
+    def test_from_positive_rejects_a_non_positive_point(self, positive):
+        with pytest.raises(ValidationError, match="strictly positive"):
+            SymmetricTuple.from_positive(positive)
 
 
 class TestWindowProjection:
@@ -84,6 +93,11 @@ class TestWindowProjection:
         with pytest.raises(ValidationError, match=r"empty window \[%r, %r\]" % (lo, hi)):
             window_projection(herm([-2.0, 0.0, 3.0]), lo, hi)
 
+    def test_edges_are_measured_from_each_side(self):
+        """A point window selects nothing, and an eigenvalue at -lo is no collision."""
+        np.testing.assert_array_equal(window_projection(herm([-2.0, 3.0]), 1.0, 1.0), np.zeros((2, 2)))
+        np.testing.assert_array_equal(window_projection(herm([0.5, 3.0]), -0.5, 2.0), np.diag([1.0, 0.0]))
+
     def test_infinite_edges(self):
         A = herm([-2.0, 0.0, 3.0])
         np.testing.assert_array_equal(window_projection(A, -np.inf, np.inf), np.eye(3))
@@ -105,6 +119,9 @@ class TestCoveringMembership:
     def test_rejects_close(self):
         tau = SymmetricTuple((-0.5, 0.5))
         assert not covering_membership(herm([0.5]), tau, gap=0.1)
+
+    def test_distance_equal_to_the_gap_is_enough(self):
+        assert covering_membership(herm([2.0]), SymmetricTuple((-1.0, 1.0)), gap=1.0)
 
     def test_gap_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -181,6 +198,13 @@ class TestDensitySurgery:
         with pytest.raises(SurgeryViolationError):
             density_surgery(herm([-5.0, 1.0, 7.0]), 2.0, herm([1.5, 6.0]))
 
+    def test_replacement_on_the_window_edge_rejected(self):
+        with pytest.raises(SurgeryViolationError, match=r"enters \[-2.0, 2.0\]"):
+            density_surgery(herm([-5.0, 1.0, 7.0]), 2.0, herm([2.0, 6.0]))
+
+    def test_arc_radius_is_the_cayley_chord_to_one(self):
+        assert classify.cayley_arc_radius(1.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="dim"):
             density_surgery(herm([-5.0, 1.0, 7.0]), 2.0, herm([6.0]))
@@ -231,6 +255,10 @@ class TestDensitySurgery:
     def test_eps_outside_the_range_rejected(self, eps):
         with pytest.raises(ValidationError, match=f"eps = {eps!r}"):
             surgery_bound_trials([0.5, eps], instances=1)
+
+    def test_smallest_eps_accepted(self):
+        [record] = surgery_bound_trials([classify.EPS_MIN], instances=1)
+        assert record["eps"] == 1e-12 and record["holds"]
 
     def test_every_eps_checked_before_the_first_trial(self, monkeypatch):
         def refuse(*args, **kwargs):

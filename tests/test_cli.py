@@ -238,6 +238,9 @@ class TestConfig:
     pytest.param(["surgery", "--instances", "1", "--eps", "1e-300"], None, id="surgery-eps-1e-300"),
     pytest.param(["surgery", "--instances", "100", "--eps", "1e-15"], None,
                  id="surgery-eps-below-rounding-floor"),
+    pytest.param(["specflow", "--samples", "1"], None, id="specflow-samples-1"),
+    pytest.param(["dichotomy", "--points", "1"], None, id="dichotomy-points-1"),
+    pytest.param(["surgery", "--instances", "0"], None, id="surgery-instances-0"),
 ])
 def test_bad_value_is_usage_error(tmp_path, argv, preset):
     if preset is not None:
@@ -254,6 +257,17 @@ def test_far_pair_is_a_threshold_failure(tmp_path, capsys):
             "--x1-max", "1e-20", "--out", str(tmp_path)]
     assert main(argv) == 1
     assert "exceeds 1" in capsys.readouterr().err
+    assert not (tmp_path / "dichotomy.csv").exists()
+
+
+def test_gap_without_a_certified_digit_is_a_threshold_failure(tmp_path, capsys):
+    """Rows at x1 = 1e-16 and 1e-12 read a gap below 1 that is below eps max |(B - A)_ij|."""
+    argv = ["dichotomy", "--grid", "400", "--points", "2", "--x1-min", "1e-16",
+            "--x1-max", "1e-12", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("dichotomy: gap ") and "no certified digit" in err and "dim 400" in err
     assert not (tmp_path / "dichotomy.csv").exists()
 
 

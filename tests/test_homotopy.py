@@ -22,8 +22,6 @@ from opflow.homotopy import (
     shrink_isometry,
     smooth_band,
     stretch_isometry,
-    unitary_log_retraction,
-    zk_contraction,
     zk_injectivity_margin,
     zk_path,
 )
@@ -111,8 +109,9 @@ class TestZkContraction:
         rng = np.random.default_rng(1)
         a = compact_injective_sample(rng, 32)
         b = compact_injective_sample(rng, 32)
-        assert np.array_equal(zk_contraction(0.0, a, b, g), a)
-        assert np.array_equal(zk_contraction(1.0, a, b, g), b)
+        path = zk_path(a, b, g)
+        assert np.array_equal(path(0.0), a)
+        assert np.array_equal(path(1.0), b)
 
     def test_injectivity_preserved_positive_profile(self):
         assert zk_injectivity_margin(128, seed=0) > 1e-8
@@ -122,8 +121,8 @@ class TestZkContraction:
         g = GridSpace.make(128)
         a = compact_injective_sample(rng, 128, mixed_signs=True)
         b = compact_injective_sample(rng, 128, mixed_signs=True)
-        mins = [np.linalg.svd(zk_contraction(t, a, b, g), compute_uv=False)[-1]
-                for t in T_SAMPLES]
+        path = zk_path(a, b, g)
+        mins = [np.linalg.svd(path(t), compute_uv=False)[-1] for t in T_SAMPLES]
         assert min(mins) > 1e-8
 
     def test_operands_checked_once_per_path(self, monkeypatch):
@@ -153,7 +152,7 @@ class TestZkContraction:
         rng = np.random.default_rng(6)
         a = HermOp(compact_injective_sample(rng, 32))
         b = HermOp(compact_injective_sample(rng, 32))
-        assert isinstance(zk_contraction(0.5, a, b, GridSpace.make(32)), np.ndarray)
+        assert isinstance(zk_path(a, b, GridSpace.make(32))(0.5), np.ndarray)
         assert calls == [HermOp, HermOp]
 
     @pytest.mark.parametrize("t", [-0.1, 1.5])
@@ -161,12 +160,12 @@ class TestZkContraction:
         g = GridSpace.make(16)
         a = compact_injective_sample(np.random.default_rng(3), 16)
         with pytest.raises(ValidationError, match="t must be"):
-            zk_contraction(t, a, a, g)
+            zk_path(a, a, g)(t)
 
     def test_operand_off_the_grid_rejected(self):
         a = compact_injective_sample(np.random.default_rng(4), 16)
         with pytest.raises(ValidationError, match="grid space"):
-            zk_contraction(0.5, a, a, GridSpace.make(32))
+            zk_path(a, a, GridSpace.make(32))(0.5)
 
     def test_degenerate_input_rejected(self):
         g = GridSpace.make(32)
@@ -174,7 +173,7 @@ class TestZkContraction:
         a = compact_injective_sample(rng, 32)
         singular = np.zeros((32, 32), dtype=complex)
         with pytest.raises(DegeneracyError):
-            zk_contraction(0.5, singular, a, g)
+            zk_path(singular, a, g)(0.5)
 
     def test_band_limited_continuity(self):
         """Adjacent steps differ by at most L dt + delta(n) on the smooth band."""
@@ -220,6 +219,24 @@ class TestRkContraction:
         A = smooth_spd(512)
         B = HermOp(smooth_spd(512, 0.3).matrix + 0.5 * np.eye(512))
         assert inversion_consistency(0.5, A, B, g) < 0.1
+
+
+class TestOperandChecks:
+    def test_grid_needs_two_cells(self):
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            GridSpace.make(1)
+
+    def test_rk_operands_off_the_grid_rejected(self):
+        with pytest.raises(ValidationError, match="grid space"):
+            rk_contraction(0.5, smooth_spd(16), smooth_spd(16), GridSpace.make(32))
+
+    def test_compactify_dimension_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="dimension mismatch: 3 vs 2"):
+            compactify_homotopy(0.5, HermOp(np.eye(3)), default_compact_factor(2))
+
+    def test_odd_retraction_needs_an_even_dim(self):
+        with pytest.raises(ValidationError, match="even-dim"):
+            odd_retraction_defect(15)
 
 
 class TestCompactify:
@@ -273,49 +290,53 @@ class TestLogRetraction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"entry \(%d, %d\) is not finite" % entry):
-                unitary_log_retraction(0.5, u)
+                log_path(u)(0.5)
 
     def test_endpoints(self):
         u = cayley(HermOp(np.diag([1.0, -2.0])))
-        assert np.array_equal(unitary_log_retraction(0.0, u), np.eye(2, dtype=complex))
-        assert np.array_equal(unitary_log_retraction(1.0, u), u)
+        path = log_path(u)
+        assert np.array_equal(path(0.0), np.eye(2, dtype=complex))
+        assert np.array_equal(path(1.0), u)
 
     def test_scalar_angle_halving(self):
         u = np.array([[np.exp(1j * np.pi / 2)]])
-        h = unitary_log_retraction(0.5, u)
+        h = log_path(u)(0.5)
         assert abs(h[0, 0] - np.exp(1j * np.pi / 4)) < 1e-12
 
     def test_argument_linearity(self):
         rng = np.random.default_rng(4)
         H = HermOp(np.diag(rng.uniform(-2.5, 2.5, 6)))
         u = func_calc(H, lambda x: np.exp(1j * x))
+        path = log_path(u)
         for t in (0.25, 0.5, 0.75):
-            h = unitary_log_retraction(t, u)
+            h = path(t)
             got = np.sort(np.angle(np.linalg.eigvals(h)))
             expected = np.sort(t * np.angle(np.linalg.eigvals(u)))
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_branch_cut_rejected(self):
         with pytest.raises(BranchCutError):
-            unitary_log_retraction(0.5, np.diag([-1.0, 1.0]).astype(complex))
+            log_path(np.diag([-1.0, 1.0]).astype(complex))(0.5)
 
     def test_endpoints_exact_on_the_branch_cut(self):
         u = np.diag([-1.0, 1.0]).astype(complex)
-        assert np.array_equal(unitary_log_retraction(0.0, u), np.eye(2, dtype=complex))
-        assert np.array_equal(unitary_log_retraction(1.0, u), u)
+        path = log_path(u)
+        assert np.array_equal(path(0.0), np.eye(2, dtype=complex))
+        assert np.array_equal(path(1.0), u)
         with pytest.raises(BranchCutError):
-            unitary_log_retraction(0.5, u)
+            log_path(u)(0.5)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError, match="unitary"):
-            unitary_log_retraction(0.5, 2.0 * np.eye(2))
+            log_path(2.0 * np.eye(2))(0.5)
 
     def test_stays_unitary(self):
         rng = np.random.default_rng(5)
         H = HermOp(np.diag(rng.uniform(-2.0, 2.0, 8)))
         u = func_calc(H, lambda x: np.exp(1j * x))
+        path = log_path(u)
         for t in (0.1, 0.6, 0.9):
-            h = unitary_log_retraction(t, u)
+            h = path(t)
             assert op_norm(adjoint(h) @ h - np.eye(8)) < 1e-12
 
     def test_preserves_odd_unitaries(self):
@@ -349,7 +370,8 @@ class TestLogRetraction:
     def test_lipschitz_in_t(self):
         u = cayley(HermOp(np.diag(np.linspace(-3.0, 3.0, 8))))
         ts = np.linspace(0.0, 1.0, 33)
-        hs = [unitary_log_retraction(t, u) for t in ts]
+        path = log_path(u)
+        hs = [path(t) for t in ts]
         L = np.pi + 0.1  # ||log u|| is at most pi off the branch point
         for h1, h2 in zip(hs, hs[1:]):
             assert op_norm(h2 - h1) <= L * (ts[1] - ts[0])
@@ -375,7 +397,7 @@ class TestCayleyPreimage:
         exact = (Q * np.exp(1j * t * phi)) @ adjoint(Q)
         T, Z = scipy.linalg.schur(u, output="complex")
         schur_ref = (Z * np.exp(1j * t * np.angle(np.diag(T)))) @ adjoint(Z)
-        err = op_norm(unitary_log_retraction(t, u) - exact)
+        err = op_norm(log_path(u)(t) - exact)
         assert err <= 1e-14 / delta
         assert err <= 10.0 * op_norm(schur_ref - exact)
 
@@ -383,11 +405,12 @@ class TestCayleyPreimage:
         Q, phi, _ = _near_cut_unitary(1e-2, n=16, seed=1)
         phi[0] = np.pi
         u = (Q * np.exp(1j * phi)) @ adjoint(Q)
-        assert np.array_equal(unitary_log_retraction(0.0, u), np.eye(16, dtype=complex))
-        assert np.array_equal(unitary_log_retraction(1.0, u), u)
+        path = log_path(u)
+        assert np.array_equal(path(0.0), np.eye(16, dtype=complex))
+        assert np.array_equal(path(1.0), u)
         for t in (0.25, 0.5):
             with pytest.raises(BranchCutError):
-                unitary_log_retraction(t, u)
+                path(t)
 
 
 def _loop_isometry(start, length, n):
@@ -444,7 +467,7 @@ class TestIsometryBuilder:
         b = compact_injective_sample(rng, n)
         U, W = shrink_isometry(t, g), stretch_isometry(t, g)
         dense = t * (U @ a @ U.T) + (1.0 - t) * (W @ b @ W.T)
-        assert op_norm(zk_contraction(t, a, b, g) - dense) <= 1e-15
+        assert op_norm(zk_path(a, b, g)(t) - dense) <= 1e-15
         H = zk_path(HermOp(a), HermOp(b), g)(t)
         assert isinstance(H, np.ndarray)
         assert op_norm(H - dense) <= 1e-15

@@ -322,16 +322,50 @@ class TestResolventGap:
         """n = 400; ``exact`` is ||(A + i)^-1 - (B + i)^-1||, the difference form."""
         assert gap_dist(*robin_dirichlet(x1, 400)) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="item 11's bordered route")
-    def test_silent_far_pair_on_one_grid(self):
-        """Robin [1 : 1e-50] against [1 : -1e-50] at n = 40 differ only in d[-1] (by 1.6e52).
+    @staticmethod
+    def silent_far_pair():
+        """Robin [1 : 1e-50] against [1 : -1e-50] at n = 40: they differ only in d[-1], by 1.6e52."""
+        return [assemble_robin_operator(ProjectivePoint(1.0, x1), 40).matrix for x1 in (1e-50, -1e-50)]
 
-        The exact gap |delta| ||(A + i)^-1 e_n|| ||(B - i)^-1 e_n|| = 6.6268e-51,
-        from the two resolvent columns solved with mpmath at 120 digits.
-        ``gap_dist`` returns 7.0e-20 and, that being below 1, raises nothing.
+    def test_silent_far_pair_on_one_grid(self):
+        """The product form reads 7.0e-20 here, below 1, so only the certified-digit test sees it.
+
+        gap / (eps max |(B - A)_ij|) is 2.0e-56: not one digit is certified.
         """
-        A, B = (assemble_robin_operator(ProjectivePoint(1.0, x1), 40).matrix for x1 in (1e-50, -1e-50))
-        assert gap_dist(A, B) == pytest.approx(6.6268456268641994317e-51, rel=1e-9, abs=0.0)
+        with pytest.raises(ConditioningError, match=r"gap 7\.04\de-20 has no certified digit: .* "
+                                                     r"max \|\(B - A\)_ij\| = 1\.600e\+52, at dim 40"):
+            gap_dist(*self.silent_far_pair())
+
+    @pytest.mark.xfail(strict=True, raises=ConditioningError, reason="item 11")
+    def test_silent_far_pair_exact_value(self):
+        """The exact gap |delta| ||(A + i)^-1 e_n|| ||(B - i)^-1 e_n|| = 6.6268e-51,
+        from the two resolvent columns solved with mpmath at 120 digits."""
+        assert gap_dist(*self.silent_far_pair()) == pytest.approx(6.6268456268641994317e-51,
+                                                                   rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("x1", [1e-12, 1e-16, 1e-20])
+    def test_gaps_without_a_certified_digit_raise(self, x1):
+        """Robin [1 : x1] against Dirichlet at n = 400: gap / (eps m) is 3.1e-3, 3.2e-7 and 1.8e-10."""
+        with pytest.raises(ConditioningError, match=r"no certified digit: .* at dim 400"):
+            gap_dist(*robin_dirichlet(x1, 400))
+
+    def test_a_gap_with_few_certified_digits_is_kept(self):
+        """At x1 = 1e-8, gap / (eps m) = 31, and the value's relative error is 7.2e-11."""
+        robin, dirichlet = robin_dirichlet(1e-8, 400)
+        m = (dirichlet - robin)._max_entry()
+        assert 1.0 < gap_dist(robin, dirichlet) / (np.finfo(float).eps * m) < 100.0
+
+    def test_equal_operators_stop_at_the_first_step(self, monkeypatch):
+        """B - A = 0 gives R v_1 = 0, so step 1 reads theta = 0 and stops: no Ritz pair, no eigensolve."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(metrics, "_tridiagonal_pair", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        robin, _ = robin_dirichlet(0.05, 50)
+        dense = random_hermitian(np.random.default_rng(3), 7, 3.0)
+        for A, B in ((robin, robin_dirichlet(0.05, 50)[0]), (dense, HermOp(dense.matrix))):
+            assert gap_dist(A, B) == 0.0
 
     def test_no_dense_matrix_and_no_eigenvectors(self, monkeypatch):
         def refuse(*args, **kwargs):

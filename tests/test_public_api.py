@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "covering_membership",
     "default_compact_factor",
     "density_surgery",
-    "dichotomy_row",
     "dichotomy_sweep",
     "discretization_tolerance",
     "eigenfunction_concentration",
@@ -76,11 +75,9 @@ PUBLIC_NAMES = [
     "sturm",
     "surgery_bound_trials",
     "transforms",
-    "unitary_log_retraction",
     "vertical_projection",
     "weyl_gap",
     "window_projection",
-    "zk_contraction",
     "zk_path",
 ]
 

@@ -44,6 +44,21 @@ class TestOperatorPath:
         with pytest.raises(ValidationError, match="closed"):
             OperatorPath(np.array([0.0, 1.0]), ops, lambda t: ops[0], closed=True)
 
+    @pytest.mark.parametrize("thetas", [[0.0], [[0.0, 1.0]]])
+    def test_requires_two_samples_on_one_axis(self, thetas):
+        ops = (HermOp(np.eye(2)),) * 2
+        with pytest.raises(ValidationError, match="at least two samples"):
+            OperatorPath(np.array(thetas), ops, lambda t: ops[0])
+
+    def test_requires_one_operator_per_sample(self):
+        ops = (HermOp(np.eye(2)),) * 2
+        with pytest.raises(ValidationError, match="one operator per sample"):
+            OperatorPath(np.array([0.0, 0.5, 1.0]), ops, lambda t: ops[0])
+
+    def test_sampling_needs_a_subinterval(self):
+        with pytest.raises(ValidationError, match="at least one subinterval"):
+            OperatorPath.sample(CROSS, 0.0, 1.0, 0)
+
     def test_requires_strictly_ascending(self):
         ops = (HermOp(np.eye(2)),) * 3
         with pytest.raises(ValidationError, match="strictly ascending"):
@@ -281,6 +296,23 @@ class TestConcat:
         concat(left, right(1e-6))
         with pytest.raises(ValidationError, match="junction"):
             concat(left, right(1e-3))
+
+    def test_refinement_in_either_half_calls_that_half_s_generator(self):
+        """Bisection on each side of the junction samples the generator of the path that owns it."""
+        calls = []
+
+        def tan_branch(side):
+            def gen(t):
+                calls.append((side, t))
+                return HermOp(np.diag([math.tan(4.0 * (t - 0.5)), 2.0]))
+            return gen
+
+        left = OperatorPath.sample(tan_branch("left"), 0.0, 0.25, 2)
+        right = OperatorPath.sample(tan_branch("right"), 0.25, 1.0, 3)
+        calls.clear()
+        assert spectral_flow(concat(left, right), window0=1.0, max_depth=20).flow == 1
+        assert {side for side, _ in calls} == {"left", "right"}
+        assert all((t <= 0.25) == (side == "left") for side, t in calls)
 
     def test_robin_loop_split_at_half(self):
         gen = robin_generator(200)

@@ -15,7 +15,6 @@ from opflow.sturm import (
     ProjectivePoint,
     analytic_eigenvalues,
     assemble_robin_operator,
-    dichotomy_row,
     dichotomy_sweep,
     eigenfunction_concentration,
     negative_eigenvalue_root,
@@ -53,6 +52,13 @@ class TestProjectivePoint:
     def test_zero_rejected(self):
         with pytest.raises(ValidationError):
             ProjectivePoint(0.0, 0.0)
+
+    def test_neumann_normalization_starts_below_1e_15(self):
+        """x0 = 1e-15 exactly is kept; anything below it, and x0 = -0.0, is the Neumann point (0, 1)."""
+        assert ProjectivePoint(1e-15, 1.0).x0 == 1e-15
+        for x0, x1 in ((5e-16, 1.0), (-5e-16, -1.0), (-0.0, -1.0), (0.0, -2.0)):
+            p = ProjectivePoint(x0, x1)
+            assert (p.x0, p.x1) == (0.0, 1.0) and math.copysign(1.0, p.x0) == 1.0
 
 
 class TestAssembly:
@@ -101,6 +107,15 @@ class TestAssembly:
 
 
 class TestOracle:
+    def test_bisection_returns_an_exact_zero_at_once(self):
+        assert sturm._bisect(lambda mu: mu - 1.0, 1.0, 2.0) == 1.0  # at the lower edge
+        assert sturm._bisect(lambda mu: mu - 1.5, 1.0, 2.0) == 1.5  # at the first midpoint
+        assert abs(sturm._bisect(lambda mu: mu - 2.0, 1.0, 2.0) - 2.0) <= 1e-11  # at the upper edge
+
+    def test_bisection_bracket_must_change_sign(self):
+        with pytest.raises(ValidationError, match=r"bracket \[1.0, 2.0\] does not change sign"):
+            sturm._bisect(lambda mu: mu, 1.0, 2.0)
+
     def test_dirichlet_ladder(self):
         evs = analytic_eigenvalues(DIRICHLET, 4)
         np.testing.assert_allclose(evs, [(k * math.pi) ** 2 for k in (1, 2, 3, 4)], rtol=1e-12)
@@ -127,6 +142,13 @@ class TestOracle:
         assert negative_eigenvalue_root(ProjectivePoint(1.0, 1.5)) is None
         assert negative_eigenvalue_root(ProjectivePoint(1.0, -0.2)) is None
         assert negative_eigenvalue_root(DIRICHLET) is None
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the bracket search stops at mu = 1e12 and returns None")
+    def test_negative_root_of_a_parameter_near_dirichlet(self):
+        """At [1 : 1e-13] the root is x0/x1 = 1e13 to rounding: tanh(mu) is 1 there."""
+        x = ProjectivePoint(1.0, 1e-13)
+        assert negative_eigenvalue_root(x) == pytest.approx(x.x0 / x.x1, rel=1e-12)
 
     def test_count_validation(self):
         with pytest.raises(ValidationError):
@@ -261,8 +283,7 @@ class TestConcentration:
 
 class TestDichotomy:
     def test_certificate_thresholds(self):
-        for x1 in (1e-2, 1e-3, 1e-4):
-            riesz_lower, gap = dichotomy_row(x1, 400)
+        for riesz_lower, gap in dichotomy_sweep([1e-2, 1e-3, 1e-4], 400):
             assert riesz_lower >= 0.9
         assert gap <= 0.2  # x1 = 1e-4 row
 
@@ -270,10 +291,10 @@ class TestDichotomy:
     def test_far_parameter_bound_is_one(self, monkeypatch, x1):
         """lambda_0 ~ -2n/x1 squared would overflow; the bound is still 1."""
         monkeypatch.setattr(sturm, "gap_dist", lambda A, B: 0.0)  # far pairs raise there
-        assert dichotomy_row(x1, 400) == (1.0, 0.0)
+        assert dichotomy_sweep([x1], 400) == [(1.0, 0.0)]
 
     def test_soft_parameter_has_weak_bound(self):
-        riesz_lower, _ = dichotomy_row(0.9, 400)
+        [(riesz_lower, _)] = dichotomy_sweep([0.9], 400)
         assert riesz_lower < 0.5
 
     def test_grid_convergence_of_the_dichotomy(self):
@@ -281,7 +302,7 @@ class TestDichotomy:
         gaps = []
         for n in (400, 1600, 10000):
             start = time.perf_counter()
-            riesz_lower, gap = dichotomy_row(1e-4, n)
+            [(riesz_lower, gap)] = dichotomy_sweep([1e-4], n)
             elapsed = time.perf_counter() - start
             assert riesz_lower >= 0.9
             gaps.append(gap)
@@ -291,7 +312,7 @@ class TestDichotomy:
     def test_sweep_checks_one_comparison_operator(self, monkeypatch):
         """One Dirichlet assembly and one read of its lowest eigenvalue for the whole sweep."""
         x1s = [1e-4, 1e-2, 0.9]
-        rows = [dichotomy_row(x1, 64) for x1 in x1s]
+        rows = [dichotomy_sweep([x1], 64)[0] for x1 in x1s]
         assembled, lowest = [], []
         assemble, read = sturm.assemble_robin_operator, sturm.HermOp.lowest_eigenvalue
 

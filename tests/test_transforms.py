@@ -137,6 +137,10 @@ class TestInverseBoundedTransform:
 
 
 class TestGraphProjection:
+    def test_odd_dim_is_not_a_doubled_space(self):
+        with pytest.raises(ValidationError, match="needs even dim, got 3"):
+            GraphProjection(np.eye(3))
+
     def test_zero_gives_horizontal(self):
         p = graph_projection(np.zeros((4, 4)))
         np.testing.assert_allclose(p.matrix, horizontal_projection(4).matrix, atol=1e-14)
