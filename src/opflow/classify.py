@@ -160,7 +160,7 @@ def density_surgery(A: HermOp, c: float, B: HermOp) -> HermOp:
     if k and float(np.min(np.abs(B.eigenvalues))) <= c:
         raise SurgeryViolationError(
             f"replacement spectrum enters [-{c}, {c}]: closest eigenvalue "
-            f"{B.eigenvalues[int(np.argmin(np.abs(B.eigenvalues)))]!r}"
+            f"{float(B.eigenvalues[int(np.argmin(np.abs(B.eigenvalues)))])!r}"
         )
     out = Vin @ (w[inside][:, None] * adjoint(Vin)) + Vout @ B.matrix @ adjoint(Vout)
     return HermOp(out)

@@ -128,13 +128,19 @@ def _tridiagonal_pair(d, e, k: int, vector: bool = False) -> tuple[float, np.nda
     """The k-th eigenvalue (from 0, ascending) of the real tridiagonal (d, e), and its unit vector if asked.
 
     Index-selected ``stebz`` (``abstol = 0``), then ``stein``: the calls and
-    ordering of scipy's ``eigh_tridiagonal(select="i")``, bit for bit.  A
-    nonzero ``info`` raises ``NonConvergenceError``.
+    ordering of scipy's ``eigh_tridiagonal(select="i")``, bit for bit.  On a
+    split band the index range can fail (``info`` = 2) where scipy raises;
+    as the LAPACK documentation advises, it is then recomputed with every
+    eigenvalue and the k-th picked.  A ``stebz`` that fails that way too, or a
+    failed ``stein``, raises ``NonConvergenceError``.
     """
     if len(d) == 1:  # the f2py wrappers reject an empty e; scipy returns d[0] and [1.0] too
         return float(d[0]), np.ones(1)
     from scipy.linalg import lapack
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "B" if vector else "E")
+    if info != 0:
+        _, w, iblock, isplit, info = lapack.dstebz(d, e, 0, 0.0, 1.0, 0, 0, 0.0, "E")
+        m, w, iblock = 1, np.roll(w, -k), np.roll(iblock, -k)  # stein reads an iblock of length n
     name, V = "stebz", None
     if info == 0 and vector:
         name, (V, info) = "stein", lapack.dstein(d, e, w[:m], iblock, isplit)

@@ -97,11 +97,8 @@ def _resolvent_gap(A: HermOp, B: HermOp, D: HermOp) -> float:
                 beta.append(float(np.linalg.norm(w)))
                 if not math.isfinite(beta[-1]):  # a NaN from LAPACK sets no floating-point flag
                     raise FloatingPointError(f"Lanczos vector norm {beta[-1]} is not finite")
-                theta, y_k = alpha[0], 1.0  # T_1 = [alpha_1]
-                if k > 1:  # the top pair alone: O(k), not O(k^2)
-                    theta, y = _tridiagonal_pair(alpha, beta[:-1], k - 1, vector=True)
-                    y_k = y[-1]
-                if k == n or beta[-1] * abs(y_k) <= FLOAT_EPS * theta:
+                theta, y = _tridiagonal_pair(alpha, beta[:-1], k - 1, vector=True)  # the top pair alone: O(k)
+                if k == n or beta[-1] * abs(y[-1]) <= FLOAT_EPS * theta:
                     return s * math.sqrt(theta)
                 if k == LANCZOS_STEPS:
                     raise NonConvergenceError(f"{what} did not converge within {k} steps")

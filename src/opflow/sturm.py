@@ -16,9 +16,12 @@ an exact discrete null vector.  The Dirichlet point [1:0] cannot be reached
 by ghost elimination (the elimination coefficient diverges); it is assembled
 as the standard n-point Dirichlet matrix on the shifted grid i/(n+1).
 
-The independent oracle solves the secular equations by bracketed bisection:
-negative eigenvalues from  x0 sinh(mu) = x1 mu cosh(mu), lambda = -mu^2;
-positive eigenvalues from  x0 sin(mu) = x1 mu cos(mu),  lambda = mu^2;
+The independent oracle solves the secular equations by bisection on brackets
+known in closed form, so it holds up to the Dirichlet point:
+negative eigenvalues from  x0 sinh(mu) = x1 mu cosh(mu), lambda = -mu^2,
+  one root in (0, x0/x1] (an x0/x1 that overflows raises);
+positive eigenvalues from  x0 sin(mu) = x1 mu cos(mu),  lambda = mu^2,
+  the k-th root at an offset in [0, pi/2] from k pi;
 and lambda = 0 exactly at [1:1].
 """
 
@@ -117,10 +120,10 @@ def assemble_robin_operator(x: ProjectivePoint, n: int) -> RobinOperator:
 
 def _bisect(f, lo: float, hi: float) -> float:
     """Bracketed bisection to relative tolerance BISECTION_RTOL in mu."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    if flo * f(hi) > 0.0:
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    if (flo > 0.0) == (fhi > 0.0):  # a sign test; flo * fhi can underflow to 0
         raise ValidationError(f"bisection bracket [{lo}, {hi}] does not change sign")
     while hi - lo > BISECTION_RTOL * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
@@ -139,45 +142,36 @@ def negative_eigenvalue_root(x: ProjectivePoint) -> float | None:
 
     A root exists exactly for parameters [1 : s] with s in (0, 1); it gives
     the single negative eigenvalue lambda = -mu^2 and diverges as s -> 0+.
+    It lies below q = x0/x1, where q tanh(q) - q <= 0 even after rounding.
     """
     if not (x.x0 > 0.0 and 0.0 < x.x1 < x.x0):
         return None
-
-    def f(mu: float) -> float:
-        return x.x0 * math.tanh(mu) - x.x1 * mu
-
-    hi = 1.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - unreachable for valid parameters
-            return None
-    return _bisect(f, 1e-12, hi)
+    q = x.x0 / x.x1
+    if not math.isfinite(q):
+        raise ValidationError(f"bracket x0/x1 = {q} overflows at [{x.x0} : {x.x1}]")
+    return _bisect(lambda mu: q * math.tanh(mu) - mu, 1e-12, q)
 
 
 def positive_eigenvalue_roots(x: ProjectivePoint, count: int) -> list[float]:
-    """First ``count`` roots mu > 0 of x0 sin(mu) = x1 mu cos(mu), ascending."""
-    if x.x1 == 0.0:
-        return [k * math.pi for k in range(1, count + 1)]
+    """First ``count`` roots mu > 0 of x0 sin(mu) = x1 mu cos(mu), ascending.
+
+    The k-th root past 0 is k pi + s delta, s = sign(x1), with delta in
+    [0, pi/2] the root of h(delta) = x0 sin(delta) - |x1| (k pi + s delta) cos(delta),
+    since h(0) = -|x1| k pi <= 0 < x0 = h(pi/2).  Solving for the offset keeps
+    every root, however close to k pi.  Past [1:1] (x1 > x0) one more root
+    lies below pi/2, where x0 sin(mu) / mu - x1 cos(mu) rises from x0 - x1 < 0.
+    """
     if x.x0 == 0.0:
         return [(k + 0.5) * math.pi for k in range(count)]
-
-    def g(mu: float) -> float:
-        return x.x0 * math.sin(mu) - x.x1 * mu * math.cos(mu)
-
-    roots: list[float] = []
-    if x.x1 > x.x0 > 0.0:
-        # one root below pi/2 for parameters beyond [1:1]
-        roots.append(_bisect(g, 1e-9, 0.5 * math.pi - 1e-12))
-    k = 1
-    while len(roots) < count:
-        if x.x1 > 0.0:
-            lo, hi = k * math.pi + 1e-12, (k + 0.5) * math.pi - 1e-12
-        else:
-            lo, hi = (k - 0.5) * math.pi + 1e-12, k * math.pi - 1e-12
-        if g(lo) * g(hi) < 0.0:
-            roots.append(_bisect(g, lo, hi))
-        k += 1
-    return roots[:count]
+    s, a = math.copysign(1.0, x.x1), abs(x.x1)
+    cos = lambda t: math.sin(0.5 * math.pi - t)  # 0 at pi/2, where math.cos reads 6e-17: h(pi/2) = x0
+    roots = []
+    if x.x1 > x.x0:
+        roots.append(_bisect(lambda mu: x.x0 * np.sinc(mu / math.pi) - x.x1 * cos(mu), 0.0, 0.5 * math.pi))
+    for k in range(1, count + 1 - len(roots)):
+        h = lambda d: x.x0 * math.sin(d) - a * (k * math.pi + s * d) * cos(d)
+        roots.append(k * math.pi + s * _bisect(h, 0.0, 0.5 * math.pi))
+    return roots[:count]  # count = 0 past [1:1]
 
 
 def analytic_eigenvalues(x: ProjectivePoint, count: int) -> list[float]:

@@ -199,7 +199,7 @@ class TestDensitySurgery:
             density_surgery(herm([-5.0, 1.0, 7.0]), 2.0, herm([1.5, 6.0]))
 
     def test_replacement_on_the_window_edge_rejected(self):
-        with pytest.raises(SurgeryViolationError, match=r"enters \[-2.0, 2.0\]"):
+        with pytest.raises(SurgeryViolationError, match=r"enters \[-2.0, 2.0\]: closest eigenvalue 2.0$"):
             density_surgery(herm([-5.0, 1.0, 7.0]), 2.0, herm([2.0, 6.0]))
 
     def test_arc_radius_is_the_cayley_chord_to_one(self):

@@ -328,6 +328,15 @@ def dense_tridiagonal(d, e):
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
+def assert_dense_pair(d, e, k, value, vector):
+    """value and vector are the k-th eigenpair of the dense matrix of (d, e), to 1e-12."""
+    T = dense_tridiagonal(d, e)
+    w = np.linalg.eigvalsh(T)
+    tol = 1e-12 * (1.0 + np.max(np.abs(w)))
+    assert abs(value - w[k]) <= tol
+    assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12 and np.linalg.norm(T @ vector - value * vector) <= tol
+
+
 @st.composite
 def tridiagonal_bands(draw):
     """Real symmetric tridiagonal bands of a few shapes, plus exact edge values.
@@ -407,16 +416,36 @@ class TestTridiagonalPair:
     @settings(max_examples=120, deadline=None)
     @given(bands=st.one_of(tridiagonal_bands(), split_bands().map(lambda de: (*de, None))))
     def test_bit_identical_to_scipys_wrappers(self, bands):
+        """Where scipy raises (an index range that fails on a split band), the dense solve decides."""
         d, e, _ = bands
         op = HermOp.tridiagonal(d, e)
         for k in range(d.size):
-            value = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(k, k))
-            w, V = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(k, k))
             pair = linalg._tridiagonal_pair(d, e, k, vector=True)
+            try:
+                value = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(k, k))
+                w, V = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(k, k))
+            except np.linalg.LinAlgError:
+                assert_dense_pair(d, e, k, *pair)
+                assert op._eigenvalue(k) == pair[0] and np.array_equal(op.eigenvector(k), pair[1])
+                continue
             assert op._eigenvalue(k) == value[0]
             assert pair[0] == w[0] and np.array_equal(pair[1], V[:, 0])
             assert np.array_equal(op.eigenvector(k), V[:, 0])
             assert linalg._tridiagonal_pair(list(d), list(e), k, vector=True)[0] == w[0]  # Lanczos lists
+
+    @pytest.mark.parametrize("d, e", [
+        ([-1.0, 0.0, 1.0, -1.0], [-1.0, 0.0, -1.0]),
+        ([-1.0, 1.0, -1.0, 0.0, -0.5, 0.0], [-1.0, -0.0, -1e-30, -1e-30, -1.0]),
+    ])
+    def test_failed_index_range_recomputes_every_eigenvalue(self, d, e):
+        """Index-selected stebz returns info = 2 on these split bands, as scipy's wrappers raise."""
+        d, e = np.array(d), np.array(e)
+        with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+            scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(d.size - 1, d.size - 1))
+        for k in range(d.size):
+            assert_dense_pair(d, e, k, *linalg._tridiagonal_pair(d, e, k, vector=True))
+        norm = np.max(np.abs(np.linalg.eigvalsh(dense_tridiagonal(d, e))))  # golden ratio, sqrt(2)
+        assert HermOp.tridiagonal(d, e).norm() == pytest.approx(norm, rel=1e-15)
 
     @pytest.mark.parametrize("routine, read", [
         ("dstebz", lambda op: op.lowest_eigenvalue()),

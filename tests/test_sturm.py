@@ -110,7 +110,11 @@ class TestOracle:
     def test_bisection_returns_an_exact_zero_at_once(self):
         assert sturm._bisect(lambda mu: mu - 1.0, 1.0, 2.0) == 1.0  # at the lower edge
         assert sturm._bisect(lambda mu: mu - 1.5, 1.0, 2.0) == 1.5  # at the first midpoint
-        assert abs(sturm._bisect(lambda mu: mu - 2.0, 1.0, 2.0) - 2.0) <= 1e-11  # at the upper edge
+        assert sturm._bisect(lambda mu: mu - 2.0, 1.0, 2.0) == 2.0  # at the upper edge
+
+    def test_bisection_tolerance_is_relative(self):
+        """Near 1e6 an absolute 1e-12 is below the spacing of floats, so bisection would never stop."""
+        assert sturm._bisect(lambda mu: mu - 1e6 - 0.3, 1e6, 2e6) == pytest.approx(1e6 + 0.3, rel=1e-12)
 
     def test_bisection_bracket_must_change_sign(self):
         with pytest.raises(ValidationError, match=r"bracket \[1.0, 2.0\] does not change sign"):
@@ -143,16 +147,54 @@ class TestOracle:
         assert negative_eigenvalue_root(ProjectivePoint(1.0, -0.2)) is None
         assert negative_eigenvalue_root(DIRICHLET) is None
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the bracket search stops at mu = 1e12 and returns None")
-    def test_negative_root_of_a_parameter_near_dirichlet(self):
-        """At [1 : 1e-13] the root is x0/x1 = 1e13 to rounding: tanh(mu) is 1 there."""
-        x = ProjectivePoint(1.0, 1e-13)
+    @pytest.mark.parametrize("x1", [1e-12, 1e-13])
+    def test_negative_root_of_a_parameter_near_dirichlet(self, x1):
+        """At [1 : x1] the root is x0/x1 to rounding: tanh(mu) is 1 there."""
+        x = ProjectivePoint(1.0, x1)
         assert negative_eigenvalue_root(x) == pytest.approx(x.x0 / x.x1, rel=1e-12)
+        assert analytic_eigenvalues(x, 1)[0] == pytest.approx(-((x.x0 / x.x1) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("x1", [1e-13, 1e-16])
+    def test_lowest_values_near_dirichlet(self, x1):
+        """-(x0/x1)^2, then the Dirichlet ladder: the k-th positive root sits about x1 k pi above k pi."""
+        x = ProjectivePoint(1.0, x1)
+        np.testing.assert_allclose(analytic_eigenvalues(x, 3),
+                                   [-((x.x0 / x.x1) ** 2), math.pi**2, 4 * math.pi**2], rtol=1e-12)
+
+    def test_overflowing_bracket_raises(self):
+        """x0/x1 is inf at [1 : 5e-324]; bisecting up to it would never stop."""
+        with pytest.raises(ValidationError, match=r"x0/x1 = inf overflows at \[1.0 : 5e-324\]"):
+            analytic_eigenvalues(ProjectivePoint(1.0, 5e-324), 3)
+
+    def test_roots_near_neumann_all_found(self):
+        """At [1e-15 : 1] the roots sit within 1e-15 of (k + 1/2) pi, past where cos(pi/2) > 0 in floats."""
+        roots = sturm.positive_eigenvalue_roots(ProjectivePoint(1e-15, 1.0), 12)
+        np.testing.assert_allclose(roots, (np.arange(12) + 0.5) * math.pi, rtol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponent=st.floats(-300.0, 3.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_roots_satisfy_their_secular_equations(self, exponent, sign):
+        """Every root solves its equation in offset form, and k pi interlaces the positive roots."""
+        x = ProjectivePoint(1.0, sign * 10.0**exponent)
+        s, a = math.copysign(1.0, x.x1), abs(x.x1)
+        mu = negative_eigenvalue_root(x)
+        assert (mu is not None) == (0.0 < x.x1 < x.x0)
+        if mu is not None:
+            assert 0.0 < mu <= x.x0 / x.x1
+            assert abs(x.x0 * math.tanh(mu) - x.x1 * mu) <= 1e-12 * (x.x0 + x.x1 * mu)
+        roots = sturm.positive_eigenvalue_roots(x, 6)
+        first = 1 if x.x1 <= x.x0 else 0  # past [1:1] one root lies below pi/2
+        for k, root in enumerate(roots, start=first):
+            delta = s * (root - k * math.pi)
+            assert 0.0 <= delta <= 0.5 * math.pi
+            h = x.x0 * math.sin(delta) - a * root * math.cos(delta)  # root = k pi + s delta
+            assert abs(h) <= 2e-12 * (x.x0 + a * (root + 1.0))
+        assert all(np.diff(roots) > 0.0)
 
     def test_count_validation(self):
         with pytest.raises(ValidationError):
             analytic_eigenvalues(DIRICHLET, 0)
+        assert sturm.positive_eigenvalue_roots(ProjectivePoint(1.0, 2.0), 0) == []
 
     def test_discrete_agreement_random_parameters(self):
         """Discretized vs transcendental-root eigenvalues, 5 lowest each."""
