@@ -136,16 +136,11 @@ def cmd_specgraph(args, parser) -> int:
     return 0
 
 
-def _builtin_path(name: str, grid: int | None, samples: int) -> OperatorPath:
-    if name == "robin":
-        return OperatorPath.sample(robin_generator(grid), 0.0, math.pi, samples, closed=True)
-    if name == "const":
-        gen = lambda t: HermOp(np.diag([1.0, 2.0]))
-        return OperatorPath.sample(gen, 0.0, 1.0, samples)
-    if name == "cross":
-        gen = lambda t: HermOp(np.diag([t - 0.5, 2.0]))
-        return OperatorPath.sample(gen, 0.0, 1.0, samples)
-    raise ValueError(name)
+_BUILTIN_PATHS = {  # specflow --path: each builtin name -> (grid, samples) -> its sampled path
+    "robin": lambda grid, n: OperatorPath.sample(robin_generator(grid), 0.0, math.pi, n, closed=True),
+    "const": lambda grid, n: OperatorPath.sample(lambda t: HermOp(np.diag([1.0, 2.0])), 0.0, 1.0, n),
+    "cross": lambda grid, n: OperatorPath.sample(lambda t: HermOp(np.diag([t - 0.5, 2.0])), 0.0, 1.0, n),
+}
 
 
 def cmd_specflow(args, parser) -> int:
@@ -153,7 +148,7 @@ def cmd_specflow(args, parser) -> int:
         parser.error("--samples must be at least 2")
     if args.path != "robin":
         args.grid = None  # only the robin path has a grid; the manifest says so
-    path = _builtin_path(args.path, args.grid, args.samples)
+    path = _BUILTIN_PATHS[args.path](args.grid, args.samples)
     report = spectral_flow(path, window0=args.window, max_depth=args.max_depth)
     json_path = _emit(args, "specflow.json", report.to_json_dict())
     print(f"flow = {report.flow} ({len(report.crossings)} crossing brackets); wrote {json_path}")
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sg.set_defaults(func=cmd_specgraph)
 
     sf = subs.add_parser("specflow", help="Spectral flow of a builtin operator path.")
-    sf.add_argument("--path", choices=["robin", "const", "cross"], default="robin")
+    sf.add_argument("--path", choices=list(_BUILTIN_PATHS), default="robin")
     sf.add_argument("--grid", type=int, default=800, metavar="N")
     sf.add_argument("--samples", type=int, default=64, metavar="N")
     sf.add_argument("--window", type=float, default=1.0, metavar="W",

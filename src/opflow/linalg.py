@@ -172,12 +172,13 @@ class ShiftedFactor:
             raise DegeneracyError(f"T + i of dim {op.dim} is singular: {name} info = {info}")
 
     def solve(self, x, adjoint: bool = False) -> np.ndarray:
-        """(T + i)^-1 x, or (T - i)^-1 x when ``adjoint``; x is a vector or a block of columns."""
-        b = np.asarray(x, dtype=complex)
-        y, info = self._trs(*self._lu, b.reshape(b.shape[0], -1), trans=self._trans[adjoint])
+        """(T + i)^-1 x, or (T - i)^-1 x when ``adjoint``, in x's shape; x is a vector, block or list."""
+        if np.size(x) == 0:  # f2py passes an empty x on, and gttrs on it can crash the process
+            raise ValidationError(f"LU solve needs a non-empty right-hand side, got shape {np.shape(x)}")
+        y, info = self._trs(*self._lu, x, trans=self._trans[adjoint])  # f2py converts x, keeps its shape
         if info != 0:
-            raise ValidationError(f"LU solve rejected argument {-info} (right-hand side shape {b.shape})")
-        return y.reshape(b.shape)
+            raise ValidationError(f"LU solve rejected argument {-info} (right-hand side shape {np.shape(x)})")
+        return y
 
     def diagonal_phase(self) -> float:
         """The sum of arg U_kk over the diagonal of the upper triangular LU factor."""

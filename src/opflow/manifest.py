@@ -4,21 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ValidationError
-
-# Required keys and their types; output_files entries carry path + sha256.
-MANIFEST_SCHEMA = {
-    "command": str,
-    "parameters": dict,
-    "tool_version": str,
-    "timestamp": str,
-    "input_hashes": dict,
-    "output_files": list,
-}
 
 
 def sha256_file(path: Path | str) -> str:
@@ -65,6 +56,9 @@ class RunManifest:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
+
+
+MANIFEST_SCHEMA = typing.get_type_hints(RunManifest)  # required keys and their types
 
 
 def validate_manifest(payload: dict) -> None:

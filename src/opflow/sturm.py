@@ -19,7 +19,7 @@ as the standard n-point Dirichlet matrix on the shifted grid i/(n+1).
 The independent oracle solves the secular equations by bisection on brackets
 known in closed form, so it holds up to the Dirichlet point:
 negative eigenvalues from  x0 sinh(mu) = x1 mu cosh(mu), lambda = -mu^2,
-  one root in (0, x0/x1] (an x0/x1 that overflows raises);
+  one root in (0, x0/x1] (an x0/x1 or -mu^2 that overflows raises);
 positive eigenvalues from  x0 sin(mu) = x1 mu cos(mu),  lambda = mu^2,
   the k-th root at an offset in [0, pi/2] from k pi;
 and lambda = 0 exactly at [1:1].
@@ -181,6 +181,8 @@ def analytic_eigenvalues(x: ProjectivePoint, count: int) -> list[float]:
     out: list[float] = []
     mu = negative_eigenvalue_root(x)
     if mu is not None:
+        if not math.isfinite(mu * mu):
+            raise ValidationError(f"eigenvalue -mu^2 overflows at [{x.x0} : {x.x1}], mu = {mu}")
         out.append(-mu * mu)
     if x.x0 > 0.0 and abs(x.x0 - x.x1) < 1e-14:
         out.append(0.0)

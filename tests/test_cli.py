@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from opflow import cli, metrics, specflow
+from opflow import cli, homotopy, metrics, specflow
 from opflow.cli import main
 from opflow.manifest import validate_manifest, verify_outputs
 
@@ -113,6 +113,11 @@ class TestSpecflow:
         assert main(["specflow", *flags, "--samples", "16", "--out", str(tmp_path)]) == 0
         assert load_manifest(tmp_path)["parameters"]["grid"] == grid
 
+    def test_help_lists_the_builtin_paths_in_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["specflow", "--help"])
+        assert exc.value.code == 0 and "--path {robin,const,cross}" in capsys.readouterr().out
+
 
 class TestDichotomy:
     def test_header_and_thresholds(self, tmp_path):
@@ -140,6 +145,12 @@ class TestIdentities:
                    "--tolerance", "1e-30", "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_worst_deviation_equal_to_the_tolerance_passes(self, tmp_path):
+        argv = ["identities", "--dim", "4", "--trials", "5", "--out", str(tmp_path)]
+        main(argv)
+        worst = max(json.loads(read(tmp_path / "identities.json"))["deviations"].values())
+        assert main([*argv, "--tolerance", repr(worst)]) == 0
+
 
 class TestHomotopyDemo:
     def test_monotone_and_exit_zero(self, tmp_path):
@@ -149,6 +160,15 @@ class TestHomotopyDemo:
         assert payload["delta_monotone_decreasing"] is True
         assert payload["endpoints_exact"] is True
         load_manifest(tmp_path)
+
+    def test_smallest_grid_is_8_and_c_is_delta_times_n(self, tmp_path, capsys):
+        assert main(["homotopy-demo", "--grids", "8,17", "--modes", "4", "--out", str(tmp_path)]) == 0
+        payload = json.loads(read(tmp_path / "homotopy_demo.json"))
+        delta = payload["delta_by_grid"]
+        assert payload["measured_c"] == {n: delta[n] * int(n) for n in ("8", "17")}
+        assert f"n=17: delta={delta['17']:.5f} (C ~ {delta['17'] * 17:.1f})" in capsys.readouterr().out
+        # an odd last grid takes the odd retraction on the next even size
+        assert payload["odd_unitary_retraction_defect"] == homotopy.odd_retraction_defect(18, seed=0)
 
 
 class TestSurgery:
@@ -228,6 +248,8 @@ class TestConfig:
     pytest.param(["specflow", "--window", "nan"], None, id="specflow-window-nan"),
     pytest.param(["specgraph", "--window", "nan"], None, id="specgraph-window-nan"),
     pytest.param(["dichotomy", "--x1-max", "inf"], None, id="dichotomy-x1-max-inf"),
+    pytest.param(["dichotomy", "--x1-min", "0"], None, id="dichotomy-x1-min-zero"),
+    pytest.param(["dichotomy", "--x1-min", "0.5", "--x1-max", "0.5"], None, id="dichotomy-x1-equal"),
     pytest.param(["identities", "--tolerance", "nan"], None, id="identities-tolerance-nan"),
     pytest.param(["specflow", "--max-depth", "-1"], None, id="specflow-max-depth-negative"),
     pytest.param(["homotopy-demo", "--grids", "32,16"], None, id="homotopy-grids-descending"),

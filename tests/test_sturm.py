@@ -166,6 +166,15 @@ class TestOracle:
         with pytest.raises(ValidationError, match=r"x0/x1 = inf overflows at \[1.0 : 5e-324\]"):
             analytic_eigenvalues(ProjectivePoint(1.0, 5e-324), 3)
 
+    def test_overflowing_negative_eigenvalue_raises(self):
+        """At [1 : 1e-160] the root mu = 1e160 is finite, but -mu^2 is not a float."""
+        with pytest.raises(ValidationError, match=r"-mu\^2 overflows at \[1.0 : 1e-160\], mu = 1e\+160"):
+            analytic_eigenvalues(ProjectivePoint(1.0, 1e-160), 2)
+
+    def test_largest_negative_eigenvalue_is_finite(self):
+        """At [1 : 1e-150] -mu^2 = -1e300 is still a float, and is returned."""
+        assert analytic_eigenvalues(ProjectivePoint(1.0, 1e-150), 1)[0] == pytest.approx(-1e300, rel=1e-12)
+
     def test_roots_near_neumann_all_found(self):
         """At [1e-15 : 1] the roots sit within 1e-15 of (k + 1/2) pi, past where cos(pi/2) > 0 in floats."""
         roots = sturm.positive_eigenvalue_roots(ProjectivePoint(1e-15, 1.0), 12)

@@ -596,6 +596,27 @@ class TestIdentityInvariants:
         with pytest.raises(ValidationError, match=named):
             identity_suite(**kwargs)
 
+    def test_random_hermitian_is_the_hermitian_part_of_a_draw(self):
+        X = random_matrix(np.random.default_rng(5), 4, 3.0)
+        assert np.array_equal(random_hermitian(np.random.default_rng(5), 4, 3.0).matrix, (X + adjoint(X)) / 2.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_suite_draws_every_dimension_from_2_to_dim(self, monkeypatch, dim):
+        dims, draw = [], transforms.random_matrix
+
+        def recorded(rng, d, *args, **kwargs):
+            dims.append(d)
+            return draw(rng, d, *args, **kwargs)
+
+        monkeypatch.setattr(transforms, "random_matrix", recorded)
+        identity_suite(dim=dim, trials=20, seed=3)
+        assert set(dims) == set(range(2, dim + 1))
+
+    def test_an_identity_whose_residuals_are_all_zero_reports_zero(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_lagrangian_residual", lambda p: np.zeros((p.dim, p.dim)))
+        deviations = identity_suite(dim=4, trials=3, seed=1)
+        assert deviations["lagrangian_anticommutator"] == 0.0 and len(deviations) == 11
+
 
 def _surgery_operands(rng):
     """An operator with no eigenvalue near +-3, c = 3, and a block to replace its outside part."""

@@ -10,6 +10,14 @@ never ran, as ``module line  source``.  A compound statement (``if``,
 emit no line of their own and are skipped.  Code run in a subprocess is not
 seen.  A stdlib stand-in for a coverage tool; the traced run takes about
 twice as long as the plain one.
+
+It is also a gate: ``tools/line_probe_known.txt`` lists the never-run
+statements judged unreachable or not worth a test, one per line as
+``module  source`` (the stripped source text, not the line number, so edits
+elsewhere in a module do not stale it; ``#`` starts a comment line).  A
+never-run statement missing from that list is marked ``NEW`` and makes the
+probe exit 1; a listed statement that now runs, or no longer exists, is
+reported as stale.  Judge each new one, then test it or list it.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "opflow"
+KNOWN = Path(__file__).with_name("line_probe_known.txt")
 SILENT = (ast.Try, ast.Global, ast.Nonlocal)
 
 
@@ -68,16 +77,25 @@ def main(argv=None) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    total = 0
+    known = set()
+    for line in KNOWN.read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            module, text = line.split(maxsplit=1)
+            known.add((module, text.strip()))
+    never = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines, seen = source.splitlines(), ran.get(str(path), set())
         for first, span in sorted(statements(source).items()):
             if seen.isdisjoint(span):
-                total += 1
-                print(f"{path.stem:<12}{first:>5}  {lines[first - 1].strip()}")
-    print(f"{total} statements never ran (pytest exit status {int(status)})")
-    return 0
+                key = (path.stem, lines[first - 1].strip())
+                never.append(key)
+                print(f"{path.stem:<12}{first:>5}  {key[1]}{'' if key in known else '  NEW'}")
+    for module, text in sorted(known.difference(never)):
+        print(f"stale entry in {KNOWN.name}: {module}  {text}")
+    new = sum(key not in known for key in never)
+    print(f"{len(never)} statements never ran, {new} not in {KNOWN.name} (pytest exit status {int(status)})")
+    return 1 if new else 0
 
 
 if __name__ == "__main__":
