@@ -30,10 +30,19 @@ arguments.
 The homotopies are paths: ``zk_path(a, b, grid)`` and ``log_path(u)`` check
 their operands once (``log_path`` also factors u) and return t -> value, so
 evaluating at many t repeats neither.
+
+Injectivity is a smallest singular value compared with a bound, so it goes
+through ``linalg.min_singular_ceiling``: a Hermitian operand is first shifted
+by a little more than the bound and given one Cholesky factor, which, if it
+completes, proves every |eigenvalue| above the bound without an eigensolve.
+``zk_injectivity_margin`` passes its running minimum as the bound, so only a
+t whose interpolant can lower the minimum is solved for; the reported margin
+is still the eigensolve of the same matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,6 +57,7 @@ from .linalg import (
     as_matrix,
     func_calc,
     matrix_of,
+    min_singular_ceiling,
     op_norm,
     op_norm_floor,
     require_finite,
@@ -150,6 +160,8 @@ def smooth_band(grid: GridSpace, modes: int = SMOOTH_MODES) -> np.ndarray:
 def isometry_defect(U: np.ndarray, grid: GridSpace, modes: int = SMOOTH_MODES) -> float:
     """Band-limited defect max_j ||(U*U - 1) phi_j||; decays like C/n."""
     U = as_matrix(U)
+    if U.shape[0] != grid.n:
+        raise ValidationError(f"isometry of dim {U.shape[0]} must live on the grid space of dim {grid.n}")
     V = smooth_band(grid, modes)
     return _band_defect(adjoint(U) @ (U @ V) - V)
 
@@ -175,20 +187,13 @@ def _band_defect(R: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(R, axis=0)))
 
 
-def _min_singular(M: MatrixLike) -> float:
-    """Smallest singular value: min |eigenvalue| of a HermOp, else from an SVD."""
-    s = np.abs(M.eigenvalues) if isinstance(M, HermOp) else np.linalg.svd(
-        as_matrix(M), compute_uv=False)
-    return float(np.min(s)) if s.size else 0.0
-
-
 def _require_unit_interval(t: float) -> None:
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"t must be in [0, 1], got {t}")
 
 
 def _require_injective(name: str, M: MatrixLike) -> None:
-    smin = _min_singular(M)
+    smin = min_singular_ceiling(M, INJECTIVITY_ATOL)
     if smin < INJECTIVITY_ATOL:
         raise DegeneracyError(f"operand {name} is not injective: min singular value {smin:.3e}")
 
@@ -198,7 +203,8 @@ def zk_path(a: MatrixLike, b: MatrixLike, grid: GridSpace) -> Callable[[float], 
 
     The operands are checked once, when the path is built: both must live on
     the grid space and be injective (min singular value above 1e-10; a
-    ``HermOp``'s is its min |eigenvalue|, an ndarray's comes from an SVD).
+    ``HermOp``'s is its min |eigenvalue|, certified by one Cholesky factor
+    where that can decide, an ndarray's comes from an SVD).
     The direct-sum structure of the two ranges keeps the interpolant
     injective up to discretization tolerance.  Endpoints are returned
     bit-for-bit, and the isometries are applied as sparse maps.
@@ -361,13 +367,18 @@ def zk_injectivity_margin(n: int, seed: int = 0) -> float:
 
     The sampled pair is Hermitian, so each interpolant is wrapped in a
     ``HermOp`` and its smallest singular value is its smallest |eigenvalue|.
+    The running minimum is each next t's ceiling: an interpolant certified
+    above it by one Cholesky factor cannot lower it and takes no eigensolve.
     """
     rng = np.random.default_rng(seed)
     grid = GridSpace.make(n)
     a = HermOp(compact_injective_sample(rng, n))
     b = HermOp(compact_injective_sample(rng, n))
     path = zk_path(a, b, grid)
-    return min(_min_singular(HermOp(path(t))) for t in MARGIN_TS)
+    margin = math.inf
+    for t in MARGIN_TS:
+        margin = min_singular_ceiling(HermOp(path(t)), margin)
+    return margin
 
 
 def odd_retraction_defect(dim: int, seed: int = 0) -> float:
@@ -377,8 +388,8 @@ def odd_retraction_defect(dim: int, seed: int = 0) -> float:
     exactly and the spectrum stays clear of -1) and returns the worst
     ``odd_unitary_defect`` of the retraction over t in RETRACTION_TS.
     """
-    if dim % 2 != 0:
-        raise ValidationError("odd unitaries live on a doubled (even-dim) space")
+    if dim < 2 or dim % 2 != 0:
+        raise ValidationError(f"odd unitaries live on a doubled (even-dim) space of dim >= 2, got dim {dim}")
 
     rng = np.random.default_rng(seed)
     half = dim // 2

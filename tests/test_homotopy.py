@@ -127,33 +127,53 @@ class TestZkContraction:
 
     def test_operands_checked_once_per_path(self, monkeypatch):
         calls = []
-        min_singular = homotopy._min_singular
+        ceiling = homotopy.min_singular_ceiling
 
-        def counting(M):
-            calls.append(type(M))
-            return min_singular(M)
+        def counting(M, c):
+            calls.append((type(M), c))
+            return ceiling(M, c)
 
-        monkeypatch.setattr(homotopy, "_min_singular", counting)
+        monkeypatch.setattr(homotopy, "min_singular_ceiling", counting)
         margin = zk_injectivity_margin(32, seed=0)
         assert len(calls) == 2 + len(homotopy.MARGIN_TS)
-        assert set(calls) == {HermOp}  # Hermitian samples: margins from eigenvalues, no SVD
+        assert {kind for kind, _ in calls} == {HermOp}  # Hermitian samples: margins from eigenvalues, no SVD
+        # the operands against the injectivity bound, then each t against the running minimum
+        assert [c for _, c in calls[:3]] == [homotopy.INJECTIVITY_ATOL] * 2 + [math.inf]
+        assert [c for _, c in calls[3:]] == sorted((c for _, c in calls[3:]), reverse=True)
         monkeypatch.undo()
         assert margin == zk_injectivity_margin(32, seed=0)
 
     def test_hermop_operands_get_eigenvalue_margins(self, monkeypatch):
         calls = []
-        min_singular = homotopy._min_singular
+        ceiling = homotopy.min_singular_ceiling
 
-        def recording(M):
-            calls.append(type(M))
-            return min_singular(M)
+        def recording(M, c):
+            calls.append((type(M), c))
+            return ceiling(M, c)
 
-        monkeypatch.setattr(homotopy, "_min_singular", recording)
+        monkeypatch.setattr(homotopy, "min_singular_ceiling", recording)
         rng = np.random.default_rng(6)
         a = HermOp(compact_injective_sample(rng, 32))
         b = HermOp(compact_injective_sample(rng, 32))
         assert isinstance(zk_path(a, b, GridSpace.make(32))(0.5), np.ndarray)
-        assert calls == [HermOp, HermOp]
+        assert calls == [(HermOp, homotopy.INJECTIVITY_ATOL)] * 2
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_margin_is_the_smallest_eigensolved_interpolant(self, seed):
+        """The certificate skips eigensolves, never changes the minimum they give."""
+        rng = np.random.default_rng(seed)
+        a = HermOp(compact_injective_sample(rng, 128))
+        b = HermOp(compact_injective_sample(rng, 128))
+        path = zk_path(a, b, GridSpace.make(128))
+        solved = min(float(np.min(np.abs(HermOp(path(t)).eigenvalues))) for t in homotopy.MARGIN_TS)
+        assert zk_injectivity_margin(128, seed=seed) == solved
+
+    def test_positive_operands_are_certified_without_an_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        a = compact_injective_sample(rng, 32)
+        b = compact_injective_sample(rng, 32)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        zk_path(HermOp(a), HermOp(b), GridSpace.make(32))
 
     @pytest.mark.parametrize("t", [-0.1, 1.5])
     def test_t_outside_unit_interval_rejected(self, t):
@@ -225,6 +245,7 @@ class TestOperandChecks:
     def test_grid_needs_two_cells(self):
         with pytest.raises(ValidationError, match="at least 2 points"):
             GridSpace.make(1)
+        assert GridSpace.make(2).n == 2
 
     def test_rk_operands_off_the_grid_rejected(self):
         with pytest.raises(ValidationError, match="grid space"):
@@ -237,6 +258,19 @@ class TestOperandChecks:
     def test_odd_retraction_needs_an_even_dim(self):
         with pytest.raises(ValidationError, match="even-dim"):
             odd_retraction_defect(15)
+
+    @pytest.mark.parametrize("dim", [1, 0, -2])
+    def test_odd_retraction_below_dim_two_rejected_before_any_work(self, dim):
+        # dim 0 once divided by the norm of an empty block (a RuntimeWarning) before raising
+        with pytest.raises(ValidationError, match=rf"dim >= 2, got dim {dim}"):
+            odd_retraction_defect(dim)
+
+    def test_odd_retraction_on_the_smallest_doubled_space(self):
+        assert odd_retraction_defect(2) <= 1e-9
+
+    def test_isometry_off_the_grid_rejected(self):
+        with pytest.raises(ValidationError, match="isometry of dim 16 .* grid space of dim 32"):
+            isometry_defect(np.eye(16), GridSpace.make(32))
 
 
 class TestCompactify:
@@ -446,6 +480,13 @@ class TestIsometryBuilder:
             S = homotopy._isometry(start, length, n)
             assert np.array_equal(S.toarray(), _loop_isometry(start, length, n))
             assert np.max(np.diff(S.indptr)) <= math.ceil(1.0 / length) + 1
+
+    @pytest.mark.parametrize("t", [0.25, 0.5])
+    def test_csr_map_stores_no_zeros(self, t):
+        # at n = 100 some cell edges meet the dilated ones only to rounding, so an
+        # empty overlap kept there would store a zero
+        for start, length in ((0.0, t), (t, 1.0 - t)):
+            assert np.all(homotopy._isometry(start, length, 100).data != 0.0)
 
     @pytest.mark.parametrize("n", [128, 512])
     def test_reassociated_defects_match_the_dense_formulas(self, n):

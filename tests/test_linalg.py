@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,16 @@ from hypothesis import strategies as st
 
 from opflow import linalg
 from opflow.errors import DegeneracyError, DomainError, NonConvergenceError, ValidationError
-from opflow.linalg import HermOp, adjoint, as_matrix, func_calc, herm_eig, op_norm, op_norm_floor
+from opflow.linalg import (
+    HermOp,
+    adjoint,
+    as_matrix,
+    func_calc,
+    herm_eig,
+    min_singular_ceiling,
+    op_norm,
+    op_norm_floor,
+)
 
 
 def random_complex(rng, n, scale=1.0):
@@ -278,6 +288,139 @@ class TestOpNormFloor:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"entry \(1, 2\) is not finite"):
                 op_norm_floor(M, floor)
+
+
+def exactly_beyond(A: np.ndarray, c: float) -> bool:
+    """Whether every eigenvalue of the Hermitian A exceeds c, or every one is below -c, in exact arithmetic.
+
+    s A - c is positive definite exactly when every pivot of its LDL* without
+    pivoting is positive; the pivots are taken over Gaussian rationals built
+    from the stored doubles, so no rounding enters.
+    """
+    if not math.isfinite(c):
+        return False
+    n = A.shape[0]
+    for sign in (1, -1):
+        M = [[(Fraction(sign * A[i, j].real) - (Fraction(c) if i == j else 0), Fraction(sign * A[i, j].imag))
+              for j in range(n)] for i in range(n)]
+        for k in range(n):
+            p = M[k][k][0]
+            if p <= 0:
+                break
+            for i in range(k + 1, n):
+                a, b = M[i][k]
+                for j in range(k + 1, n):
+                    x, y = M[k][j]
+                    M[i][j] = (M[i][j][0] - (a * x - b * y) / p, M[i][j][1] - (a * y + b * x) / p)
+        else:
+            return True
+    return False
+
+
+def hermitian_with_spectrum(rng, lam) -> HermOp:
+    """A fresh dense HermOp Q diag(lam) Q* with a random unitary Q (its spectrum is not cached)."""
+    n = len(lam)
+    Q = np.linalg.qr(random_complex(rng, n))[0]
+    return HermOp((Q * np.asarray(lam)) @ adjoint(Q))
+
+
+@st.composite
+def ceilinged_hermitians(draw):
+    """(H, c): a dense Hermitian of dim 1-5 and a ceiling near, below or beyond its smallest |eigenvalue|.
+
+    H is positive or negative definite, indefinite, zero, or definite with one
+    eigenvalue 1e-8 of the rest (there rounding moves the computed factor most),
+    at scales 1e-8 to 1e8.
+    """
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["positive", "negative", "indefinite", "zero", "ill-conditioned"]))
+    lam = rng.uniform(0.1, 10.0, n)
+    if kind == "ill-conditioned":
+        lam[0] = 1e-8 * lam[-1]
+    lam *= {"negative": -1.0, "indefinite": rng.choice([-1.0, 1.0], n), "zero": 0.0}.get(kind, 1.0)
+    H = hermitian_with_spectrum(rng, draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])) * lam)
+    smin = float(np.min(np.abs(np.linalg.eigvalsh(H.matrix))))
+    c = draw(st.one_of(
+        st.sampled_from([-1e-13, -1e-14, 0.0, 1e-14, 1e-13, 1e-9, -1e-9]).map(lambda eps: smin * (1.0 + eps)),
+        st.floats(0.0, 2.0).map(lambda r: r * smin),
+        st.sampled_from([0.0, 1e-300, 1.0, math.inf]),
+    ))
+    return H, float(c)
+
+
+class TestMinSingularCeiling:
+    @settings(max_examples=400, deadline=None)
+    @given(ceilinged_hermitians())
+    def test_certified_only_where_exactly_true(self, case):
+        """Either the eigensolve's min(sigma_min, c), or c with every |eigenvalue| exactly beyond c."""
+        H, c = case
+        A = H.matrix
+        result = min_singular_ceiling(H, c)
+        solved = min(float(np.min(np.abs(np.linalg.eigvalsh(A)))), c)
+        if result != solved:
+            assert result == c and exactly_beyond(A, c)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_a_definite_operator_clear_of_the_ceiling_takes_no_eigensolve(self, monkeypatch, sign, scale):
+        H = hermitian_with_spectrum(np.random.default_rng(60), sign * scale * np.linspace(0.5, 4.0, 40))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert min_singular_ceiling(H, 0.4 * scale) == 0.4 * scale
+        assert H._eigvals is None
+
+    def test_a_tight_cluster_just_beyond_the_ceiling_takes_no_eigensolve(self, monkeypatch):
+        # delta scales with the trace of H - c (about 2e-8 here), not with that of H (about 40)
+        H = hermitian_with_spectrum(np.random.default_rng(63), 1.0 + np.linspace(1e-11, 1e-9, 40))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert min_singular_ceiling(H, 1.0) == 1.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_eigenvalue_just_inside_the_ceiling_is_solved(self, sign):
+        # [[2, b], [b, 2]] has lambda_min = 2 - b = 1 - 5 * 2^-52 exactly, below c = 1;
+        # a shift of c - delta would let the factor complete
+        b = 1.0 + 5.0 * 2.0**-52
+        H = HermOp(sign * np.array([[2.0, b], [b, 2.0]]))
+        assert not exactly_beyond(H.matrix, 1.0)
+        assert min_singular_ceiling(H, 1.0) == float(np.min(np.abs(np.linalg.eigvalsh(H.matrix)))) < 1.0
+
+    def test_rounding_that_completes_an_unshifted_factor_is_caught(self):
+        # one eigenvalue 1e-8 of the others: at c 1e-9 relative above the computed
+        # lambda_min, a factor of H - c (rounded up) completes although lambda_min < c exactly
+        H = hermitian_with_spectrum(np.random.default_rng(15), [1e-8, 1.2, 2.3, 2.9])
+        c = float(np.linalg.eigvalsh(H.matrix)[0]) * (1.0 + 1e-9)
+        M = H.matrix.copy()
+        M.flat[::5] -= np.nextafter(c, np.inf)
+        np.linalg.cholesky(M)
+        assert not exactly_beyond(H.matrix, c)
+        assert min_singular_ceiling(H, c) == float(np.linalg.eigvalsh(H.matrix)[0]) < c
+
+    def test_the_reported_value_is_the_eigensolve_below_the_ceiling(self):
+        H = hermitian_with_spectrum(np.random.default_rng(61), [-3.0, 0.25, 1.0, 2.0])
+        assert min_singular_ceiling(H, 1.0) == float(np.min(np.abs(H.eigenvalues)))
+
+    @pytest.mark.parametrize("diagonal", [[2.0, -1.0, 3.0], [1e-150, 2e-150, 3e-150]])
+    def test_an_indefinite_or_underflowing_diagonal_takes_no_factor(self, monkeypatch, diagonal):
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        H = HermOp(np.diag(diagonal))
+        assert min_singular_ceiling(H, 1e-200) == 1e-200
+        assert min_singular_ceiling(HermOp(np.diag(diagonal)), 1.0) == min(min(np.abs(diagonal)), 1.0)
+
+    def test_cached_banded_and_array_operands_take_no_factor(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        cached = HermOp(np.diag([2.0, 3.0]))
+        cached.eigenvalues
+        assert min_singular_ceiling(cached, 1.0) == 1.0
+        assert min_singular_ceiling(cached, 5.0) == 2.0
+        banded = HermOp.tridiagonal([2.0, 2.0, 2.0], [-1.0, -1.0])
+        assert min_singular_ceiling(banded, 1.0) == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
+        A = np.array([[0.0, 3.0], [0.5, 0.0]])
+        assert min_singular_ceiling(A, 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert min_singular_ceiling(A, 0.1) == 0.1
+
+    def test_an_infinite_ceiling_returns_the_smallest_singular_value(self):
+        H = hermitian_with_spectrum(np.random.default_rng(62), [0.5, 1.0, 2.0])
+        assert min_singular_ceiling(H, math.inf) == float(np.min(np.abs(np.linalg.eigvalsh(H.matrix))))
 
 
 class TestMatrixBasics:
