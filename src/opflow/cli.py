@@ -192,7 +192,7 @@ def cmd_homotopy_demo(args, parser) -> int:
     monotone = all(deltas[a] > deltas[b] for a, b in zip(grids, grids[1:]))
 
     n0 = grids[-1]
-    grid = GridSpace.make(n0)
+    grid = GridSpace(n0)
     endpoint_exact = bool(
         np.array_equal(shrink_isometry(1.0, grid), np.eye(n0))
         and np.array_equal(stretch_isometry(0.0, grid), np.eye(n0))

@@ -78,17 +78,14 @@ class GridSpace:
     """Uniform cell grid on [0, 1]: n cells and their midpoint nodes."""
 
     n: int
-    nodes: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("grid needs at least 2 points")
-
-    @classmethod
-    def make(cls, n: int) -> "GridSpace":
-        nodes = (np.arange(n) + 0.5) / n
+        nodes = (np.arange(self.n) + 0.5) / self.n
         nodes.setflags(write=False)
-        return cls(n, nodes)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def _isometry(start: float, length: float, n: int):
@@ -341,7 +338,7 @@ def discretization_tolerance(n: int, modes: int = SMOOTH_MODES) -> float:
     The isometry defects are ``isometry_defect``'s, taken on the real CSR
     maps of ``_isometry`` (every t is interior) rather than their dense form.
     """
-    V = smooth_band(GridSpace.make(n), modes)
+    V = smooth_band(GridSpace(n), modes)
     worst = 0.0
     for t in DISCRETIZATION_TS:
         U, W = _isometry(0.0, t, n), _isometry(t, 1.0 - t, n)
@@ -371,7 +368,7 @@ def zk_injectivity_margin(n: int, seed: int = 0) -> float:
     above it by one Cholesky factor cannot lower it and takes no eigensolve.
     """
     rng = np.random.default_rng(seed)
-    grid = GridSpace.make(n)
+    grid = GridSpace(n)
     a = HermOp(compact_injective_sample(rng, n))
     b = HermOp(compact_injective_sample(rng, n))
     path = zk_path(a, b, grid)

@@ -140,14 +140,23 @@ def _ball_projection(U: np.ndarray, s: np.ndarray, Vh: np.ndarray, r: np.ndarray
 
 
 def bounded_transform(A: MatrixLike) -> np.ndarray:
-    """A (1 + A*A)^(-1/2) = U diag(s / hypot(1, s)) V*; lands strictly inside the unit ball."""
+    """A (1 + A*A)^(-1/2) = U diag(s / hypot(1, s)) V*; lands strictly inside the unit ball.
+
+    A general matrix goes through its Hermitian dilation H = [[0, A], [A*, 0]]:
+    g(x) = x / hypot(1, x) is odd, so g(H) = [[0, g(A)], [g(A)*, 0]] and one
+    eigensolve of H gives the map.  An SVD of A does not: LAPACK's bidiagonal
+    iteration deflates at a relative tolerance of about 100 u, and on a 3x3
+    input near rank one its U diag(s) V* misses A by 96 u ||A||.
+    """
     if isinstance(A, HermOp):
         w, _ = herm_eig(A)
         return spectral_weights(A, w / np.hypot(1.0, w))
     A = as_matrix(A)
     require_finite(A)
-    U, s, Vh = np.linalg.svd(A)
-    return (U * (s / np.hypot(1.0, s))) @ Vh
+    n = A.shape[0]
+    zero = np.zeros_like(A)
+    w, Q = np.linalg.eigh(np.block([[zero, A], [adjoint(A), zero]]))
+    return (Q[:n] * (w / np.hypot(1.0, w))) @ adjoint(Q[n:])
 
 
 def inverse_bounded_transform(a: MatrixLike) -> np.ndarray:
@@ -289,16 +298,17 @@ def fredholm_factor_check(a: MatrixLike) -> float:
     ``|| (pt(a) - p0) - diag(-a*, a) W ||``; raises if the second factor W
     fails to be unitary to UNITARITY_ATOL.
     """
-    return op_norm(_fredholm_residual(matrix_of(a)))
+    svd = _ball_svd(matrix_of(a))
+    return op_norm(_fredholm_residual(svd, _ball_projection(*svd)))
 
 
-def _fredholm_residual(a: np.ndarray, pa: GraphProjection | None = None) -> np.ndarray:
+def _fredholm_residual(svd: tuple[np.ndarray, ...], pa: GraphProjection) -> np.ndarray:
     """(pt(a) - p0) - diag(-a*, a) W, after checking W unitary; see ``fredholm_factor_check``.
 
-    ``pa`` is ``ball_projection(a)`` when the caller holds it; otherwise the
-    projection is built from the SVD that gives W's blocks.
+    ``svd`` is ``_ball_svd(a)``, which gives W's blocks, and ``pa`` the
+    projection built from it.
     """
-    U, s, Vh, r = _ball_svd(a)
+    U, s, Vh, r = svd
     n, a = s.size, (U * s) @ Vh       # a snapped to the ball, as the projection sees it
     R1 = (adjoint(Vh) * r) @ Vh       # sqrt(1 - a*a)
     R2 = (U * r) @ adjoint(U)         # sqrt(1 - a a*)
@@ -309,8 +319,6 @@ def _fredholm_residual(a: np.ndarray, pa: GraphProjection | None = None) -> np.n
     DW = np.vstack([-adjoint(a) @ W[:n], a @ W[n:]])  # diag(-a*, a) W, one block row each
     p0 = np.zeros((2 * n, 2 * n), dtype=complex)
     p0[:n, :n] = np.eye(n)
-    if pa is None:
-        pa = _ball_projection(U, s, Vh, r)
     return (pa.matrix - p0) - DW
 
 
@@ -367,13 +375,14 @@ def identity_suite(dim: int = 16, trials: int = 500, seed: int = 0) -> dict[str,
         d = int(rng.integers(2, dim + 1))
         A = random_matrix(rng, d, scale=2.0)
         a = bounded_transform(A)
-        pa = ball_projection(a)
+        svd = _ball_svd(a)
+        pa = _ball_projection(*svd)
         eye = np.eye(d, dtype=complex)
 
         residuals = {
             "resolvent_vs_ball": np.linalg.solve(eye + adjoint(A) @ A, eye) - (eye - adjoint(a) @ a),
             "graph_factorization": graph_projection(A).matrix - pa.matrix,
-            "fredholm_factorization": _fredholm_residual(a, pa),
+            "fredholm_factorization": _fredholm_residual(svd, pa),
             "round_trip": inverse_bounded_transform(a) - A,
         }
 

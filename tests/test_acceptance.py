@@ -143,7 +143,7 @@ def test_criterion_7_surgery_bound():
 
 def test_criterion_8_homotopy_suite():
     n = 256
-    grid = GridSpace.make(n)
+    grid = GridSpace(n)
     rng = np.random.default_rng(0)
     a = compact_injective_sample(rng, n)
     b = compact_injective_sample(rng, n)

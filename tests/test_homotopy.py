@@ -39,15 +39,15 @@ def smooth_spd(n, strength=0.5):
 
 class TestIsometries:
     def test_shrink_identity_at_one(self):
-        g = GridSpace.make(64)
+        g = GridSpace(64)
         assert np.array_equal(shrink_isometry(1.0, g), np.eye(64))
 
     def test_stretch_identity_at_zero(self):
-        g = GridSpace.make(64)
+        g = GridSpace(64)
         assert np.array_equal(stretch_isometry(0.0, g), np.eye(64))
 
     def test_parameter_ranges(self):
-        g = GridSpace.make(32)
+        g = GridSpace(32)
         with pytest.raises(ValidationError):
             shrink_isometry(0.0, g)
         with pytest.raises(ValidationError):
@@ -58,21 +58,21 @@ class TestIsometries:
 
     def test_smooth_band_needs_a_mode(self):
         with pytest.raises(ValidationError, match="modes = 0"):
-            smooth_band(GridSpace.make(16), 0)
+            smooth_band(GridSpace(16), 0)
 
     def test_band_defect_small_at_half(self):
-        g = GridSpace.make(512)
+        g = GridSpace(512)
         assert isometry_defect(shrink_isometry(0.5, g), g) < 0.05
 
     def test_defect_scales_like_c_over_n(self):
-        defects = {n: isometry_defect(shrink_isometry(0.5, GridSpace.make(n)),
-                                      GridSpace.make(n)) for n in (128, 256, 512)}
+        defects = {n: isometry_defect(shrink_isometry(0.5, GridSpace(n)),
+                                      GridSpace(n)) for n in (128, 256, 512)}
         assert defects[128] > defects[256] > defects[512]
         cs = [n * d for n, d in defects.items()]
         assert max(cs) / min(cs) < 1.3  # measured C is stable across n
 
     def test_range_projection_trace_aligned(self):
-        g = GridSpace.make(512)
+        g = GridSpace(512)
         for t in (0.25, 0.5):
             U = shrink_isometry(t, g)
             assert abs(np.trace(U @ adjoint(U)).real - t * 512) < 1e-8
@@ -81,18 +81,18 @@ class TestIsometries:
             assert abs(np.trace(V @ adjoint(V)).real - (1 - t) * 512) < 1e-8
 
     def test_range_projection_trace_generic(self):
-        g = GridSpace.make(512)
+        g = GridSpace(512)
         for t in (0.3, 0.7):
             U = shrink_isometry(t, g)
             assert abs(np.trace(U @ adjoint(U)).real - t * 512) <= 0.35 * t * 512
 
     def test_ranges_complementary(self):
-        g = GridSpace.make(512)
+        g = GridSpace(512)
         for t in (0.3, 0.5, 0.7):
             assert completeness_defect(t, g) < 0.1
 
     def test_block_double_preserves_oddness(self):
-        g = GridSpace.make(16)
+        g = GridSpace(16)
         rng = np.random.default_rng(0)
         C = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         H = odd_embedding(C)
@@ -105,7 +105,7 @@ class TestIsometries:
 
 class TestZkContraction:
     def test_endpoints_bit_exact(self):
-        g = GridSpace.make(32)
+        g = GridSpace(32)
         rng = np.random.default_rng(1)
         a = compact_injective_sample(rng, 32)
         b = compact_injective_sample(rng, 32)
@@ -118,7 +118,7 @@ class TestZkContraction:
 
     def test_injectivity_preserved_mixed_signs(self):
         rng = np.random.default_rng(100)
-        g = GridSpace.make(128)
+        g = GridSpace(128)
         a = compact_injective_sample(rng, 128, mixed_signs=True)
         b = compact_injective_sample(rng, 128, mixed_signs=True)
         path = zk_path(a, b, g)
@@ -155,7 +155,7 @@ class TestZkContraction:
         rng = np.random.default_rng(6)
         a = HermOp(compact_injective_sample(rng, 32))
         b = HermOp(compact_injective_sample(rng, 32))
-        assert isinstance(zk_path(a, b, GridSpace.make(32))(0.5), np.ndarray)
+        assert isinstance(zk_path(a, b, GridSpace(32))(0.5), np.ndarray)
         assert calls == [(HermOp, homotopy.INJECTIVITY_ATOL)] * 2
 
     @pytest.mark.parametrize("seed", range(16))
@@ -164,7 +164,7 @@ class TestZkContraction:
         rng = np.random.default_rng(seed)
         a = HermOp(compact_injective_sample(rng, 128))
         b = HermOp(compact_injective_sample(rng, 128))
-        path = zk_path(a, b, GridSpace.make(128))
+        path = zk_path(a, b, GridSpace(128))
         solved = min(float(np.min(np.abs(HermOp(path(t)).eigenvalues))) for t in homotopy.MARGIN_TS)
         assert zk_injectivity_margin(128, seed=seed) == solved
 
@@ -173,11 +173,11 @@ class TestZkContraction:
         a = compact_injective_sample(rng, 32)
         b = compact_injective_sample(rng, 32)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        zk_path(HermOp(a), HermOp(b), GridSpace.make(32))
+        zk_path(HermOp(a), HermOp(b), GridSpace(32))
 
     @pytest.mark.parametrize("t", [-0.1, 1.5])
     def test_t_outside_unit_interval_rejected(self, t):
-        g = GridSpace.make(16)
+        g = GridSpace(16)
         a = compact_injective_sample(np.random.default_rng(3), 16)
         with pytest.raises(ValidationError, match="t must be"):
             zk_path(a, a, g)(t)
@@ -185,10 +185,10 @@ class TestZkContraction:
     def test_operand_off_the_grid_rejected(self):
         a = compact_injective_sample(np.random.default_rng(4), 16)
         with pytest.raises(ValidationError, match="grid space"):
-            zk_path(a, a, GridSpace.make(32))(0.5)
+            zk_path(a, a, GridSpace(32))(0.5)
 
     def test_degenerate_input_rejected(self):
-        g = GridSpace.make(32)
+        g = GridSpace(32)
         rng = np.random.default_rng(2)
         a = compact_injective_sample(rng, 32)
         singular = np.zeros((32, 32), dtype=complex)
@@ -200,7 +200,7 @@ class TestZkContraction:
         L = 2.0
         for n in (128, 256, 512):
             rng = np.random.default_rng(5)
-            g = GridSpace.make(n)
+            g = GridSpace(n)
             a = compact_injective_sample(rng, n)
             b = compact_injective_sample(rng, n)
             ts = np.linspace(0.0, 1.0, 33)
@@ -217,25 +217,25 @@ class TestZkContraction:
 
 class TestRkContraction:
     def test_endpoint_conventions(self):
-        g = GridSpace.make(32)
+        g = GridSpace(32)
         A, B = smooth_spd(32), smooth_spd(32, 0.3)
         assert rk_contraction(0.0, A, B, g) is A
         assert rk_contraction(1.0, A, B, g) is B
 
     def test_hermitian_output(self):
-        g = GridSpace.make(64)
+        g = GridSpace(64)
         H = rk_contraction(0.37, smooth_spd(64), smooth_spd(64, 0.3), g)
         assert op_norm(H.matrix - adjoint(H.matrix)) < 1e-12
 
     def test_singular_input_rejected(self):
-        g = GridSpace.make(32)
+        g = GridSpace(32)
         A = smooth_spd(32)
         S = HermOp(np.diag([0.0] + [1.0] * 31))
         with pytest.raises(DegeneracyError):
             rk_contraction(0.5, S, A, g)
 
     def test_inversion_consistency_at_half(self):
-        g = GridSpace.make(512)
+        g = GridSpace(512)
         A = smooth_spd(512)
         B = HermOp(smooth_spd(512, 0.3).matrix + 0.5 * np.eye(512))
         assert inversion_consistency(0.5, A, B, g) < 0.1
@@ -244,12 +244,18 @@ class TestRkContraction:
 class TestOperandChecks:
     def test_grid_needs_two_cells(self):
         with pytest.raises(ValidationError, match="at least 2 points"):
-            GridSpace.make(1)
-        assert GridSpace.make(2).n == 2
+            GridSpace(1)
+        assert GridSpace(2).n == 2
+
+    def test_grid_computes_its_own_nodes(self):
+        with pytest.raises(TypeError):
+            GridSpace(4, np.zeros(7))
+        assert not GridSpace(4).nodes.flags.writeable
+        np.testing.assert_array_equal(GridSpace(4).nodes, [0.125, 0.375, 0.625, 0.875])
 
     def test_rk_operands_off_the_grid_rejected(self):
         with pytest.raises(ValidationError, match="grid space"):
-            rk_contraction(0.5, smooth_spd(16), smooth_spd(16), GridSpace.make(32))
+            rk_contraction(0.5, smooth_spd(16), smooth_spd(16), GridSpace(32))
 
     def test_compactify_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="dimension mismatch: 3 vs 2"):
@@ -270,7 +276,7 @@ class TestOperandChecks:
 
     def test_isometry_off_the_grid_rejected(self):
         with pytest.raises(ValidationError, match="isometry of dim 16 .* grid space of dim 32"):
-            isometry_defect(np.eye(16), GridSpace.make(32))
+            isometry_defect(np.eye(16), GridSpace(32))
 
 
 class TestCompactify:
@@ -468,7 +474,7 @@ def _loop_isometry(start, length, n):
 class TestIsometryBuilder:
     @pytest.mark.parametrize("n", [8, 16, 128, 512, 513])
     def test_bit_equal_to_the_loop(self, n):
-        g = GridSpace.make(n)
+        g = GridSpace(n)
         for t in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             assert np.array_equal(shrink_isometry(t, g), _loop_isometry(0.0, t, n))
             assert np.array_equal(stretch_isometry(t, g), _loop_isometry(t, 1.0 - t, n))
@@ -490,7 +496,7 @@ class TestIsometryBuilder:
 
     @pytest.mark.parametrize("n", [128, 512])
     def test_reassociated_defects_match_the_dense_formulas(self, n):
-        g = GridSpace.make(n)
+        g = GridSpace(n)
         V = smooth_band(g)
         eye = np.eye(n)
         for t in (0.3, 0.5, 0.7):
@@ -502,7 +508,7 @@ class TestIsometryBuilder:
 
     def test_sparse_interpolant_matches_the_dense_products(self):
         n, t = 64, 0.37
-        g = GridSpace.make(n)
+        g = GridSpace(n)
         rng = np.random.default_rng(7)
         a = compact_injective_sample(rng, n)
         b = compact_injective_sample(rng, n)
@@ -517,7 +523,7 @@ class TestIsometryBuilder:
 @pytest.mark.parametrize("n", [16, 32, 100, 128, 512])
 def test_discretization_tolerance_is_the_dense_defects_on_the_csr_maps(monkeypatch, n):
     # the sparse sums run in another order: 1 ulp apart at n = 512, bit-equal at 16 and 32
-    g = GridSpace.make(n)
+    g = GridSpace(n)
     V = smooth_band(g)
     dense = 0.0
     for t in homotopy.DISCRETIZATION_TS:

@@ -408,13 +408,16 @@ class TestOneFactorizationPerOperand:
         fredholm_factor_check(a)
         assert factorizations == [(6, 6)]
 
-    @pytest.mark.parametrize("f", [bounded_transform, inverse_bounded_transform])
-    def test_ball_map_takes_one_svd_and_no_eigh(self, monkeypatch, f):
+    @pytest.mark.parametrize("f, factorizations", [
+        (bounded_transform, (0, 1)),  # the eigh of its Hermitian dilation, in place of an SVD
+        (inverse_bounded_transform, (1, 0)),
+    ], ids=["bounded_transform", "inverse_bounded_transform"])
+    def test_ball_map_takes_one_svd_and_no_eigh(self, monkeypatch, f, factorizations):
         a = contraction(np.random.default_rng(36), 6)
         svd = count_calls(monkeypatch, np.linalg, "svd")
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
         f(a)
-        assert (len(svd), len(eigh)) == (1, 0)
+        assert (len(svd), len(eigh)) == factorizations
 
     def test_fredholm_is_bit_equal_to_the_separate_projection(self):
         rng = np.random.default_rng(31)
@@ -454,9 +457,11 @@ class TestOneFactorizationPerOperand:
 
     @pytest.mark.parametrize("trials", [1, 3])
     def test_identity_suite_builds_one_ball_projection_per_trial(self, monkeypatch, trials):
-        calls = count_calls(monkeypatch, transforms, "ball_projection")
+        # one SVD of the ball operand feeds its projection and the Fredholm residual
+        svds = count_calls(monkeypatch, transforms, "_ball_svd")
+        projections = count_calls(monkeypatch, transforms, "_ball_projection")
         identity_suite(dim=5, trials=trials, seed=2)
-        assert len(calls) == trials
+        assert len(svds) == len(projections) == trials
 
     @pytest.mark.parametrize("trials", [1, 3])
     def test_identity_suite_validates_three_projections_per_trial(self, monkeypatch, trials):
@@ -466,11 +471,14 @@ class TestOneFactorizationPerOperand:
         identity_suite(dim=5, trials=trials, seed=2)
         assert len(calls) == 3 * trials
 
-    def test_fredholm_residual_reuses_the_projection_it_is_given(self):
+    def test_fredholm_residual_reuses_the_projection_it_is_given(self, monkeypatch):
         a = contraction(np.random.default_rng(38), 5)
-        pa = ball_projection(a)
-        assert np.array_equal(transforms._fredholm_residual(a, pa),
-                              transforms._fredholm_residual(a))
+        svd = transforms._ball_svd(a)
+        assert np.array_equal(transforms._fredholm_residual(svd, ball_projection(a)),
+                              transforms._fredholm_residual(svd, transforms._ball_projection(*svd)))
+        svds = count_calls(monkeypatch, transforms, "_ball_svd")
+        fredholm_factor_check(a)
+        assert len(svds) == 1
 
     @pytest.mark.parametrize("norm, ok", [(1.0 + 1e-11, True), (1.0 + 2e-10, False),
                                           (1.0 + 5e-11, True), (1.0 + 8e-11, True)])
