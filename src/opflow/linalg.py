@@ -15,11 +15,11 @@ the global index of the first), ``norm()``, ``T - S``, ``T @ x``,
 ``cayley_phase()`` (arg det of the Cayley transform).
 A banded operator solves only what is asked (LAPACK ``stebz``: its own count
 for a window's index, bisection for the window or one eigenvalue, ``stein``
-for its vector; the tridiagonal solver for all eigenpairs, ``gttrf`` for
-T + i), applies its three-term product and subtracts on its bands; a dense
-one slices its full spectrum and factors with ``getrf``.  On top of these
-live the spectral functional calculus and the operator norm, which
-everything else in the package is built from.
+for its vector; ``stevd`` for all eigenpairs, ``gttrf`` for T + i), applies
+its three-term product and subtracts on its bands; a dense one slices its
+full spectrum and factors with ``getrf``.  On top of these live the spectral
+functional calculus and the operator norm, which everything else in the
+package is built from.
 
 A quantity that is only compared with a bound is decided by a cheap
 certificate first, and solved for only when that cannot decide:
@@ -30,16 +30,13 @@ eigenvalue beyond c (Higham, Thm 10.3), at about a fifth of the cost of a
 values-only ``eigvalsh`` at dim 512.
 
 scipy loads on first use, not at import: importing ``scipy.linalg`` takes
-0.13-0.16 s on a 2-vCPU host, and dense work needs only ``numpy.linalg``.  Each
-banded solve and each ``resolvent`` factor imports ``scipy.linalg`` in the
-function and calls its LAPACK wrappers as ``scipy.linalg.lapack.dstebz`` and
-so on; once loaded, the import statement is a dictionary lookup, and a
-wrapper patched on ``scipy.linalg.lapack`` is the one called.  The cached
-full spectrum and a window's values go through scipy's
-``eigh_tridiagonal``/``eigvalsh_tridiagonal``, the names the benchmark's
-tracer counts.  An index-selected pair (each lowest eigenvalue and norm, each
-Lanczos step in ``metrics``) calls ``stebz`` and ``stein`` itself: at dim <= 8
-the wrapper spends about 10 of its 13 us re-checking bands already checked.
+0.13-0.16 s on a 2-vCPU host, and dense work needs only ``numpy.linalg``.
+Every banded solve and ``resolvent`` factor calls LAPACK raw (``dstevd``,
+``dstebz``, ``dstein``, ``zgttrf``/``zgttrs``, ``zgetrf``/``zgetrs``) on the one
+module ``_lapack()`` imports on first use, so a routine patched there is the
+one called and no wrapper re-checks bands checked at construction.  A nonzero
+``info`` raises an error naming the routine.  The f2py wrappers reject the
+empty off-diagonal of dim 1; ``_lapack_bands`` passes one zero, unread there.
 Dense work stays on ``numpy.linalg`` even once scipy is loaded: numpy and
 scipy each bundle OpenBLAS with its own thread pool, and a call into one
 straight after a BLAS call in the other can run twice as slow.
@@ -56,7 +53,7 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, NonConvergenceError, ValidationError
 
 HERMITICITY_RTOL = 1e-12
-MIN_FACTOR_DIM = 3  # scipy's gttrf wrapper rejects smaller bands
+MIN_FACTOR_DIM = 3  # the f2py gttrf wrapper rejects smaller bands
 FLOAT_EPS = float(np.finfo(float).eps)  # op_norm_floor pads ||M||_F by 4 FLOAT_EPS per entry
 FROBENIUS_FLOOR = 1e-140  # op_norm_floor and _beyond_ceiling decide only above this (no underflow)
 
@@ -132,11 +129,23 @@ def hermiticity_defect(M: np.ndarray) -> float:
         return float(np.linalg.norm(A - adjoint(A)) / np.linalg.norm(A))
 
 
+def _lapack():
+    """scipy's LAPACK module, imported on first use: the one route to every LAPACK routine called here."""
+    from scipy.linalg import lapack
+    return lapack
+
+
+def _lapack_bands(bands) -> tuple[np.ndarray, np.ndarray]:
+    """The bands (d, e) as the f2py wrappers take them: one zero for the empty e of dim 1."""
+    d, e = bands
+    return d, e if e.size else np.zeros(1)
+
+
 def _tridiagonal_pair(d, e, k: int, vector: bool = False) -> tuple[float, np.ndarray | None]:
     """The k-th eigenvalue (from 0, ascending) of the real tridiagonal (d, e), and its unit vector if asked.
 
     Index-selected ``stebz`` (``abstol = 0``), then ``stein``: the calls and
-    ordering of scipy's ``eigh_tridiagonal(select="i")``, bit for bit.  On a
+    ordering of scipy's index-selected tridiagonal solver, bit for bit.  On a
     split band the index range can fail (``info`` = 2) where scipy raises;
     as the LAPACK documentation advises, it is then recomputed with every
     eigenvalue and the k-th picked.  A ``stebz`` that fails that way too, or a
@@ -144,7 +153,7 @@ def _tridiagonal_pair(d, e, k: int, vector: bool = False) -> tuple[float, np.nda
     """
     if len(d) == 1:  # the f2py wrappers reject an empty e; scipy returns d[0] and [1.0] too
         return float(d[0]), np.ones(1)
-    from scipy.linalg import lapack
+    lapack = _lapack()
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "B" if vector else "E")
     if info != 0:
         _, w, iblock, isplit, info = lapack.dstebz(d, e, 0, 0.0, 1.0, 0, 0, 0.0, "E")
@@ -168,7 +177,7 @@ class ShiftedFactor:
     __slots__ = ("_lu", "_trs", "_trans")
 
     def __init__(self, op: HermOp):
-        from scipy.linalg import lapack
+        lapack = _lapack()
         if op.bands is not None and op.dim >= MIN_FACTOR_DIM:
             off = op.bands[1].astype(complex)
             *self._lu, info = lapack.zgttrf(off, op.bands[0] + 1j, off)
@@ -277,11 +286,7 @@ class HermOp:
         if self._eigvals is None:
             with self._lock:
                 if self._eigvals is None:
-                    if self.bands is None:
-                        w = np.linalg.eigvalsh(self._matrix)
-                    else:
-                        import scipy.linalg
-                        w = scipy.linalg.eigvalsh_tridiagonal(*self.bands)
+                    w = np.linalg.eigvalsh(self._matrix) if self.bands is None else self._stevd(False)[0]
                     w.setflags(write=False)
                     self._eigvals = w
         return self._eigvals
@@ -296,17 +301,20 @@ class HermOp:
         if self._eigvecs is None:
             with self._lock:
                 if self._eigvecs is None:
-                    if self.bands is None:
-                        w, V = np.linalg.eigh(self._matrix)
-                    else:
-                        import scipy.linalg
-                        w, V = scipy.linalg.eigh_tridiagonal(*self.bands)
+                    w, V = np.linalg.eigh(self._matrix) if self.bands is None else self._stevd(True)
                     V.setflags(write=False)
                     self._eigvecs = V
                     if self._eigvals is None:
                         w.setflags(write=False)
                         self._eigvals = w
         return self._eigvecs
+
+    def _stevd(self, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Every eigenvalue of the bands, and the eigenvectors if asked, from one LAPACK ``stevd``."""
+        w, V, info = _lapack().dstevd(*_lapack_bands(self.bands), compute_v=int(vectors))
+        if info != 0:
+            raise NonConvergenceError(f"stevd for every eigenvalue of dim {self.dim} failed: info = {info}")
+        return w, V
 
     def _eigenvalue(self, k: int) -> float:
         """The k-th eigenvalue in ascending order; a banded operator bisects for it alone (``stebz``)."""
@@ -385,7 +393,7 @@ class HermOp:
         own count and bisects for the window alone with the same routine from
         the same lower edge, so the two agree; a dense one slices the cached
         full spectrum.  A window holding no eigenvalue (including lo > hi)
-        gives an empty array.  A banded count that fails raises
+        gives an empty array.  A banded count or window that fails raises
         ``NonConvergenceError``.
         """
         if math.isnan(lo) or math.isnan(hi):
@@ -395,24 +403,26 @@ class HermOp:
             first = int(np.searchsorted(w, lo, side="left"))
             end = int(np.searchsorted(w, hi, side="right"))
             return first, w[first:max(first, end)]
-        import scipy.linalg
-        d, e = self.bands
+        lapack = _lapack()
+        d, e = _lapack_bands(self.bands)
         pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
         # stebz returns (vl, vu] and counts pivots below pivmin as negative
         with np.errstate(over="ignore"):  # below -max float lies -inf
             below = float(np.nextafter(lo - 2.0 * pivmin, -np.inf))
         # n minus stebz's count in (below, inf]: counting (-inf, below] would make
-        # lo = -inf an illegal vl = vu.  abstol = inf stops the bisection at once;
-        # the f2py wrapper rejects an empty e
-        above, *_, info = scipy.linalg.lapack.dstebz(
-            d, e if e.size else np.zeros(1), 1, below, np.inf, 0, 0, np.inf, "E")
+        # lo = -inf an illegal vl = vu.  abstol = inf stops the bisection at once
+        above, *_, info = lapack.dstebz(d, e, 1, below, np.inf, 0, 0, np.inf, "E")
         if info != 0:
             raise NonConvergenceError(f"stebz count above {lo} failed on dim {self.dim}: info = {info}")
         first = self.dim - above
         if hi < lo or hi == -math.inf:  # empty; stebz would reject vl = vu = -inf
             w = np.empty(0)
-        else:
-            w = scipy.linalg.eigvalsh_tridiagonal(d, e, select="v", select_range=(below, hi))
+        else:  # the window (below, hi] by the same bisection, abstol = 0
+            m, w, *_, info = lapack.dstebz(d, e, 1, below, hi, 0, 0, 0.0, "E")
+            if info != 0:
+                raise NonConvergenceError(
+                    f"stebz window [{lo}, {hi}] failed on dim {self.dim}: info = {info}")
+            w = w[:m]
         w.setflags(write=False)
         return first, w
 

@@ -58,7 +58,7 @@ def _resolvent_gap(A: HermOp, B: HermOp, D: HermOp) -> float:
     Step k applies M once (four solves, two applies of B - A), orthogonalizes
     against every earlier Lanczos vector in two classical Gram-Schmidt passes
     and reads the top eigenpair (theta, y) of the tridiagonal T_k (``stebz``
-    and ``stein``, as ``eigh_tridiagonal(select="i")`` would).  It stops
+    and ``stein``, the calls of scipy's index-selected tridiagonal solver).  It stops
     as soon as the Ritz residual beta_k |y_k| <= eps theta, ARPACK's ``tol = 0``
     test, or at k = n, where T_n is M up to rounding.  M is scaled by 1/s^2,
     s a power of 2 near max |R v_1|, so a gap below 1e-154 does not square to 0.

@@ -96,6 +96,9 @@ class OperatorPath:
         """
         if n_samples < 1:
             raise ValidationError("need at least one subinterval")
+        for end in (a, b):  # an infinite end would make the partition warn, then name a nan
+            if not math.isfinite(end):
+                raise ValidationError(f"sample parameter {end} is not finite")
         h = (b - a) / n_samples
         if closed:
             th = a + (np.arange(n_samples + 1) + 0.5) * h

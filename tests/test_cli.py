@@ -6,10 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 from opflow import cli, homotopy, metrics, specflow
 from opflow.cli import main
+from opflow.linalg import _lapack
 from opflow.manifest import validate_manifest, verify_outputs
 
 
@@ -303,6 +303,7 @@ def test_lanczos_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_failed_banded_eigenpair_is_one_stderr_line(tmp_path, capsys, monkeypatch, routine):
     """stebz fails on the comparison operator's lowest eigenvalue, stein on a Ritz vector."""
+    lapack = _lapack()
     real = getattr(lapack, routine)
     monkeypatch.setattr(lapack, routine, lambda *args: (*real(*args)[:-1], 1))
     assert main(["dichotomy", "--grid", "32", "--points", "2", "--out", str(tmp_path)]) == 1
@@ -312,11 +313,29 @@ def test_failed_banded_eigenpair_is_one_stderr_line(tmp_path, capsys, monkeypatc
 
 
 def test_failed_stebz_count_is_one_stderr_line(tmp_path, capsys, monkeypatch):
+    lapack = _lapack()
     real = lapack.dstebz
     monkeypatch.setattr(lapack, "dstebz", lambda *args: (*real(*args)[:-1], 1))
     assert main(["specflow", "--grid", "64", "--samples", "16", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("specflow: ") and "info = 1" in err
+
+
+def test_failed_stebz_window_is_one_stderr_line(tmp_path, capsys, monkeypatch):
+    """Only the window's bisection (abstol = 0 on a value range) fails; the count before it succeeds."""
+    lapack = _lapack()
+    real = lapack.dstebz
+
+    def window_fails(*args):
+        out = real(*args)
+        return (*out[:-1], 1) if args[2] == 1 and args[7] == 0.0 else out
+
+    monkeypatch.setattr(lapack, "dstebz", window_fails)
+    assert main(["specgraph", "--grid", "64", "--samples", "16", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("specgraph: stebz window [")
+    assert "failed on dim 64: info = 1" in err and "Traceback" not in err
+    assert not (tmp_path / "specgraph.csv").exists()
 
 
 def test_refinement_budget_is_one_stderr_line(tmp_path, capsys):
@@ -419,7 +438,7 @@ LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('s
 
 
 def test_start_up_loads_no_scipy():
-    """``opflow.linalg`` binds ``scipy.linalg`` on first use, so no scipy module loads at start-up."""
+    """``opflow.linalg`` loads scipy's LAPACK module on first use, so no scipy module loads at start-up."""
     code = f"import sys, opflow.cli; opflow.cli.build_parser(); print({LOADED_SCIPY})"
     assert _fresh_run(code) == "[]"
 
@@ -437,7 +456,7 @@ def test_dense_commands_load_no_scipy(argv, tmp_path):
 def test_banded_command_loads_scipy_linalg_and_keeps_the_golden_flow(tmp_path):
     code = ("import sys, opflow.cli; code = opflow.cli.main(['specflow', '--path', 'robin', "
             f"'--grid', '64', '--samples', '16', '--out', {str(tmp_path)!r}]); "
-            "print(code, 'scipy.linalg' in sys.modules)")
+            "print(code, 'scipy.linalg._flapack' in sys.modules)")  # the module _lapack() returns
     assert _fresh_run(code) == "0 True"
     golden = json.loads(read(Path(__file__).with_name("golden.json")))["specflow"]
     report = json.loads(read(tmp_path / "specflow.json"))

@@ -611,8 +611,9 @@ class TestTridiagonalPair:
         ("dstein", lambda op: op.eigenvector(3)),
     ])
     def test_failure_names_routine_index_dim_and_info(self, monkeypatch, routine, read):
-        real = getattr(scipy.linalg.lapack, routine)
-        monkeypatch.setattr(scipy.linalg.lapack, routine, lambda *args: (*real(*args)[:-1], 2))
+        lapack = linalg._lapack()
+        real = getattr(lapack, routine)
+        monkeypatch.setattr(lapack, routine, lambda *args: (*real(*args)[:-1], 2))
         op = HermOp.tridiagonal(np.arange(8.0), np.ones(7))
         with pytest.raises(NonConvergenceError, match=rf"^{routine[1:]} for eigenvalue [03] of dim 8 "
                                                       r"failed: info = 2$"):
@@ -760,8 +761,9 @@ class TestTridiagonal:
     @pytest.mark.parametrize("storage, routine", [("banded", "zgttrf"), ("dense", "zgetrf")])
     def test_failed_factor_is_a_degeneracy_error(self, storage, routine, monkeypatch):
         """T + i is never singular for Hermitian T, so a zero pivot is only LAPACK's report; it still raises."""
-        factor = getattr(scipy.linalg.lapack, routine)
-        monkeypatch.setattr(scipy.linalg.lapack, routine, lambda *a, **k: (*factor(*a, **k)[:-1], 2))
+        lapack = linalg._lapack()
+        factor = getattr(lapack, routine)
+        monkeypatch.setattr(lapack, routine, lambda *a, **k: (*factor(*a, **k)[:-1], 2))
         op = HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
         with pytest.raises(DegeneracyError, match=f"T \\+ i of dim 3 is singular: {routine} info = 2"):
             (op if storage == "banded" else HermOp(op.matrix)).resolvent()
@@ -820,9 +822,8 @@ class TestTridiagonal:
 
         A = HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", refuse)
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", refuse)
-        monkeypatch.setattr(scipy.linalg.lapack, "dstein", refuse)
+        for routine in ("dstevd", "dstebz", "dstein"):
+            monkeypatch.setattr(linalg._lapack(), routine, refuse)
         assert (A - HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5]))._max_entry() == 0.0
         assert (A - HermOp.tridiagonal([1.0, 2.0, 3.0], [0.5, 0.25]))._max_entry() == 0.25
         assert (A - HermOp.tridiagonal([1.0, 2.0, -3.0], [0.5, 0.5]))._max_entry() == 6.0
@@ -867,54 +868,154 @@ class TestTridiagonal:
         assert op_norm((V * op.eigenvalues) @ adjoint(V) - dense.matrix) < 1e-12
 
 
-class TestBandedKernelCost:
-    """One banded ``spectrum`` is one ``stebz`` count and one ``stebz`` window.
+LAPACK_ROUTINES = ("dstevd", "dstebz", "dstein", "zgttrf", "zgttrs", "zgetrf", "zgetrs")
 
-    The window is read through ``scipy.linalg.eigvalsh_tridiagonal``, not a
-    second raw ``dstebz`` call: that is the name the benchmark's tracer wraps,
-    and its robin-flow smoke test asks for at least one traced eigensolve per
-    assembled operator.
+
+class TestBandedKernelCost:
+    """Banded work calls LAPACK raw, on the module ``linalg._lapack()`` returns.
+
+    One ``spectrum`` is two ``dstebz`` calls from the same lower edge: the
+    count (``abstol = inf``) and the window's bisection (``abstol = 0``).  The
+    full solve is one ``dstevd``.  Each call is counted, and each failure
+    injected, by patching that module; a nonzero ``info`` raises
+    ``NonConvergenceError`` naming the routine, the dim and ``info``.
     """
 
     @staticmethod
-    def counting(calls, name, real):
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+    def record_calls(monkeypatch):
+        calls, lapack = [], linalg._lapack()
+        for name in LAPACK_ROUTINES:
+            def counted(*args, _name=name, _real=getattr(lapack, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        return counted
+            monkeypatch.setattr(lapack, name, counted)
+        return calls
+
+    @staticmethod
+    def fail(monkeypatch, routine, info, when=lambda args: True):
+        lapack = linalg._lapack()
+        real = getattr(lapack, routine)
+
+        def failing(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return (*out[:-1], info) if when(args) else out
+
+        monkeypatch.setattr(lapack, routine, failing)
 
     def test_one_count_and_one_window(self, monkeypatch):
-        calls = []
-        for owner, name in ((scipy.linalg.lapack, "dstebz"), (scipy.linalg, "eigvalsh_tridiagonal")):
-            monkeypatch.setattr(owner, name, self.counting(calls, name, getattr(owner, name)))
-        HermOp.tridiagonal(np.arange(8.0), np.ones(7)).spectrum(1.0, 5.0)
-        assert sorted(calls) == ["dstebz", "eigvalsh_tridiagonal"]
+        calls = self.record_calls(monkeypatch)
+        first, w = HermOp.tridiagonal(np.arange(8.0), np.ones(7)).spectrum(1.0, 5.0)
+        assert calls == ["dstebz", "dstebz"] and w.size > 0
         assert not hasattr(linalg, "_sturm_count")
 
+    @pytest.mark.parametrize("read", ["eigenvalues", "eigenvectors"])
+    def test_full_solve_is_one_stevd(self, monkeypatch, read):
+        calls = self.record_calls(monkeypatch)
+        op = HermOp.tridiagonal(np.arange(8.0), np.ones(7))
+        getattr(op, read)
+        op.eigenvalues
+        assert calls == ["dstevd"]
+
     def test_failed_count_raises(self, monkeypatch):
-        real = scipy.linalg.lapack.dstebz
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda *args: (*real(*args)[:-1], 1))
+        self.fail(monkeypatch, "dstebz", 1)
         with pytest.raises(NonConvergenceError, match=r"above 1\.0 failed on dim 8: info = 1"):
             HermOp.tridiagonal(np.arange(8.0), np.ones(7)).spectrum(1.0, 5.0)
 
+    def test_failed_window_raises(self, monkeypatch):
+        self.fail(monkeypatch, "dstebz", 3, when=lambda args: args[7] == 0.0)  # abstol 0: the window
+        with pytest.raises(NonConvergenceError,
+                           match=r"^stebz window \[1\.0, 5\.0\] failed on dim 8: info = 3$"):
+            HermOp.tridiagonal(np.arange(8.0), np.ones(7)).spectrum(1.0, 5.0)
+
+    @pytest.mark.parametrize("read", ["eigenvalues", "eigenvectors"])
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_failed_full_solve_raises(self, monkeypatch, read, n):
+        self.fail(monkeypatch, "dstevd", 2)
+        op = HermOp.tridiagonal(np.arange(float(n)), np.ones(n - 1))
+        with pytest.raises(NonConvergenceError,
+                           match=rf"^stevd for every eigenvalue of dim {n} failed: info = 2$"):
+            getattr(op, read)
+        assert op._eigvals is None and op._eigvecs is None
+
+
+def scipy_window(d, e, lo, hi):
+    """The window [lo, hi] as ``spectrum`` read it through scipy's wrapper: (below, hi] from stebz."""
+    if hi < lo or hi == -math.inf:
+        return np.empty(0)
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
+    with np.errstate(over="ignore"):
+        below = float(np.nextafter(lo - 2.0 * pivmin, -np.inf))
+    return scipy.linalg.eigvalsh_tridiagonal(d, e, select="v", select_range=(below, hi))
+
+
+class TestRawRoutesAreScipys:
+    """The raw ``dstevd`` and ``dstebz`` routes return scipy's wrappers' arrays, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 59), log_scale=st.floats(-3.0, 3.0), split=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_full_solve_and_windows(self, n, log_scale, split, seed, data):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        d, e = scale * rng.standard_normal(n), scale * rng.standard_normal(n - 1)
+        if split:
+            e[rng.random(n - 1) < 0.3] = 0.0
+        values = HermOp.tridiagonal(d, e).eigenvalues
+        assert np.array_equal(values, scipy.linalg.eigvalsh_tridiagonal(d, e))
+        op = HermOp.tridiagonal(d, e)
+        w, V = scipy.linalg.eigh_tridiagonal(d, e)
+        assert np.array_equal(op.eigenvectors, V) and np.array_equal(op.eigenvalues, w)
+        span = float(np.max(np.abs(values))) + scale
+        u = lambda: data.draw(st.floats(-1.5 * span, 1.5 * span))
+        k = data.draw(st.integers(0, n - 1))
+        gap = int(np.argmax(np.diff(values))) if n > 1 else 0
+        windows = [
+            tuple(sorted((u(), u()))),
+            (values[k], values[k]),  # an eigenvalue on both edges
+            (values[k], u()),  # possibly reversed
+            (-math.inf, u()),
+            (u(), -math.inf),
+            (-math.inf, -math.inf),
+            (u(), math.inf),
+        ]
+        if n > 1:  # inside the widest gap: empty
+            windows.append((values[gap] + (values[gap + 1] - values[gap]) / 4,
+                            values[gap + 1] - (values[gap + 1] - values[gap]) / 4))
+        for lo, hi in windows:
+            expected = scipy_window(d, e, lo, hi)
+            assert np.array_equal(op.spectrum(lo, hi)[1], expected), (lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (2.5, 2.5), (2.0, 2.5), (2.5, 3.0), (-math.inf, 2.5), (2.5, math.inf),
+        (float(np.nextafter(2.5, 3.0)), 3.0), (2.0, float(np.nextafter(2.5, 2.0))),
+        (3.0, 2.0), (2.0, -math.inf),
+    ])
+    def test_one_by_one_window_edges(self, lo, hi):
+        """At dim 1 the window holds d_0 exactly when lo <= d_0 <= hi, as scipy's special case gives."""
+        d, e = np.array([2.5]), np.empty(0)
+        first, w = HermOp.tridiagonal(d, e).spectrum(lo, hi)
+        assert np.array_equal(w, scipy_window(d, e, lo, hi))
+        assert w.tolist() == ([2.5] if lo <= 2.5 <= hi else [])
+        assert first == (0 if lo <= 2.5 else 1)
+
 
 def test_dstebz_patched_before_first_use_is_the_one_called():
-    """scipy loads on first use (in a fresh interpreter), and a wrapper patched before that is called."""
+    """scipy loads on first use (in a fresh interpreter), and a routine patched on ``_lapack()`` is called."""
     code = "\n".join([
         "import sys",
         "from opflow import linalg",
         "assert 'scipy' not in sys.modules",
-        "from scipy.linalg import lapack",
+        "lapack = linalg._lapack()",
         "calls, real = [], lapack.dstebz",
         "def spy(*args):",
         "    calls.append(args)",
         "    return real(*args)",
         "lapack.dstebz = spy",
         "first, w = linalg.HermOp.tridiagonal([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0]).spectrum(0.5, 2.5)",
-        "print(len(calls), lapack.dstebz is spy, first, w.tolist())",
+        "print(len(calls), linalg._lapack().dstebz is spy, first, w.tolist())",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["1", "True", "1", "[1.0,", "2.0]"]
+    assert out.stdout.split() == ["2", "True", "1", "[1.0,", "2.0]"]

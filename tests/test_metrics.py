@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from opflow import metrics, transforms
 from opflow.errors import ConditioningError, NonConvergenceError, ValidationError
-from opflow.linalg import HermOp, ShiftedFactor, op_norm
+from opflow.linalg import HermOp, ShiftedFactor, _lapack, op_norm
 from opflow.metrics import gap_dist, riesz_dist, weyl_gap
 from opflow.sturm import ProjectivePoint, assemble_robin_operator
 from opflow.transforms import (
@@ -361,7 +361,7 @@ class TestResolventGap:
             raise AssertionError("solved")
 
         for routine in ("dstebz", "dstein"):
-            monkeypatch.setattr(scipy.linalg.lapack, routine, refuse)
+            monkeypatch.setattr(_lapack(), routine, refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         robin, _ = robin_dirichlet(0.05, 50)
         dense = random_hermitian(np.random.default_rng(3), 7, 3.0)

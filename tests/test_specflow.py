@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ class TestOperatorPath:
             OperatorPath.sample(CONST, 0.0, math.nan, 4)
         with pytest.raises(ValidationError, match="sample parameter inf is not finite"):
             OperatorPath(np.array([0.0, 1.0, math.inf]), CONST)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("a, b, bad", [(0.0, math.inf, "inf"), (-math.inf, 1.0, "-inf"),
+                                           (0.0, -math.inf, "-inf"), (math.nan, 1.0, "nan")])
+    def test_sampling_names_a_non_finite_end(self, a, b, bad, closed):
+        """The end the caller passed is named, before any partition arithmetic can warn."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^sample parameter {bad} is not finite$"):
+                OperatorPath.sample(CONST, a, b, 4, closed=closed)
 
     def test_requires_a_callable_generator(self):
         # the sampled-operators form (thetas, operators, generator) fails when built

@@ -412,7 +412,7 @@ class TestOneFactorizationPerOperand:
         (bounded_transform, (0, 1)),  # the eigh of its Hermitian dilation, in place of an SVD
         (inverse_bounded_transform, (1, 0)),
     ], ids=["bounded_transform", "inverse_bounded_transform"])
-    def test_ball_map_takes_one_svd_and_no_eigh(self, monkeypatch, f, factorizations):
+    def test_ball_map_takes_one_factorization(self, monkeypatch, f, factorizations):
         a = contraction(np.random.default_rng(36), 6)
         svd = count_calls(monkeypatch, np.linalg, "svd")
         eigh = count_calls(monkeypatch, np.linalg, "eigh")
