@@ -41,7 +41,7 @@ from .homotopy import (
     zk_injectivity_margin,
 )
 from .linalg import HermOp
-from .manifest import RunManifest
+from .manifest import RunManifest, open_in_place
 from .specflow import OperatorPath, spectral_flow
 from .sturm import dichotomy_sweep, robin_generator, spectral_graph
 from .transforms import identity_suite
@@ -107,7 +107,7 @@ def _emit(args: argparse.Namespace, filename: str, payload) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / filename
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_in_place(path) as handle:
         if isinstance(payload, dict):
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")

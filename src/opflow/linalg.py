@@ -11,8 +11,12 @@ Both hand out the same API, so no other module reads the storage:
 ``eigenvalues`` and ``eigenvectors`` (memoized), ``lowest_eigenvalue()``,
 ``eigenvector(k)``, ``spectrum(lo, hi)`` (a closed window's eigenvalues and
 the global index of the first), ``norm()``, ``T - S``, ``T @ x``,
-``resolvent()`` (LU factors of T + i, for solves with it and its adjoint) and
-``cayley_phase()`` (arg det of the Cayley transform).
+``resolvent()`` (LU factors of T + i, for solves with it and its adjoint),
+``cayley_phase()`` (arg det of the Cayley transform) and ``flow_terms(r)``
+(what spectral flow reads at one parameter).  A ``CornerBlock`` holds the
+fixed part of a family [[T', b e_l], [b e_l^T, c]] whose only moving entry is
+the corner c; its ``BorderedOp``s are banded ``HermOp``s that share the block's
+bands and solves, and answer ``flow_terms`` from them in closed form.
 A banded operator solves only what is asked (LAPACK ``stebz``: its own count
 for a window's index, bisection for the window or one eigenvalue, ``stein``
 for its vector; ``stevd`` for all eigenpairs, ``gttrf`` for T + i), applies
@@ -29,12 +33,14 @@ before an eigensolve.  A Cholesky factor that completes proves every
 eigenvalue beyond c (Higham, Thm 10.3), at about a fifth of the cost of a
 values-only ``eigvalsh`` at dim 512.
 
-scipy loads on first use, not at import: importing ``scipy.linalg`` takes
-0.13-0.16 s on a 2-vCPU host, and dense work needs only ``numpy.linalg``.
-Every banded solve and ``resolvent`` factor calls LAPACK raw (``dstevd``,
-``dstebz``, ``dstein``, ``zgttrf``/``zgttrs``, ``zgetrf``/``zgetrs``) on the one
-module ``_lapack()`` imports on first use, so a routine patched there is the
-one called and no wrapper re-checks bands checked at construction.  A nonzero
+scipy loads on first use, not at import, and only its LAPACK extension
+``scipy.linalg._flapack``, loaded by file: importing the package
+``scipy.linalg`` takes 0.11-0.16 s and 23 MB on a 2-vCPU host, and dense work
+needs only ``numpy.linalg``.  Every banded solve and ``resolvent`` factor
+calls LAPACK raw (``dstevd``, ``dstebz``, ``dstein``, ``zgttrf``/``zgttrs``,
+``zgetrf``/``zgetrs``, and ``dgtsv`` for a ``CornerBlock``'s real shifted
+solves) on the one module ``_lapack()`` returns, so a routine patched there
+is the one called and no wrapper re-checks bands checked at construction.  A nonzero
 ``info`` raises an error naming the routine.  The f2py wrappers reject the
 empty off-diagonal of dim 1; ``_lapack_bands`` passes one zero, unread there.
 Dense work stays on ``numpy.linalg`` even once scipy is loaded: numpy and
@@ -44,8 +50,12 @@ straight after a BLAS call in the other can run twice as slow.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import threading
+from pathlib import Path
 from typing import Callable, Union
 
 import numpy as np
@@ -56,6 +66,9 @@ HERMITICITY_RTOL = 1e-12
 MIN_FACTOR_DIM = 3  # the f2py gttrf wrapper rejects smaller bands
 FLOAT_EPS = float(np.finfo(float).eps)  # op_norm_floor pads ||M||_F by 4 FLOAT_EPS per entry
 FROBENIUS_FLOOR = 1e-140  # op_norm_floor and _beyond_ceiling decide only above this (no underflow)
+SCHUR_MARGIN_RTOL = 1e-10  # a CornerBlock uses a shift of T' only this far from its spectrum, relative
+_FLAPACK = "scipy.linalg._flapack"
+_FLAPACK_LOCK = threading.Lock()
 
 
 def as_matrix(M) -> np.ndarray:
@@ -130,15 +143,48 @@ def hermiticity_defect(M: np.ndarray) -> float:
 
 
 def _lapack():
-    """scipy's LAPACK module, imported on first use: the one route to every LAPACK routine called here."""
-    from scipy.linalg import lapack
-    return lapack
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded on first use: the one route to every LAPACK routine called here.
+
+    It is loaded by file under its own name, so the package ``scipy.linalg``
+    is not imported: its init takes about 0.11 s and 23 MB in a fresh
+    process, and nothing here calls it.  A later ``import scipy.linalg``
+    reuses this module.  Where the file is not found, the package import
+    loads it instead.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        with _FLAPACK_LOCK:  # one module object, so a routine patched on it is the one called
+            module = sys.modules.get(_FLAPACK)
+            if module is None:
+                module = _load_flapack()
+    return module
+
+
+def _load_flapack():
+    """``_flapack`` from its file in scipy's installed tree, or by the package import where there is none."""
+    scipy = importlib.util.find_spec("scipy")  # finds the package without importing it
+    folder = Path(scipy.origin).parent / "linalg" if scipy and scipy.origin else None
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if folder else ():
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+            return module
+    return importlib.import_module(_FLAPACK)
 
 
 def _lapack_bands(bands) -> tuple[np.ndarray, np.ndarray]:
     """The bands (d, e) as the f2py wrappers take them: one zero for the empty e of dim 1."""
     d, e = bands
     return d, e if e.size else np.zeros(1)
+
+
+def _lift(w: np.ndarray, radius: float = math.inf) -> float:
+    """-2 sum atan2(1, w / (1 - (w / radius)^2)): Psi, with [-radius, radius] stretched onto R."""
+    with np.errstate(divide="ignore"):  # the window's edges map to +-inf
+        return -2.0 * float(np.sum(np.arctan2(1.0, w / np.maximum(1.0 - (w / radius) ** 2, 0.0))))
 
 
 def _tridiagonal_pair(d, e, k: int, vector: bool = False) -> tuple[float, np.ndarray | None]:
@@ -202,6 +248,20 @@ class ShiftedFactor:
         banded = self._trans[0] == "N"  # gttrs takes "N"/"C", getrs 0/2
         u = self._lu[1] if banded else np.diagonal(self._lu[0])
         return float(np.sum(np.angle(u)))
+
+    def exact_lift(self) -> float | None:
+        """Psi(T) = -2 sum_k atan2(1, lambda_k) as a real number, read off a banded factor, or None.
+
+        With no row swap, U_kk = det(T_k + i) / det(T_{k-1} + i) for the
+        leading blocks T_k, whose eigenvalues interlace, so arg U_kk lies in
+        (0, pi) and -2 sum arg U_kk is Psi(T) itself, not Psi modulo 2 pi.
+        A swap at step k puts the real off-diagonal entry e_k on U's diagonal,
+        so a banded factor is read only where every computed Im U_kk is at
+        least 1, as it is exactly without swaps; any other gives None.
+        """
+        if self._trans[0] != "N" or not np.all(self._lu[1].imag >= 1.0):
+            return None
+        return -2.0 * self.diagonal_phase()
 
 
 class HermOp:
@@ -403,22 +463,11 @@ class HermOp:
             first = int(np.searchsorted(w, lo, side="left"))
             end = int(np.searchsorted(w, hi, side="right"))
             return first, w[first:max(first, end)]
-        lapack = _lapack()
-        d, e = _lapack_bands(self.bands)
-        pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
-        # stebz returns (vl, vu] and counts pivots below pivmin as negative
-        with np.errstate(over="ignore"):  # below -max float lies -inf
-            below = float(np.nextafter(lo - 2.0 * pivmin, -np.inf))
-        # n minus stebz's count in (below, inf]: counting (-inf, below] would make
-        # lo = -inf an illegal vl = vu.  abstol = inf stops the bisection at once
-        above, *_, info = lapack.dstebz(d, e, 1, below, np.inf, 0, 0, np.inf, "E")
-        if info != 0:
-            raise NonConvergenceError(f"stebz count above {lo} failed on dim {self.dim}: info = {info}")
-        first = self.dim - above
+        first, below = self._count_below(lo)
         if hi < lo or hi == -math.inf:  # empty; stebz would reject vl = vu = -inf
             w = np.empty(0)
         else:  # the window (below, hi] by the same bisection, abstol = 0
-            m, w, *_, info = lapack.dstebz(d, e, 1, below, hi, 0, 0, 0.0, "E")
+            m, w, *_, info = _lapack().dstebz(*_lapack_bands(self.bands), 1, below, hi, 0, 0, 0.0, "E")
             if info != 0:
                 raise NonConvergenceError(
                     f"stebz window [{lo}, {hi}] failed on dim {self.dim}: info = {info}")
@@ -426,8 +475,141 @@ class HermOp:
         w.setflags(write=False)
         return first, w
 
+    def _count_below(self, lo: float) -> tuple[int, float]:
+        """A banded operator's count of eigenvalues below lo, by ``stebz``, and the lower edge it counted at.
+
+        The edge lies below lo by twice stebz's pivot floor, since stebz
+        counts a pivot below that floor as negative; a window from lo is
+        bisected from the same edge, so its count and its values agree.
+        """
+        d, e = _lapack_bands(self.bands)
+        pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
+        with np.errstate(over="ignore"):  # below -max float lies -inf
+            below = float(np.nextafter(lo - 2.0 * pivmin, -np.inf))
+        # n minus stebz's count in (below, inf]: counting (-inf, below] would make
+        # lo = -inf an illegal vl = vu.  abstol = inf stops the bisection at once
+        above, *_, info = _lapack().dstebz(d, e, 1, below, np.inf, 0, 0, np.inf, "E")
+        if info != 0:
+            raise NonConvergenceError(f"stebz count above {lo} failed on dim {self.dim}: info = {info}")
+        return self.dim - above, below
+
+    def flow_terms(self, radius: float) -> tuple[int, int, float, float]:
+        """What spectral flow reads at one parameter: (neg, first, phase, lift).
+
+        neg counts the negative eigenvalues and first those below -radius;
+        phase is ``cayley_phase()``, and lift is Psi_r, Psi = -2 sum_k
+        atan2(1, lambda_k) with [-radius, radius] stretched onto R and the
+        eigenvalues outside put at +-inf.  Psi_r is off Psi by less than
+        2 atan(1 / radius) per eigenvalue, and continuous where eigenvalues
+        cross +-radius; every route to these terms keeps within that.  Here
+        they come from one ``spectrum(-radius, radius)`` and one phase.
+        """
+        first, w = self.spectrum(-radius, radius)
+        return (first + int(np.count_nonzero(w < 0.0)), first, self.cayley_phase(),
+                _lift(w, radius) - 2.0 * math.pi * first)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"HermOp(dim={self.dim})"
+
+
+class CornerBlock:
+    """The fixed part of a family A(c) = [[T', b e_l], [b e_l^T, c]] whose one moving entry is the corner c.
+
+    T' is a real tridiagonal ``HermOp`` of dim >= MIN_FACTOR_DIM and b its
+    coupling to one more node.  ``operator(c)`` returns A(c); every operator
+    of one block shares its bands and what the block solves, once per radius
+    asked.  With g(sigma) = ((T' - sigma)^-1)_ll, the Schur complement on the
+    last node gives (Haynsworth, Linear Algebra Appl. 1, 1968)
+
+        neg(A(c) - sigma) = neg(T' - sigma) + [c - sigma - b^2 g(sigma) < 0],
+        det(A(c) + i) = det(T' + i) s(c),   s(c) = c + i - b^2 ((T' + i)^-1)_ll,
+
+    and Im s = 1 + b^2 sum_j q_j^2 / (mu_j^2 + 1) >= 1 over T''s eigenpairs,
+    so arg s lies in (0, pi) and Psi(A(c)) = Psi(T') - 2 arg s(c) as real
+    numbers, continuous in c.  Each operator then answers ``flow_terms`` in
+    O(1).  Only a shift sigma in {0, -radius} at least
+    SCHUR_MARGIN_RTOL (||T'|| + |sigma|) from T''s spectrum is used: nearer,
+    the count's and the solve's rounding could put one eigenvalue of T' on
+    opposite sides of sigma, and the operators answer by the window instead.
+    """
+
+    __slots__ = ("inner", "coupling", "_e", "_lock", "_terms")
+
+    def __init__(self, inner: HermOp, coupling: float):
+        if inner.bands is None or inner.dim < MIN_FACTOR_DIM:
+            raise ValidationError(f"a corner block needs banded storage of dim >= {MIN_FACTOR_DIM}")
+        if not math.isfinite(coupling * coupling):
+            raise ValidationError(f"coupling {coupling:g} is not finite when squared")
+        self.inner, self.coupling = inner, float(coupling)
+        self._e = np.append(inner.bands[1], self.coupling)
+        self._e.setflags(write=False)
+        self._lock = threading.Lock()
+        self._terms: dict[float, tuple | None] = {}
+
+    def operator(self, corner: float) -> "BorderedOp":
+        """A(corner): a banded ``HermOp`` whose block's bands are not checked again."""
+        if not math.isfinite(corner):
+            raise ValidationError(f"corner entry {corner} is not finite")
+        d = np.append(self.inner.bands[0], corner)
+        d.setflags(write=False)
+        op = BorderedOp.__new__(BorderedOp)
+        op._store(None, (d, self._e))
+        op.block, op.corner = self, float(corner)
+        return op
+
+    def terms(self, radius: float) -> tuple | None:
+        """(neg(T'), b^2 g(0), neg(T' + r), b^2 g(-r), b^2 ((T' + i)^-1)_ll, Psi(T')), or None near a singular shift."""
+        with self._lock:
+            if radius not in self._terms:
+                self._terms[radius] = self._solve(radius)
+            return self._terms[radius]
+
+    def _shifted(self, sigma: float) -> tuple[int, float] | None:
+        """(neg(T' - sigma), b^2 g(sigma)), or None when sigma lies within the margin of T''s spectrum."""
+        T = self.inner
+        margin = SCHUR_MARGIN_RTOL * (3.0 * T._max_entry() + abs(sigma))  # 3 max |T'_ij| >= ||T'||
+        neg = T._count_below(sigma - margin)[0]
+        if neg != T._count_below(sigma + margin)[0]:
+            return None
+        d, e = T.bands
+        unit = np.zeros(T.dim)
+        unit[-1] = 1.0
+        *_, x, info = _lapack().dgtsv(e, d - sigma, e, unit)
+        if info != 0:  # an exactly zero pivot: no Schur complement to read
+            return None
+        return neg, self.coupling ** 2 * float(x[-1])
+
+    def _solve(self, radius: float) -> tuple | None:
+        at_zero, at_radius = self._shifted(0.0), self._shifted(-radius)
+        if at_zero is None or at_radius is None:
+            return None
+        factor = self.inner.resolvent()
+        unit = np.zeros(self.inner.dim, dtype=complex)
+        unit[-1] = 1.0
+        psi = factor.exact_lift()
+        if psi is None:
+            psi = _lift(self.inner.eigenvalues)
+        return (*at_zero, *at_radius, self.coupling ** 2 * complex(factor.solve(unit)[-1]), psi)
+
+
+class BorderedOp(HermOp):
+    """A(c) = [[T', b e_l], [b e_l^T, c]] of a ``CornerBlock``: a banded ``HermOp`` for every reader.
+
+    Only ``flow_terms`` differs: it reads the block's solves and the corner
+    in closed form, and returns the exact Psi, not Psi_r, as its lift.
+    """
+
+    __slots__ = ("block", "corner")
+
+    def flow_terms(self, radius: float) -> tuple[int, int, float, float]:
+        terms = self.block.terms(radius)
+        if terms is None:
+            return super().flow_terms(radius)
+        neg0, schur0, neg_r, schur_r, schur_i, psi = terms
+        c = self.corner
+        lift = psi - 2.0 * math.atan2(1.0 - schur_i.imag, c - schur_i.real)
+        return (neg0 + (c - schur0 < 0.0), neg_r + (c + radius - schur_r < 0.0),
+                math.remainder(lift, 2.0 * math.pi), lift)
 
 
 MatrixLike = Union[np.ndarray, HermOp]

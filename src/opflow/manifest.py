@@ -2,14 +2,31 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import typing
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ValidationError
+
+
+@contextlib.contextmanager
+def open_in_place(path: Path | str) -> typing.Iterator[typing.TextIO]:
+    """A UTF-8 text handle on ``path``, created if missing, cut at what was written when the block ends.
+
+    ``open(path, "w")`` without its truncation on open (``O_WRONLY |
+    O_CREAT``; through a symlink, and raising where that raises): on ext4,
+    closing a file truncated to zero on open starts a flush (``auto_da_alloc``),
+    about 46 ms a file, where cutting it to its new length afterwards does not.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
+              newline="\n") as handle:
+        yield handle
+        handle.truncate()
 
 
 def sha256_file(path: Path | str) -> str:
@@ -53,7 +70,7 @@ class RunManifest:
     def write(self, path: Path | str) -> None:
         payload = self.to_dict()
         validate_manifest(payload)
-        with open(path, "w", encoding="utf-8") as handle:
+        with open_in_place(path) as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
 

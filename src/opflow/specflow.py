@@ -14,16 +14,19 @@ where W counts passages through infinity from +inf to -inf, less those the
 other way: 0 on a norm-continuous path, 1 on the Robin loop (the Dirichlet
 point).  On a closed path neg and Psi cancel, and SF is the winding of det kappa.
 
-Each parameter costs one spectrum on [-r, r], r = max(2 window0, RADIUS_MIN)
-(neg is its index ``first`` plus its negative values), and one
-``HermOp.cayley_phase``.  The windowed lift Psi_r stretches [-r, r] onto R by
-w -> w / (1 - (w / r)^2) and puts the eigenvalues outside at +-inf; on a step
-[lo, hi], x = (wrap(phase(hi) - phase(lo)) - Psi_r(hi) + Psi_r(lo)) / 2 pi
+Each parameter asks its operator for ``flow_terms(r)``, r = max(2 window0,
+RADIUS_MIN): neg, the count ``first`` of eigenvalues below -r, the phase of
+det kappa and a lift L of Psi.  L is the windowed lift Psi_r, which stretches
+[-r, r] onto R by w -> w / (1 - (w / r)^2) and puts the eigenvalues outside at
++-inf (a ``HermOp`` reads one spectrum on [-r, r] and one ``cayley_phase``), or
+Psi itself (a ``linalg.BorderedOp`` answers in closed form from the block its
+path shares); each is exact for passages and continuous where eigenvalues
+cross +-r, and they differ by < 2 atan(1/r) per eigenvalue, so a step may mix
+them.  On a step [lo, hi], x = (wrap(phase(hi) - phase(lo)) - L(hi) + L(lo)) / 2 pi
 counts passages, and the step contributes neg(lo) - neg(hi) + round(x), a
-crossing bracket if nonzero.  Psi_r is exact for passages, continuous where
-eigenvalues cross +-r and off by < 2 atan(1/r) per eigenvalue: that can move a
-bracket but not the flow, which takes Psi from the endpoints' full spectra and
-must equal the brackets' sum.  A step is bisected while its phase turns by more
+crossing bracket if nonzero.  L's error can move a bracket but not the flow,
+which takes Psi from the endpoints' full spectra and must equal the brackets'
+sum.  A step is bisected while its phase turns by more
 than PHASE_STEP_MAX, x is more than RESIDUAL_MAX from an integer, or it claims
 a passage that ``first`` does not show or that turns the phase or misses an
 integer by more than PASSAGE_TURN_MAX of a turn: a passing eigenvalue sits near
@@ -42,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConditioningError, NonConvergenceError, ValidationError
-from .linalg import HermOp
+from .linalg import HermOp, _lift
 
 ZERO_ATOL = 1e-9
 ENDPOINT_MATCH_RTOL = 1e-9
@@ -133,12 +136,6 @@ class SpecFlowReport:
         }
 
 
-def _lift(w: np.ndarray, radius: float = math.inf) -> float:
-    """-2 sum atan2(1, w / (1 - (w / radius)^2)): Psi, with [-radius, radius] stretched onto R."""
-    with np.errstate(divide="ignore"):  # the window's edges map to +-inf
-        return -2.0 * float(np.sum(np.arctan2(1.0, w / np.maximum(1.0 - (w / radius) ** 2, 0.0))))
-
-
 def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24) -> SpecFlowReport:
     """Net signed count of eigenvalues crossing zero upward: neg(a) - neg(b) + W.
 
@@ -172,10 +169,8 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
         end_lift = _lift(end.eigenvalues) - _lift(start.eigenvalues)
     radius = max(2.0 * window0, RADIUS_MIN)
 
-    def evaluate(op: HermOp) -> tuple[int, int, float, float]:  # (neg, first, phase, Psi_r)
-        first, w = op.spectrum(-radius, radius)
-        return (first + int(np.count_nonzero(w < 0.0)), first, op.cayley_phase(),
-                _lift(w, radius) - TWO_PI * first)
+    def evaluate(op: HermOp) -> tuple[int, int, float, float]:  # (neg, first, phase, lift)
+        return op.flow_terms(radius)
 
     inner = [float(t) for t in path.thetas[1:-1]]
     ops = [start, *map(operator, inner)]  # built before any is solved: interleaving is ~4% slower

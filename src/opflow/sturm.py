@@ -15,6 +15,11 @@ uniformly over the parameter circle, and for [1:1] the linear function t is
 an exact discrete null vector.  The Dirichlet point [1:0] cannot be reached
 by ghost elimination (the elimination coefficient diverges); it is assembled
 as the standard n-point Dirichlet matrix on the shifted grid i/(n+1).
+Off that point the matrices differ only in the corner
+c = 2/h^2 - 2 (x0/x1)/h.  ``robin_generator`` builds the rest once, as one
+``linalg.CornerBlock`` (the Dirichlet block on nodes 1..n-1 and its coupling
+-sqrt(2)/h^2 to node n), and every operator it returns shares that block and
+what the block solves for the flow.
 
 The independent oracle solves the secular equations by bisection on brackets
 known in closed form, so it holds up to the Dirichlet point:
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import HermOp
+from .linalg import CornerBlock, HermOp
 from .metrics import gap_dist
 
 SCHEME_GHOST = "central2+ghost-point"
@@ -99,23 +104,41 @@ class RobinOperator:
         return V
 
 
-def assemble_robin_operator(x: ProjectivePoint, n: int) -> RobinOperator:
-    """Finite-difference operator of the boundary family at parameter x, as tridiagonal bands."""
+def _check_grid(n: int) -> None:
     if n < MIN_GRID:
         raise ValidationError(f"grid must have at least {MIN_GRID} points, got {n}")
-    h = 1.0 / (n + 1) if x.is_dirichlet else 1.0 / n
+
+
+def _robin_bands(n: int, corner: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of the Robin matrix on n nodes (h = 1/n) with its corner, the last diagonal entry, set."""
+    h = 1.0 / n
     d = np.full(n, 2.0 / h**2)
     e = np.full(n - 1, -1.0 / h**2)
+    d[-1], e[-1] = corner, -math.sqrt(2.0) / h**2
+    return d, e
+
+
+def _robin_corner(x: ProjectivePoint, n: int) -> float:
+    """The one entry that moves with a Robin parameter x: c = 2/h^2 - 2 (x0/x1)/h, h = 1/n."""
+    h = 1.0 / n
+    c = 2.0 / h**2 - 2.0 * (x.x0 / x.x1) / h
+    if not math.isfinite(c):
+        raise ValidationError(f"boundary entry d[-1] = {c} overflows at [{x.x0} : {x.x1}], n = {n}")
+    return c
+
+
+def assemble_robin_operator(x: ProjectivePoint, n: int) -> RobinOperator:
+    """Finite-difference operator of the boundary family at parameter x, as tridiagonal bands."""
+    _check_grid(n)
+    h = 1.0 / (n + 1) if x.is_dirichlet else 1.0 / n
     nodes = h * np.arange(1, n + 1)
     weights = np.full(n, h)
     if x.is_dirichlet:
-        return RobinOperator(x, n, HermOp.tridiagonal(d, e), SCHEME_DIRICHLET, nodes, weights)
-    d[-1] = 2.0 / h**2 - 2.0 * (x.x0 / x.x1) / h
-    if not math.isfinite(d[-1]):
-        raise ValidationError(f"boundary entry d[-1] = {d[-1]} overflows at [{x.x0} : {x.x1}], n = {n}")
-    e[-1] = -math.sqrt(2.0) / h**2
+        op = HermOp.tridiagonal(np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2))
+        return RobinOperator(x, n, op, SCHEME_DIRICHLET, nodes, weights)
+    op = HermOp.tridiagonal(*_robin_bands(n, _robin_corner(x, n)))
     weights[-1] = h / 2.0
-    return RobinOperator(x, n, HermOp.tridiagonal(d, e), SCHEME_GHOST, nodes, weights)
+    return RobinOperator(x, n, op, SCHEME_GHOST, nodes, weights)
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -261,11 +284,20 @@ def dichotomy_sweep(x1s, n: int) -> list[tuple[float, float]]:
 
 
 def robin_generator(n: int):
-    """theta -> assembled operator matrix, periodic over the projective line."""
+    """theta -> assembled operator matrix, periodic over the projective line.
+
+    Off the Dirichlet point every operator returned shares one ``CornerBlock``,
+    built here, so a path solves the block once and each parameter only sets
+    its corner; at theta = 0 (mod pi) it is the Dirichlet matrix as assembled.
+    """
+    _check_grid(n)
+    d, e = _robin_bands(n, 0.0)
+    block = CornerBlock(HermOp.tridiagonal(d[:-1], e[:-1]), e[-1])  # T' on nodes 1..n-1, and b
 
     def gen(theta: float) -> HermOp:
-        return assemble_robin_operator(
-            ProjectivePoint.from_angle(theta % math.pi), n
-        ).matrix
+        x = ProjectivePoint.from_angle(theta % math.pi)
+        if x.is_dirichlet:
+            return assemble_robin_operator(x, n).matrix
+        return block.operator(_robin_corner(x, n))
 
     return gen

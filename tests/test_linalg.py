@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -871,6 +872,91 @@ class TestTridiagonal:
 LAPACK_ROUTINES = ("dstevd", "dstebz", "dstein", "zgttrf", "zgttrs", "zgetrf", "zgetrs")
 
 
+def dirichlet_block(m: int) -> HermOp:
+    """tridiag(-1, 2, -1) m^2 on m nodes: positive definite, with no row swap in its factor."""
+    return HermOp.tridiagonal(np.full(m, 2.0 * m * m), np.full(m - 1, -1.0 * m * m))
+
+
+class TestCornerBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 12),
+           radius=st.sampled_from([2.0, 20.0, 2e3]))
+    def test_closed_form_terms_match_the_window_route(self, seed, m, radius):
+        # an indefinite block, so neg(T') and neg(T' + r) both count, and corners on either side
+        rng = np.random.default_rng(seed)
+        block = linalg.CornerBlock(HermOp.tridiagonal(3.0 * rng.standard_normal(m),
+                                                      rng.standard_normal(m - 1)),
+                                   rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
+        for c in 10.0 * rng.standard_normal(8):
+            op = block.operator(c)
+            neg, first, phase, lift = op.flow_terms(radius)
+            plain = HermOp.tridiagonal(*op.bands)
+            w = plain.eigenvalues
+            if np.min(np.abs(w)) > 1e-9 and np.min(np.abs(w + radius)) > 1e-9:
+                assert (neg, first) == plain.flow_terms(radius)[:2]
+            assert abs(math.remainder(phase - plain.cayley_phase(), 2.0 * math.pi)) <= 1e-10
+            assert lift == pytest.approx(-2.0 * float(np.sum(np.arctan2(1.0, w))), abs=1e-10)
+
+    def test_operators_share_the_block_and_keep_full_bands(self):
+        block = linalg.CornerBlock(dirichlet_block(5), -2.0)
+        a, b = block.operator(1.0), block.operator(-7.0)
+        assert a.block is b.block is block and a.bands[1] is b.bands[1]
+        np.testing.assert_array_equal(b.bands[0], [50.0] * 5 + [-7.0])
+        np.testing.assert_array_equal(b.bands[1], [-25.0] * 4 + [-2.0])
+        assert not b.bands[0].flags.writeable and b.matrix.shape == (6, 6)
+        assert block.terms(2.0) is block.terms(2.0)  # solved once per radius
+
+    @pytest.mark.parametrize("m", [15, 63, 799, 1599])
+    def test_exact_lift_of_the_dirichlet_block_is_its_eigenvalue_sum(self, m):
+        factor = dirichlet_block(m).resolvent()
+        u, ipiv = factor._lu[1], factor._lu[4]
+        assert np.array_equal(ipiv, np.arange(1, m + 1)) and u.imag.min() >= 1.0
+        w = dirichlet_block(m).eigenvalues
+        assert factor.exact_lift() == pytest.approx(-2.0 * float(np.sum(np.arctan2(1.0, w))),
+                                                    abs=m * np.finfo(float).eps * w.max())
+
+    def test_a_row_swap_reads_the_eigenvalue_sum(self):
+        inner = HermOp.tridiagonal([0.1, 0.0, 0.0], [5.0, 5.0])  # |d_0 + i| < |e_0|: zgttrf swaps
+        factor = inner.resolvent()
+        assert factor._lu[4][0] == 2 and factor._lu[1][0] == 5.0  # the swap put e_0 on U's diagonal
+        assert factor.exact_lift() is None
+        op = linalg.CornerBlock(inner, 1.0).operator(0.5)
+        w = HermOp.tridiagonal(*op.bands).eigenvalues
+        assert op.flow_terms(2.0)[3] == pytest.approx(-2.0 * float(np.sum(np.arctan2(1.0, w))), abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, -2.0])
+    @pytest.mark.parametrize("offset", [0.0, 1e-13])
+    def test_a_shift_near_the_block_s_spectrum_takes_the_window_route(self, sigma, offset):
+        # T' has an eigenvalue at sigma (no Schur complement) or within the margin of it
+        inner = HermOp.tridiagonal([sigma + offset, 1.0, 3.0], [0.0, 0.0])
+        block = linalg.CornerBlock(inner, 1.0)
+        assert block.terms(2.0) is None
+        op = block.operator(-0.25)
+        assert op.flow_terms(2.0) == HermOp.tridiagonal(*op.bands).flow_terms(2.0)
+
+    def test_a_singular_shifted_solve_takes_the_window_route(self, monkeypatch):
+        lapack = linalg._lapack()
+        real = lapack.dgtsv
+        monkeypatch.setattr(lapack, "dgtsv", lambda *args: (*real(*args)[:-1], 2))
+        op = linalg.CornerBlock(dirichlet_block(5), -2.0).operator(3.0)
+        assert op.block.terms(2.0) is None
+        assert op.flow_terms(2.0) == HermOp.tridiagonal(*op.bands).flow_terms(2.0)
+
+    def test_a_dense_factor_has_no_exact_lift(self):
+        assert HermOp(np.diag([1.0, 2.0, 3.0])).resolvent().exact_lift() is None
+
+    @pytest.mark.parametrize("inner, coupling, corner, match", [
+        (HermOp.tridiagonal([1.0, 2.0], [0.5]), 1.0, 0.0, "dim >= 3"),
+        (HermOp(np.eye(3)), 1.0, 0.0, "dim >= 3"),
+        (dirichlet_block(3), 1e160, 0.0, "squared"),
+        (dirichlet_block(3), 1.0, math.inf, "corner entry inf"),
+        (dirichlet_block(3), 1.0, math.nan, "corner entry nan"),
+    ])
+    def test_rejects(self, inner, coupling, corner, match):
+        with pytest.raises(ValidationError, match=match):
+            linalg.CornerBlock(inner, coupling).operator(corner)
+
+
 class TestBandedKernelCost:
     """Banded work calls LAPACK raw, on the module ``linalg._lapack()`` returns.
 
@@ -1019,3 +1105,38 @@ def test_dstebz_patched_before_first_use_is_the_one_called():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["2", "True", "1", "[1.0,", "2.0]"]
+
+
+def test_lapack_loads_only_its_extension_and_the_package_reuses_it():
+    """In a fresh interpreter ``_lapack()`` imports no scipy package, and a later ``import scipy.linalg`` shares its module."""
+    code = "\n".join([
+        "import sys",
+        "from opflow import linalg",
+        "lapack = linalg._lapack()",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        "import scipy.linalg, scipy.linalg.lapack",
+        "print(scipy.linalg.lapack.dstebz is lapack.dstebz, linalg._lapack() is lapack)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["['scipy.linalg._flapack']", "True", "True"]
+
+
+class TestLapackLoader:
+    """``_lapack()`` on a process where scipy's LAPACK extension is not yet loaded (each test restores it)."""
+
+    def test_loads_the_extension_by_file_once(self, monkeypatch):
+        loaded = sys.modules["scipy.linalg._flapack"]
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        lapack = linalg._lapack()
+        assert lapack is not loaded and lapack.__file__ == loaded.__file__
+        assert linalg._lapack() is lapack is sys.modules["scipy.linalg._flapack"]
+        first, w = HermOp.tridiagonal([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0]).spectrum(0.5, 2.5)
+        assert (first, w.tolist()) == (1, [1.0, 2.0])
+
+    def test_falls_back_to_the_package_import_without_the_file(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)  # no scipy files
+        lapack = linalg._lapack()
+        assert lapack is sys.modules["scipy.linalg._flapack"] and hasattr(lapack, "dstebz")

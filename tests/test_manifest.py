@@ -1,9 +1,11 @@
 import hashlib
+import os
+import stat
 
 import pytest
 
 from opflow.errors import ValidationError
-from opflow.manifest import RunManifest, validate_manifest, verify_outputs
+from opflow.manifest import RunManifest, validate_manifest, verify_outputs, open_in_place
 
 
 def written_manifest(tmp_path):
@@ -72,3 +74,60 @@ def test_write_validates_before_writing(tmp_path):
     with pytest.raises(ValidationError, match="malformed output entry"):
         manifest.write(tmp_path / "manifest.json")
     assert not (tmp_path / "manifest.json").exists()
+
+
+def write_text(path, text):
+    with open_in_place(path) as handle:
+        handle.write(text)
+
+
+def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out.json"
+    write_text(path, "a much longer first version\n" * 3)
+    write_text(path, "short\u00e9\n")
+    assert path.read_bytes() == "short\u00e9\n".encode("utf-8")
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_a_new_file_gets_the_mode_a_truncating_open_gives(tmp_path):
+    write_text(tmp_path / "new.csv", "x\n")
+    with open(tmp_path / "ref.csv", "w") as handle:
+        handle.write("x\n")
+    assert os.stat(tmp_path / "new.csv").st_mode == os.stat(tmp_path / "ref.csv").st_mode
+
+
+def test_a_symlinked_output_is_written_through_the_link(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old contents, longer than the new\n", encoding="utf-8")
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "new\n"
+
+
+@pytest.mark.parametrize("kind", ["read-only file", "directory", "missing parent"])
+def test_an_unwritable_output_raises_where_a_truncating_open_raises(tmp_path, kind):
+    path = tmp_path / "out.csv"
+    if kind == "read-only file":
+        path.write_text("kept\n", encoding="utf-8")
+        path.chmod(stat.S_IRUSR)
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        path = tmp_path / "missing" / "out.csv"
+
+    def outcome(write):
+        try:
+            write()
+        except OSError as exc:
+            return type(exc)
+        return None
+
+    def truncating():
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("new\n")
+
+    expected = outcome(truncating)  # None for a read-only file only where the user bypasses modes
+    assert outcome(lambda: write_text(path, "new\n")) is expected
+    if kind != "read-only file":
+        assert expected is not None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from opflow import specflow
 from opflow.errors import ConditioningError, NonConvergenceError, ValidationError
-from opflow.linalg import HermOp
+from opflow.linalg import BorderedOp, HermOp
 from opflow.specflow import OperatorPath, concat, spectral_flow
 from opflow.sturm import robin_generator
 
@@ -366,12 +366,10 @@ class TestRobinLoop:
         path = OperatorPath.sample(robin_generator(64), 0.0, math.pi, 64, closed=True)
         assert spectral_flow(path, window0=1e5).flow == 1
 
-    # at grid 800 the windows 1e5 and 1e6 hold most of the spectrum and take 1.3 s and
-    # 5 s a run, so only the smaller grids carry them
     @pytest.mark.parametrize("grid, samples, window0", [
         (grid, samples, window0)
         for grid, samples in ((64, 16), (200, 32), (800, 64))
-        for window0 in (0.1, 1.0, 10.0, 1e3, 1e5, 1e6) if grid < 800 or window0 <= 1e3
+        for window0 in (0.1, 1.0, 10.0, 1e3, 1e5, 1e6)
     ])
     def test_one_bracket_at_pi_over_4_for_every_window(self, grid, samples, window0):
         path = OperatorPath.sample(robin_generator(grid), 0.0, math.pi, samples, closed=True)
@@ -393,17 +391,25 @@ def dense_twin(path: OperatorPath) -> OperatorPath:
     return OperatorPath(path.thetas, lambda t: HermOp(path.generator(t).matrix), closed=path.closed)
 
 
+def banded_twin(path: OperatorPath) -> OperatorPath:
+    """The same path with every operator re-wrapped as plain bands, so the window route reads it."""
+    return OperatorPath(path.thetas, lambda t: HermOp.tridiagonal(*path.generator(t).bands),
+                        closed=path.closed)
+
+
 def banded_diag_gen(*funcs):
     return lambda t: HermOp.tridiagonal([f(t) for f in funcs], [0.0] * (len(funcs) - 1))
 
 
 class TestWindowedSpectra:
     def test_robin_loop_banded_equals_dense(self):
+        # the bordered route, the window route on the same bands, and the dense route
         path = OperatorPath.sample(robin_generator(200), 0.0, math.pi, 32, closed=True)
-        assert path.generator(path.thetas[0]).bands is not None
-        banded = spectral_flow(path, window0=1.0)
+        assert isinstance(path.generator(path.thetas[0]), BorderedOp)
+        bordered = spectral_flow(path, window0=1.0)
+        banded = spectral_flow(banded_twin(path), window0=1.0)
         dense = spectral_flow(dense_twin(path), window0=1.0)
-        assert banded.to_json_dict() == dense.to_json_dict()
+        assert bordered.to_json_dict() == banded.to_json_dict() == dense.to_json_dict()
 
     def test_eigenvalue_leaving_the_solve_radius_forces_bisection(self):
         # one eigenvalue ramps from 0.5 to 5 inside the sample step [0.25, 0.375],
@@ -433,7 +439,7 @@ class TestWindowedSpectra:
 
         monkeypatch.setattr(HermOp, "spectrum", recording)
         path = OperatorPath.sample(robin_generator(200), 0.0, math.pi, 32, closed=True)
-        spectral_flow(path, window0=1.0)
+        spectral_flow(banded_twin(path), window0=1.0)
         ids = [id(op) for op in solved]
         assert len(ids) == len(set(ids)) and len(ids) >= path.thetas.size - 1
 
@@ -611,3 +617,52 @@ class TestRobinFlowClosedForm:
             assert gen(theta).spectrum(0.0, 0.0)[0] == int(c(theta) < schur), theta
             checked += 1
         assert checked >= 64
+
+
+def robin_theta(where: str, u: float) -> float:
+    """A parameter in (0, pi): anywhere, 1e-9 either side of the crossing pi/4, or 1e-12..1e-3 from an end."""
+    offset = 10.0 ** (-12.0 + 9.0 * u)
+    return {"any": (0.001 + 0.998 * u) * math.pi, "below": math.pi / 4 - 1e-9,
+            "above": math.pi / 4 + 1e-9, "pi/4": math.pi / 4, "near 0": offset,
+            "near pi": math.pi - offset}[where]
+
+
+class TestBorderedFlowTerms:
+    """The Robin generator's bordered operators answer the flow's terms as the window route does.
+
+    The crossing sits at cot theta* = 1 on every grid: [1:1] has the exact
+    discrete null vector t, and b^2 (T'^-1)_ll = 2n(n - 1) exactly.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(16, 800), u=st.floats(0.0, 1.0),
+           where=st.sampled_from(["any", "below", "above", "near 0", "near pi"]),
+           radius=st.sampled_from([2.0, 20.0, 2e3, 2e5, 2e6]))
+    @example(n=64, u=0.0, where="pi/4", radius=2.0)  # the exact null vector: neg 1 either way
+    @example(n=200, u=0.0, where="pi/4", radius=2.0)  # there the Schur complement computes to 0.0
+    def test_terms_match_the_window_route_and_the_full_spectrum(self, n, u, where, radius):
+        op = robin_generator(n)(robin_theta(where, u))
+        assert isinstance(op, BorderedOp)
+        neg, first, phase, lift = op.flow_terms(radius)
+        twin = HermOp.tridiagonal(*op.bands)
+        assert (neg, first) == twin.flow_terms(radius)[:2]
+        assert abs(math.remainder(phase - twin.cayley_phase(), 2.0 * math.pi)) <= 1e-9
+        w = op.eigenvalues  # dstevd
+        exact = -2.0 * float(np.sum(np.arctan2(1.0, w)))
+        assert abs(lift - exact) <= n * np.finfo(float).eps * np.abs(w).max()
+        assert phase == math.remainder(lift, 2.0 * math.pi)
+
+    def test_one_block_per_generator_and_the_dirichlet_point_as_assembled(self):
+        gen = robin_generator(64)
+        a, b = gen(0.3), gen(2.0)
+        assert a.block is b.block and a.bands[1] is b.bands[1]
+        dirichlet = gen(math.pi)
+        assert type(dirichlet) is HermOp
+        np.testing.assert_array_equal(dirichlet.bands[0], np.full(64, 2.0 * 65**2))
+
+    def test_a_step_across_the_dirichlet_point_mixes_the_routes(self):
+        # [3pi/4, 5pi/4] bisects onto pi, read by the window route; its neighbours by the block
+        path = OperatorPath.sample(robin_generator(64), 0.0, math.pi, 2, closed=True)
+        report = spectral_flow(path, window0=1.0)
+        assert math.pi in report.partition.tolist() and report.flow == 1
+        assert report.to_json_dict() == spectral_flow(banded_twin(path), window0=1.0).to_json_dict()
