@@ -15,8 +15,9 @@ the global index of the first), ``norm()``, ``T - S``, ``T @ x``,
 ``cayley_phase()`` (arg det of the Cayley transform) and ``flow_terms(r)``
 (what spectral flow reads at one parameter).  A ``CornerBlock`` holds the
 fixed part of a family [[T', b e_l], [b e_l^T, c]] whose only moving entry is
-the corner c; its ``BorderedOp``s are banded ``HermOp``s that share the block's
-bands and solves, and answer ``flow_terms`` from them in closed form.
+the corner c, and needs T' positive definite; its ``BorderedOp``s are banded
+``HermOp``s that share the block's bands and solves, and answer ``flow_terms``
+from them in closed form.
 A banded operator solves only what is asked (LAPACK ``stebz``: its own count
 for a window's index, bisection for the window or one eigenvalue, ``stein``
 for its vector; ``stevd`` for all eigenpairs, ``gttrf`` for T + i), applies
@@ -38,11 +39,12 @@ scipy loads on first use, not at import, and only its LAPACK extension
 ``scipy.linalg`` takes 0.11-0.16 s and 23 MB on a 2-vCPU host, and dense work
 needs only ``numpy.linalg``.  Every banded solve and ``resolvent`` factor
 calls LAPACK raw (``dstevd``, ``dstebz``, ``dstein``, ``zgttrf``/``zgttrs``,
-``zgetrf``/``zgetrs``, and ``dgtsv`` for a ``CornerBlock``'s real shifted
-solves) on the one module ``_lapack()`` returns, so a routine patched there
-is the one called and no wrapper re-checks bands checked at construction.  A nonzero
-``info`` raises an error naming the routine.  The f2py wrappers reject the
-empty off-diagonal of dim 1; ``_lapack_bands`` passes one zero, unread there.
+``zgetrf``/``zgetrs``; for a ``CornerBlock``, ``dpttrf`` to prove T' positive
+definite and ``dgtsv`` for its real shifted solves) on the one module
+``_lapack()`` returns, so a routine patched there is the one called and no
+wrapper re-checks bands checked at construction.  A nonzero ``info`` raises an
+error naming the routine.  The f2py wrappers reject the empty off-diagonal of
+dim 1; ``_lapack_bands`` passes one zero, unread there.
 Dense work stays on ``numpy.linalg`` even once scipy is loaded: numpy and
 scipy each bundle OpenBLAS with its own thread pool, and a call into one
 straight after a BLAS call in the other can run twice as slow.
@@ -66,7 +68,6 @@ HERMITICITY_RTOL = 1e-12
 MIN_FACTOR_DIM = 3  # the f2py gttrf wrapper rejects smaller bands
 FLOAT_EPS = float(np.finfo(float).eps)  # op_norm_floor pads ||M||_F by 4 FLOAT_EPS per entry
 FROBENIUS_FLOOR = 1e-140  # op_norm_floor and _beyond_ceiling decide only above this (no underflow)
-SCHUR_MARGIN_RTOL = 1e-10  # a CornerBlock uses a shift of T' only this far from its spectrum, relative
 _FLAPACK = "scipy.linalg._flapack"
 _FLAPACK_LOCK = threading.Lock()
 
@@ -410,10 +411,11 @@ class HermOp:
         phase is -2 arg det(T + i).  A banded operator reads it off one LU
         factor of T + i as -2 sum_k arg U_kk (the row swaps' sign +-1 only
         adds a multiple of 2 pi); a dense one, whose spectrum reads solve the
-        full spectrum anyway, sums -2 atan2(1, lambda) over its eigenvalues.
+        full spectrum anyway, reads Psi = -2 sum atan2(1, lambda) off its
+        eigenvalues (``_lift``).
         """
         if self.bands is None:
-            phase = -2.0 * float(np.sum(np.arctan2(1.0, self.eigenvalues)))
+            phase = _lift(self.eigenvalues)
         else:
             phase = -2.0 * self.resolvent().diagonal_phase()
         return math.remainder(phase, 2.0 * math.pi)
@@ -515,22 +517,22 @@ class HermOp:
 class CornerBlock:
     """The fixed part of a family A(c) = [[T', b e_l], [b e_l^T, c]] whose one moving entry is the corner c.
 
-    T' is a real tridiagonal ``HermOp`` of dim >= MIN_FACTOR_DIM and b its
-    coupling to one more node.  ``operator(c)`` returns A(c); every operator
-    of one block shares its bands and what the block solves, once per radius
-    asked.  With g(sigma) = ((T' - sigma)^-1)_ll, the Schur complement on the
-    last node gives (Haynsworth, Linear Algebra Appl. 1, 1968)
+    T' is a positive definite real tridiagonal ``HermOp`` of dim >=
+    MIN_FACTOR_DIM, proved so once by LAPACK ``pttrf``, and b its coupling to
+    one more node.
+    ``operator(c)`` returns A(c); every operator of one block shares its bands
+    and what the block solves, once per radius asked.  With
+    g(sigma) = ((T' - sigma)^-1)_ll, the Schur complement on the last node
+    gives (Haynsworth, Linear Algebra Appl. 1, 1968)
 
         neg(A(c) - sigma) = neg(T' - sigma) + [c - sigma - b^2 g(sigma) < 0],
         det(A(c) + i) = det(T' + i) s(c),   s(c) = c + i - b^2 ((T' + i)^-1)_ll,
 
-    and Im s = 1 + b^2 sum_j q_j^2 / (mu_j^2 + 1) >= 1 over T''s eigenpairs,
-    so arg s lies in (0, pi) and Psi(A(c)) = Psi(T') - 2 arg s(c) as real
-    numbers, continuous in c.  Each operator then answers ``flow_terms`` in
-    O(1).  Only a shift sigma in {0, -radius} at least
-    SCHUR_MARGIN_RTOL (||T'|| + |sigma|) from T''s spectrum is used: nearer,
-    the count's and the solve's rounding could put one eigenvalue of T' on
-    opposite sides of sigma, and the operators answer by the window instead.
+    where neg(T' - sigma) = 0 for both shifts the flow reads, sigma = 0 and
+    sigma = -radius (radius >= 0), so each count is one sign.  Im s = 1 +
+    b^2 sum_j q_j^2 / (mu_j^2 + 1) >= 1 over T''s eigenpairs, so arg s lies in
+    (0, pi) and Psi(A(c)) = Psi(T') - 2 arg s(c) as real numbers, continuous
+    in c.  Each operator then answers ``flow_terms`` in O(1).
     """
 
     __slots__ = ("inner", "coupling", "_e", "_lock", "_terms")
@@ -540,11 +542,15 @@ class CornerBlock:
             raise ValidationError(f"a corner block needs banded storage of dim >= {MIN_FACTOR_DIM}")
         if not math.isfinite(coupling * coupling):
             raise ValidationError(f"coupling {coupling:g} is not finite when squared")
+        *_, info = _lapack().dpttrf(*inner.bands)
+        if info != 0:
+            raise ValidationError(f"a corner block needs a positive definite T' of dim {inner.dim}: "
+                                  f"pttrf info = {info}")
         self.inner, self.coupling = inner, float(coupling)
         self._e = np.append(inner.bands[1], self.coupling)
         self._e.setflags(write=False)
         self._lock = threading.Lock()
-        self._terms: dict[float, tuple | None] = {}
+        self._terms: dict[float, tuple] = {}
 
     def operator(self, corner: float) -> "BorderedOp":
         """A(corner): a banded ``HermOp`` whose block's bands are not checked again."""
@@ -557,39 +563,29 @@ class CornerBlock:
         op.block, op.corner = self, float(corner)
         return op
 
-    def terms(self, radius: float) -> tuple | None:
-        """(neg(T'), b^2 g(0), neg(T' + r), b^2 g(-r), b^2 ((T' + i)^-1)_ll, Psi(T')), or None near a singular shift."""
+    def terms(self, radius: float) -> tuple[float, float, complex, float]:
+        """(b^2 g(0), b^2 g(-radius), b^2 ((T' + i)^-1)_ll, Psi(T')), solved once per radius."""
         with self._lock:
             if radius not in self._terms:
-                self._terms[radius] = self._solve(radius)
+                factor = self.inner.resolvent()
+                unit = np.zeros(self.inner.dim, dtype=complex)
+                unit[-1] = 1.0
+                psi = factor.exact_lift()
+                self._terms[radius] = (self._schur(0.0), self._schur(-radius),
+                                       self.coupling ** 2 * complex(factor.solve(unit)[-1]),
+                                       _lift(self.inner.eigenvalues) if psi is None else psi)
             return self._terms[radius]
 
-    def _shifted(self, sigma: float) -> tuple[int, float] | None:
-        """(neg(T' - sigma), b^2 g(sigma)), or None when sigma lies within the margin of T''s spectrum."""
-        T = self.inner
-        margin = SCHUR_MARGIN_RTOL * (3.0 * T._max_entry() + abs(sigma))  # 3 max |T'_ij| >= ||T'||
-        neg = T._count_below(sigma - margin)[0]
-        if neg != T._count_below(sigma + margin)[0]:
-            return None
-        d, e = T.bands
-        unit = np.zeros(T.dim)
+    def _schur(self, sigma: float) -> float:
+        """b^2 g(sigma), from one ``gtsv`` solve with T' - sigma."""
+        d, e = self.inner.bands
+        unit = np.zeros(self.inner.dim)
         unit[-1] = 1.0
         *_, x, info = _lapack().dgtsv(e, d - sigma, e, unit)
-        if info != 0:  # an exactly zero pivot: no Schur complement to read
-            return None
-        return neg, self.coupling ** 2 * float(x[-1])
-
-    def _solve(self, radius: float) -> tuple | None:
-        at_zero, at_radius = self._shifted(0.0), self._shifted(-radius)
-        if at_zero is None or at_radius is None:
-            return None
-        factor = self.inner.resolvent()
-        unit = np.zeros(self.inner.dim, dtype=complex)
-        unit[-1] = 1.0
-        psi = factor.exact_lift()
-        if psi is None:
-            psi = _lift(self.inner.eigenvalues)
-        return (*at_zero, *at_radius, self.coupling ** 2 * complex(factor.solve(unit)[-1]), psi)
+        if info != 0:  # an exactly zero pivot, as LAPACK reports it
+            raise DegeneracyError(f"T' - sigma of dim {self.inner.dim} is singular at sigma = {sigma:g}: "
+                                  f"gtsv info = {info}")
+        return self.coupling ** 2 * float(x[-1])
 
 
 class BorderedOp(HermOp):
@@ -602,13 +598,10 @@ class BorderedOp(HermOp):
     __slots__ = ("block", "corner")
 
     def flow_terms(self, radius: float) -> tuple[int, int, float, float]:
-        terms = self.block.terms(radius)
-        if terms is None:
-            return super().flow_terms(radius)
-        neg0, schur0, neg_r, schur_r, schur_i, psi = terms
+        schur0, schur_r, schur_i, psi = self.block.terms(radius)
         c = self.corner
         lift = psi - 2.0 * math.atan2(1.0 - schur_i.imag, c - schur_i.real)
-        return (neg0 + (c - schur0 < 0.0), neg_r + (c + radius - schur_r < 0.0),
+        return (int(c - schur0 < 0.0), int(c + radius - schur_r < 0.0),
                 math.remainder(lift, 2.0 * math.pi), lift)
 
 

@@ -16,10 +16,12 @@ an exact discrete null vector.  The Dirichlet point [1:0] cannot be reached
 by ghost elimination (the elimination coefficient diverges); it is assembled
 as the standard n-point Dirichlet matrix on the shifted grid i/(n+1).
 Off that point the matrices differ only in the corner
-c = 2/h^2 - 2 (x0/x1)/h.  ``robin_generator`` builds the rest once, as one
-``linalg.CornerBlock`` (the Dirichlet block on nodes 1..n-1 and its coupling
--sqrt(2)/h^2 to node n), and every operator it returns shares that block and
-what the block solves for the flow.
+c = 2/h^2 - 2 (x0/x1)/h.  One family per grid builds the rest once, as one
+``linalg.CornerBlock`` (the positive definite Dirichlet block on nodes 1..n-1
+and its coupling -sqrt(2)/h^2 to node n), and the Dirichlet matrix; every
+operator that ``assemble_robin_operator``, ``robin_generator``,
+``spectral_graph`` and ``dichotomy_sweep`` read comes from such a family, so
+the operators of one call share that block and what it solves for the flow.
 
 The independent oracle solves the secular equations by bisection on brackets
 known in closed form, so it holds up to the Dirichlet point:
@@ -104,20 +106,6 @@ class RobinOperator:
         return V
 
 
-def _check_grid(n: int) -> None:
-    if n < MIN_GRID:
-        raise ValidationError(f"grid must have at least {MIN_GRID} points, got {n}")
-
-
-def _robin_bands(n: int, corner: float) -> tuple[np.ndarray, np.ndarray]:
-    """The bands of the Robin matrix on n nodes (h = 1/n) with its corner, the last diagonal entry, set."""
-    h = 1.0 / n
-    d = np.full(n, 2.0 / h**2)
-    e = np.full(n - 1, -1.0 / h**2)
-    d[-1], e[-1] = corner, -math.sqrt(2.0) / h**2
-    return d, e
-
-
 def _robin_corner(x: ProjectivePoint, n: int) -> float:
     """The one entry that moves with a Robin parameter x: c = 2/h^2 - 2 (x0/x1)/h, h = 1/n."""
     h = 1.0 / n
@@ -127,16 +115,30 @@ def _robin_corner(x: ProjectivePoint, n: int) -> float:
     return c
 
 
+def _robin_family(n: int):
+    """x -> the operator at parameter x on n nodes: the Dirichlet matrix, or the block's A(corner).
+
+    Both are built once per family: the Dirichlet matrix on the grid
+    i/(n+1), and a ``CornerBlock`` of T' = tridiag(-1, 2, -1)/h^2 on nodes
+    1..n-1 (h = 1/n) with the coupling -sqrt(2)/h^2 to node n.
+    """
+    if n < MIN_GRID:
+        raise ValidationError(f"grid must have at least {MIN_GRID} points, got {n}")
+    h, g = 1.0 / n, 1.0 / (n + 1)
+    block = CornerBlock(HermOp.tridiagonal(np.full(n - 1, 2.0 / h**2), np.full(n - 2, -1.0 / h**2)),
+                        -math.sqrt(2.0) / h**2)
+    dirichlet = HermOp.tridiagonal(np.full(n, 2.0 / g**2), np.full(n - 1, -1.0 / g**2))
+    return lambda x: dirichlet if x.is_dirichlet else block.operator(_robin_corner(x, n))
+
+
 def assemble_robin_operator(x: ProjectivePoint, n: int) -> RobinOperator:
     """Finite-difference operator of the boundary family at parameter x, as tridiagonal bands."""
-    _check_grid(n)
+    op = _robin_family(n)(x)
     h = 1.0 / (n + 1) if x.is_dirichlet else 1.0 / n
     nodes = h * np.arange(1, n + 1)
     weights = np.full(n, h)
     if x.is_dirichlet:
-        op = HermOp.tridiagonal(np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2))
         return RobinOperator(x, n, op, SCHEME_DIRICHLET, nodes, weights)
-    op = HermOp.tridiagonal(*_robin_bands(n, _robin_corner(x, n)))
     weights[-1] = h / 2.0
     return RobinOperator(x, n, op, SCHEME_GHOST, nodes, weights)
 
@@ -229,10 +231,10 @@ def spectral_graph(
     if not window > 0:  # also catches a NaN window
         raise ValidationError(f"window must be positive, got window = {window!r}")
     thetas = [j * math.pi / loop_samples for j in range(loop_samples)]
+    family = _robin_family(n)
 
     def solve(theta: float) -> tuple[float, np.ndarray, np.ndarray]:
-        op = assemble_robin_operator(ProjectivePoint.from_angle(theta), n)
-        first, values = op.matrix.spectrum(-window, window)
+        first, values = family(ProjectivePoint.from_angle(theta)).spectrum(-window, window)
         return theta, first + np.arange(values.size), values
 
     return [solve(theta) for theta in thetas]
@@ -266,18 +268,19 @@ def dichotomy_sweep(x1s, n: int) -> list[tuple[float, float]]:
 
     The bound is max(0, -min eig of the bounded transform at [1:x1]), that is
     -lambda / hypot(1, lambda), which reads 1 even where lambda^2 overflows.
-    It holds because the Dirichlet operator, assembled once per sweep, is
-    verified positive, so sorted-eigenvalue pairing forces the transform
-    distance above it.  Both lowest eigenvalues come from index-selected
-    bisection (``stebz``).  The gap ||(A + i)^-1 (B - A) (B + i)^-1|| runs
+    It holds because the Dirichlet operator, built once per sweep with its
+    family, is verified positive, so sorted-eigenvalue pairing forces the
+    transform distance above it.  Both lowest eigenvalues come from
+    index-selected bisection (``stebz``).  The gap ||(A + i)^-1 (B - A) (B + i)^-1|| runs
     Lanczos on one tridiagonal factor per operand (see ``metrics``).
     """
-    dirichlet = assemble_robin_operator(ProjectivePoint(1.0, 0.0), n).matrix
+    family = _robin_family(n)
+    dirichlet = family(ProjectivePoint(1.0, 0.0))
     if dirichlet.lowest_eigenvalue() <= 0.0:  # pragma: no cover
         raise ValidationError("Dirichlet comparison operator is not positive")
     rows = []
     for x1 in x1s:
-        robin = assemble_robin_operator(ProjectivePoint(1.0, x1), n).matrix
+        robin = family(ProjectivePoint(1.0, x1))
         lam0 = robin.lowest_eigenvalue()
         rows.append((max(0.0, -lam0 / math.hypot(1.0, lam0)), gap_dist(robin, dirichlet)))
     return rows
@@ -286,18 +289,10 @@ def dichotomy_sweep(x1s, n: int) -> list[tuple[float, float]]:
 def robin_generator(n: int):
     """theta -> assembled operator matrix, periodic over the projective line.
 
-    Off the Dirichlet point every operator returned shares one ``CornerBlock``,
-    built here, so a path solves the block once and each parameter only sets
-    its corner; at theta = 0 (mod pi) it is the Dirichlet matrix as assembled.
+    The operators come from one family, built here: off the Dirichlet point
+    they share one ``CornerBlock``, so a path solves the block once and each
+    parameter only sets its corner; at theta = 0 (mod pi) it is the family's
+    Dirichlet matrix.
     """
-    _check_grid(n)
-    d, e = _robin_bands(n, 0.0)
-    block = CornerBlock(HermOp.tridiagonal(d[:-1], e[:-1]), e[-1])  # T' on nodes 1..n-1, and b
-
-    def gen(theta: float) -> HermOp:
-        x = ProjectivePoint.from_angle(theta % math.pi)
-        if x.is_dirichlet:
-            return assemble_robin_operator(x, n).matrix
-        return block.operator(_robin_corner(x, n))
-
-    return gen
+    family = _robin_family(n)
+    return lambda theta: family(ProjectivePoint.from_angle(theta % math.pi))

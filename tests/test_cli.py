@@ -313,12 +313,15 @@ def test_failed_banded_eigenpair_is_one_stderr_line(tmp_path, capsys, monkeypatc
 
 
 def test_failed_stebz_count_is_one_stderr_line(tmp_path, capsys, monkeypatch):
+    """specgraph's window count calls stebz; the Robin loop's flow reads its corner block and calls none."""
     lapack = _lapack()
     real = lapack.dstebz
     monkeypatch.setattr(lapack, "dstebz", lambda *args: (*real(*args)[:-1], 1))
-    assert main(["specflow", "--grid", "64", "--samples", "16", "--out", str(tmp_path)]) == 1
+    assert main(["specgraph", "--grid", "64", "--samples", "16", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("specflow: ") and "info = 1" in err
+    assert len(err.splitlines()) == 1 and err.startswith("specgraph: stebz count above ")
+    assert "failed on dim 64: info = 1" in err and "Traceback" not in err
+    assert main(["specflow", "--grid", "64", "--samples", "16", "--out", str(tmp_path)]) == 0
 
 
 def test_failed_stebz_window_is_one_stderr_line(tmp_path, capsys, monkeypatch):

@@ -795,6 +795,14 @@ class TestTridiagonal:
         for other in (via_eigenvalues, via_lu):
             assert abs(math.remainder(phase - other, 2.0 * math.pi)) <= 1e-12
 
+    def test_window_terms_stretch_the_window_and_count_an_exact_zero_as_nonnegative(self):
+        # radius 2: -3 lies below the window, 10 above it, and 0.0 is an exact eigenvalue
+        neg, first, phase, lift = HermOp.tridiagonal([-3.0, 0.0, 0.5, 1.5, 10.0], [0.0] * 4).flow_terms(2.0)
+        stretched = [w / (1.0 - (w / 2.0) ** 2) for w in (0.0, 0.5, 1.5)]
+        assert (neg, first) == (1, 1)
+        assert lift == pytest.approx(-2.0 * sum(math.atan2(1.0, x) for x in stretched) - 2.0 * math.pi,
+                                     abs=1e-14)
+
     def test_norm_is_the_operator_norm(self):
         rng = np.random.default_rng(8)
         for n in (1, 2, 5, 40):
@@ -869,7 +877,8 @@ class TestTridiagonal:
         assert op_norm((V * op.eigenvalues) @ adjoint(V) - dense.matrix) < 1e-12
 
 
-LAPACK_ROUTINES = ("dstevd", "dstebz", "dstein", "zgttrf", "zgttrs", "zgetrf", "zgetrs")
+LAPACK_ROUTINES = ("dstevd", "dstebz", "dstein", "zgttrf", "zgttrs", "zgetrf", "zgetrs",
+                   "dpttrf", "dgtsv")
 
 
 def dirichlet_block(m: int) -> HermOp:
@@ -882,12 +891,17 @@ class TestCornerBlock:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 12),
            radius=st.sampled_from([2.0, 20.0, 2e3]))
     def test_closed_form_terms_match_the_window_route(self, seed, m, radius):
-        # an indefinite block, so neg(T') and neg(T' + r) both count, and corners on either side
+        # a diagonally dominant, so positive definite, block; corners on either side of
+        # b^2 g(0) (neg) and of b^2 g(-r) - r (first)
         rng = np.random.default_rng(seed)
-        block = linalg.CornerBlock(HermOp.tridiagonal(3.0 * rng.standard_normal(m),
-                                                      rng.standard_normal(m - 1)),
-                                   rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
-        for c in 10.0 * rng.standard_normal(8):
+        e = rng.standard_normal(m - 1)
+        d = np.append(np.abs(e), 0.0) + np.append(0.0, np.abs(e)) + rng.uniform(0.01, 3.0, m)
+        block = linalg.CornerBlock(HermOp.tridiagonal(d, e), rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
+        schur0, schur_r = block.terms(radius)[:2]
+        sides = np.array([-1.0, 1.0, -1.0, 1.0])
+        corners = np.concatenate([schur0 + sides * rng.exponential(10.0, 4),
+                                  schur_r - radius + sides * rng.exponential(10.0, 4)])
+        for c in corners:
             op = block.operator(c)
             neg, first, phase, lift = op.flow_terms(radius)
             plain = HermOp.tridiagonal(*op.bands)
@@ -906,6 +920,14 @@ class TestCornerBlock:
         assert not b.bands[0].flags.writeable and b.matrix.shape == (6, 6)
         assert block.terms(2.0) is block.terms(2.0)  # solved once per radius
 
+    def test_a_flow_reads_one_proof_and_two_shifted_solves_and_no_count(self, monkeypatch):
+        calls = TestBandedKernelCost.record_calls(monkeypatch)
+        block = linalg.CornerBlock(dirichlet_block(5), -2.0)
+        assert calls == ["dpttrf"]
+        for c in (1.0, 60.0, -70.0):
+            block.operator(c).flow_terms(2.0)
+        assert calls == ["dpttrf", "zgttrf", "dgtsv", "dgtsv", "zgttrs"]
+
     @pytest.mark.parametrize("m", [15, 63, 799, 1599])
     def test_exact_lift_of_the_dirichlet_block_is_its_eigenvalue_sum(self, m):
         factor = dirichlet_block(m).resolvent()
@@ -916,31 +938,45 @@ class TestCornerBlock:
                                                     abs=m * np.finfo(float).eps * w.max())
 
     def test_a_row_swap_reads_the_eigenvalue_sum(self):
-        inner = HermOp.tridiagonal([0.1, 0.0, 0.0], [5.0, 5.0])  # |d_0 + i| < |e_0|: zgttrf swaps
+        inner = HermOp.tridiagonal([0.1, 300.0, 300.0], [5.0, 5.0])  # positive definite, |d_0 + i| < |e_0|
         factor = inner.resolvent()
-        assert factor._lu[4][0] == 2 and factor._lu[1][0] == 5.0  # the swap put e_0 on U's diagonal
+        assert list(factor._lu[4]) == [2, 2, 3] and factor._lu[1][0] == 5.0  # zgttrf put e_0 on U's diagonal
         assert factor.exact_lift() is None
         op = linalg.CornerBlock(inner, 1.0).operator(0.5)
         w = HermOp.tridiagonal(*op.bands).eigenvalues
         assert op.flow_terms(2.0)[3] == pytest.approx(-2.0 * float(np.sum(np.arctan2(1.0, w))), abs=1e-12)
 
-    @pytest.mark.parametrize("sigma", [0.0, -2.0])
-    @pytest.mark.parametrize("offset", [0.0, 1e-13])
-    def test_a_shift_near_the_block_s_spectrum_takes_the_window_route(self, sigma, offset):
-        # T' has an eigenvalue at sigma (no Schur complement) or within the margin of it
-        inner = HermOp.tridiagonal([sigma + offset, 1.0, 3.0], [0.0, 0.0])
-        block = linalg.CornerBlock(inner, 1.0)
-        assert block.terms(2.0) is None
-        op = block.operator(-0.25)
-        assert op.flow_terms(2.0) == HermOp.tridiagonal(*op.bands).flow_terms(2.0)
+    @pytest.mark.parametrize("d0, e0, info", [
+        (0.0, 0.0, 1), (-2.0, 0.0, 1), (-2.0 + 1e-13, 0.0, 1),  # an eigenvalue at or near a shift
+        (1.0, 1.5, 2),  # the leading 2 x 2 minor 1 - 1.5^2 is negative
+    ])
+    def test_a_block_that_is_not_positive_definite_is_rejected(self, d0, e0, info):
+        inner = HermOp.tridiagonal([d0, 1.0, 3.0], [e0, 0.0])
+        with pytest.raises(ValidationError, match=rf"positive definite T' of dim 3: pttrf info = {info}$"):
+            linalg.CornerBlock(inner, 1.0)
 
-    def test_a_singular_shifted_solve_takes_the_window_route(self, monkeypatch):
-        lapack = linalg._lapack()
-        real = lapack.dgtsv
-        monkeypatch.setattr(lapack, "dgtsv", lambda *args: (*real(*args)[:-1], 2))
+    def test_an_eigenvalue_exactly_at_a_shift_is_not_below_it(self):
+        # b^2 g(0) = 4 / 4 and b^2 g(-4) = 4 / 8 exactly: A(1) has eigenvalue 0, A(-3.5) has -4
+        block = linalg.CornerBlock(HermOp.tridiagonal([2.0, 2.0, 4.0], [0.0, 0.0]), 2.0)
+        assert block.terms(4.0)[:2] == (1.0, 0.5)
+        assert block.operator(1.0).flow_terms(4.0)[:2] == (0, 0)
+        assert block.operator(-3.5).flow_terms(4.0)[:2] == (1, 0)
+
+    def test_an_eigenvalue_of_the_block_near_zero_is_read_in_closed_form(self):
+        # T' = diag(1e-13, 1, 3) is positive definite, with an eigenvalue 1e-13 above the shift 0
+        block = linalg.CornerBlock(HermOp.tridiagonal([1e-13, 1.0, 3.0], [0.0, 0.0]), 1.0)
+        assert block.terms(2.0)[:2] == (1.0 / 3.0, 1.0 / 5.0)
+        for c in (-2.5, -0.25, 0.25, 1.0):
+            op = block.operator(c)
+            plain = HermOp.tridiagonal(*op.bands)
+            assert op.flow_terms(2.0)[:2] == plain.flow_terms(2.0)[:2]
+
+    @pytest.mark.parametrize("sigma", [0.0, -2.0])
+    def test_a_singular_shifted_solve_names_its_shift(self, monkeypatch, sigma):
+        TestBandedKernelCost.fail(monkeypatch, "dgtsv", 2, when=lambda args: args[1][0] == 50.0 - sigma)
         op = linalg.CornerBlock(dirichlet_block(5), -2.0).operator(3.0)
-        assert op.block.terms(2.0) is None
-        assert op.flow_terms(2.0) == HermOp.tridiagonal(*op.bands).flow_terms(2.0)
+        with pytest.raises(DegeneracyError, match=rf"dim 5 is singular at sigma = {sigma:g}: gtsv info = 2$"):
+            op.flow_terms(2.0)
 
     def test_a_dense_factor_has_no_exact_lift(self):
         assert HermOp(np.diag([1.0, 2.0, 3.0])).resolvent().exact_lift() is None

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opflow import sturm
@@ -77,6 +77,32 @@ class TestAssembly:
     def test_boundary_entry_overflow_names_the_parameter(self):
         with pytest.raises(ValidationError, match=r"d\[-1\] = -inf .* \[1\.0 : 1e-310\], n = 400"):
             assemble_robin_operator(ProjectivePoint(1.0, 1e-310), 400)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(16, 5000), theta=st.floats(0.0, math.pi, exclude_max=True))
+    @example(n=16, theta=0.0)  # the Dirichlet point
+    @example(n=800, theta=math.pi / 4)  # [1:1], whose corner is 2/h^2 - 2/h
+    def test_family_bands_are_the_finite_difference_matrix_bit_for_bit(self, n, theta):
+        x = ProjectivePoint.from_angle(theta)
+        if x.is_dirichlet:
+            h = 1.0 / (n + 1)
+            d, e = np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)
+        else:
+            h = 1.0 / n
+            d, e = np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)
+            d[-1], e[-1] = 2.0 / h**2 - 2.0 * (x.x0 / x.x1) / h, -math.sqrt(2.0) / h**2
+            assume(math.isfinite(d[-1]))  # an overflowing corner raises; see the overflow test
+        bands = sturm._robin_family(n)(x).bands
+        assert np.array_equal(bands[0], d) and np.array_equal(bands[1], e)
+        assert bands[0].dtype == bands[1].dtype == np.float64
+
+    def test_dirichlet_nodes_are_the_shifted_grid(self):
+        """On t_i = i/(n+1) with weight 1/(n+1), the lowest eigenfunction is sqrt(2) sin(pi t) exactly."""
+        op = assemble_robin_operator(DIRICHLET, 32)
+        np.testing.assert_allclose(op.nodes, np.arange(1, 33) / 33.0, rtol=1e-15)
+        psi = op.eigenfunction(0)
+        np.testing.assert_allclose(np.sign(psi[0]) * psi, math.sqrt(2.0) * np.sin(math.pi * op.nodes),
+                                   atol=1e-12)
 
     def test_schemes(self):
         assert assemble_robin_operator(DIRICHLET, 32).scheme == SCHEME_DIRICHLET
@@ -361,24 +387,24 @@ class TestDichotomy:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_sweep_checks_one_comparison_operator(self, monkeypatch):
-        """One Dirichlet assembly and one read of its lowest eigenvalue for the whole sweep."""
+        """One family and one read of the Dirichlet operator's lowest eigenvalue for the whole sweep."""
         x1s = [1e-4, 1e-2, 0.9]
         rows = [dichotomy_sweep([x1], 64)[0] for x1 in x1s]
-        assembled, lowest = [], []
-        assemble, read = sturm.assemble_robin_operator, sturm.HermOp.lowest_eigenvalue
+        built, lowest = [], []
+        family, read = sturm._robin_family, sturm.HermOp.lowest_eigenvalue
 
-        def counted_assemble(x, n):
-            assembled.append(x.is_dirichlet)
-            return assemble(x, n)
+        def counted_family(n):
+            built.append(n)
+            return family(n)
 
         def counted_read(op):
             lowest.append(op)
             return read(op)
 
-        monkeypatch.setattr(sturm, "assemble_robin_operator", counted_assemble)
+        monkeypatch.setattr(sturm, "_robin_family", counted_family)
         monkeypatch.setattr(sturm.HermOp, "lowest_eigenvalue", counted_read)
         assert dichotomy_sweep(x1s, 64) == rows
-        assert assembled == [True, False, False, False]
+        assert built == [64]
         assert len(lowest) == 4 and len({id(op) for op in lowest}) == 4  # the Dirichlet op once
 
     def test_transform_eigenvalue_signs(self):

@@ -27,7 +27,6 @@ PINNED = {
     "PROJECTION_ATOL": 1e-10,
     "RADIUS_MIN": 2.0,
     "RESIDUAL_MAX": 0.25,
-    "SCHUR_MARGIN_RTOL": 1e-10,
     "SQRT_CLAMP": 3e-10,
     "STRICTNESS_ATOL": 1e-8,
     "UNITARITY_ATOL": 1e-10,
