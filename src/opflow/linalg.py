@@ -8,16 +8,21 @@ Plain complex ndarrays are the working representation of bounded operators.
   by ``HermOp.tridiagonal``; the dense ``matrix`` is assembled only when read.
 
 Both hand out the same API, so no other module reads the storage:
-``eigenvalues`` and ``eigenvectors`` (memoized), ``lowest_eigenvalue()``,
+``eigenvalues`` and ``eigenvectors``, ``lowest_eigenvalue()``,
 ``eigenvector(k)``, ``spectrum(lo, hi)`` (a closed window's eigenvalues and
 the global index of the first), ``norm()``, ``T - S``, ``T @ x``,
 ``resolvent()`` (LU factors of T + i, for solves with it and its adjoint),
 ``cayley_phase()`` (arg det of the Cayley transform) and ``flow_terms(r)``
-(what spectral flow reads at one parameter).  A ``CornerBlock`` holds the
-fixed part of a family [[T', b e_l], [b e_l^T, c]] whose only moving entry is
-the corner c, and needs T' positive definite; its ``BorderedOp``s are banded
-``HermOp``s that share the block's bands and solves, and answer ``flow_terms``
-from them in closed form.
+(what spectral flow reads at one parameter).  One memo rule covers
+``matrix``, ``eigenvalues``, ``eigenvectors`` and ``resolvent()``: each is
+computed at most once, by ``_once`` under the operator's lock, so a shared
+operator is safe between threads and never factored twice.  The lock is
+reentrant: one memo may read another (a band below MIN_FACTOR_DIM factors
+its ``matrix``).  A ``CornerBlock`` holds the fixed part of a family
+[[T', b e_l], [b e_l^T, c]] whose only moving entry is the corner c, and
+needs T' positive definite; its ``BorderedOp``s are banded ``HermOp``s that
+share the block's bands and terms, and answer ``flow_terms`` from them in
+closed form.
 A banded operator solves only what is asked (LAPACK ``stebz``: its own count
 for a window's index, bisection for the window or one eigenvalue, ``stein``
 for its vector; ``stevd`` for all eigenpairs, ``gttrf`` for T + i), applies
@@ -39,8 +44,8 @@ scipy loads on first use, not at import, and only its LAPACK extension
 ``scipy.linalg`` takes 0.11-0.16 s and 23 MB on a 2-vCPU host, and dense work
 needs only ``numpy.linalg``.  Every banded solve and ``resolvent`` factor
 calls LAPACK raw (``dstevd``, ``dstebz``, ``dstein``, ``zgttrf``/``zgttrs``,
-``zgetrf``/``zgetrs``; for a ``CornerBlock``, ``dpttrf`` to prove T' positive
-definite and ``dgtsv`` for its real shifted solves) on the one module
+``zgetrf``/``zgetrs``; for a ``CornerBlock``, ``dpttrf`` of T' and of
+T' + radius, whose pivots give its Schur terms) on the one module
 ``_lapack()`` returns, so a routine patched there is the one called and no
 wrapper re-checks bands checked at construction.  A nonzero ``info`` raises an
 error naming the routine.  The f2py wrappers reject the empty off-diagonal of
@@ -182,6 +187,12 @@ def _lapack_bands(bands) -> tuple[np.ndarray, np.ndarray]:
     return d, e if e.size else np.zeros(1)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
 def _lift(w: np.ndarray, radius: float = math.inf) -> float:
     """-2 sum atan2(1, w / (1 - (w / radius)^2)): Psi, with [-radius, radius] stretched onto R."""
     with np.errstate(divide="ignore"):  # the window's edges map to +-inf
@@ -272,12 +283,10 @@ class HermOp:
     (Frobenius); it is then symmetrized, so downstream code may rely on
     ``matrix`` being exactly equal to its adjoint.  ``HermOp.tridiagonal``
     stores real bands instead, checked once to be finite with a finite
-    squared off-diagonal.  The full eigendecomposition and the dense matrix
-    of a banded operator are each computed at most once, under a lock, so
-    instances are safe to share between threads.
+    squared off-diagonal.  Its memos keep the module's one rule (``_once``).
     """
 
-    __slots__ = ("bands", "_matrix", "_lock", "_eigvals", "_eigvecs")
+    __slots__ = ("bands", "_matrix", "_lock", "_eigvals", "_eigvecs", "_factor")
 
     def __init__(self, matrix):
         A = as_matrix(matrix)
@@ -288,16 +297,26 @@ class HermOp:
                 f"matrix {reason}: relative Frobenius defect "
                 f"||M - M*||/||M|| = {defect:.3e} exceeds {HERMITICITY_RTOL:g}"
             )
-        A = (A + adjoint(A)) / 2.0
-        A.setflags(write=False)
-        self._store(A, None)
+        self._store(_frozen((A + adjoint(A)) / 2.0), None)
 
     def _store(self, matrix: np.ndarray | None, bands) -> None:
         self.bands: tuple[np.ndarray, np.ndarray] | None = bands  # (d, e) or None if dense
         self._matrix = matrix
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._eigvals: np.ndarray | None = None
         self._eigvecs: np.ndarray | None = None
+        self._factor: ShiftedFactor | None = None
+
+    def _once(self, slot: str, compute: Callable[[], object]):
+        """The value memoized in ``slot``, from ``compute()`` run at most once under the lock; a raise stores nothing."""
+        value = getattr(self, slot)
+        if value is None:
+            with self._lock:
+                value = getattr(self, slot)
+                if value is None:
+                    value = compute()
+                    setattr(self, slot, value)
+        return value
 
     @classmethod
     def tridiagonal(cls, d, e) -> "HermOp":
@@ -313,23 +332,15 @@ class HermOp:
         big = np.flatnonzero(np.abs(e) > math.sqrt(np.finfo(float).max))  # e * e overflows
         if big.size:  # stebz squares the off-diagonal
             raise ValidationError(f"off-diagonal e[{big[0]}] = {e[big[0]]:g} overflows when squared")
-        d.setflags(write=False)
-        e.setflags(write=False)
         op = cls.__new__(cls)
-        op._store(None, (d, e))
+        op._store(None, (_frozen(d), _frozen(e)))
         return op
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense complex matrix (read-only); assembled from the bands on first read."""
-        if self._matrix is None:
-            with self._lock:
-                if self._matrix is None:
-                    d, e = self.bands
-                    A = np.diag(d.astype(complex)) + np.diag(e, 1) + np.diag(e, -1)
-                    A.setflags(write=False)
-                    self._matrix = A
-        return self._matrix
+        return self._once("_matrix", lambda: _frozen(
+            np.diag(self.bands[0].astype(complex)) + np.diag(self.bands[1], 1) + np.diag(self.bands[1], -1)))
 
     @property
     def dim(self) -> int:
@@ -337,38 +348,24 @@ class HermOp:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in ascending order.
-
-        Asking only for eigenvalues takes the cheaper values-only LAPACK
-        path (the tridiagonal solver for banded storage); they are cached on
-        first computation and never replaced, so repeated reads (from any
-        thread) see one consistent array.
-        """
-        if self._eigvals is None:
-            with self._lock:
-                if self._eigvals is None:
-                    w = np.linalg.eigvalsh(self._matrix) if self.bands is None else self._stevd(False)[0]
-                    w.setflags(write=False)
-                    self._eigvals = w
-        return self._eigvals
+        """Real eigenvalues in ascending order, by the values-only LAPACK path (the tridiagonal solver on bands)."""
+        return self._once("_eigvals", lambda: _frozen(
+            np.linalg.eigvalsh(self._matrix) if self.bands is None else self._stevd(False)[0]))
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """Unitary matrix whose columns match ``eigenvalues``.
 
         Banded storage takes the real tridiagonal solver, so its eigenvectors
-        are real and the dense matrix is never assembled.
+        are real and the dense matrix is never assembled.  The solve memoizes
+        ``eigenvalues`` too.
         """
-        if self._eigvecs is None:
-            with self._lock:
-                if self._eigvecs is None:
-                    w, V = np.linalg.eigh(self._matrix) if self.bands is None else self._stevd(True)
-                    V.setflags(write=False)
-                    self._eigvecs = V
-                    if self._eigvals is None:
-                        w.setflags(write=False)
-                        self._eigvals = w
-        return self._eigvecs
+        return self._once("_eigvecs", self._eigh)
+
+    def _eigh(self) -> np.ndarray:
+        w, V = np.linalg.eigh(self._matrix) if self.bands is None else self._stevd(True)
+        self._once("_eigvals", lambda: _frozen(w))
+        return _frozen(V)
 
     def _stevd(self, vectors: bool) -> tuple[np.ndarray, np.ndarray]:
         """Every eigenvalue of the bands, and the eigenvectors if asked, from one LAPACK ``stevd``."""
@@ -401,8 +398,8 @@ class HermOp:
         return _tridiagonal_pair(*self.bands, k, vector=True)[1]
 
     def resolvent(self) -> ShiftedFactor:
-        """LU factors of T + i, for solves with it and its adjoint T - i; |lambda + i| >= 1 keeps it regular."""
-        return ShiftedFactor(self)
+        """The LU factors of T + i, built once, for solves with T + i and T - i; |lambda + i| >= 1 keeps it regular."""
+        return self._once("_factor", lambda: ShiftedFactor(self))
 
     def cayley_phase(self) -> float:
         """arg det kappa(T) in [-pi, pi], for the Cayley transform kappa(T) = (T - i)(T + i)^-1.
@@ -474,8 +471,7 @@ class HermOp:
                 raise NonConvergenceError(
                     f"stebz window [{lo}, {hi}] failed on dim {self.dim}: info = {info}")
             w = w[:m]
-        w.setflags(write=False)
-        return first, w
+        return first, _frozen(w)
 
     def _count_below(self, lo: float) -> tuple[int, float]:
         """A banded operator's count of eigenvalues below lo, by ``stebz``, and the lower edge it counted at.
@@ -504,8 +500,11 @@ class HermOp:
         eigenvalues outside put at +-inf.  Psi_r is off Psi by less than
         2 atan(1 / radius) per eigenvalue, and continuous where eigenvalues
         cross +-radius; every route to these terms keeps within that.  Here
-        they come from one ``spectrum(-radius, radius)`` and one phase.
+        they come from one ``spectrum(-radius, radius)`` and one phase.  A
+        radius that is not finite and positive is a ValidationError.
         """
+        if not 0.0 < radius < math.inf:
+            raise ValidationError(f"flow radius {radius} is not finite and positive")
         first, w = self.spectrum(-radius, radius)
         return (first + int(np.count_nonzero(w < 0.0)), first, self.cayley_phase(),
                 _lift(w, radius) - 2.0 * math.pi * first)
@@ -518,74 +517,72 @@ class CornerBlock:
     """The fixed part of a family A(c) = [[T', b e_l], [b e_l^T, c]] whose one moving entry is the corner c.
 
     T' is a positive definite real tridiagonal ``HermOp`` of dim >=
-    MIN_FACTOR_DIM, proved so once by LAPACK ``pttrf``, and b its coupling to
-    one more node.
-    ``operator(c)`` returns A(c); every operator of one block shares its bands
-    and what the block solves, once per radius asked.  With
-    g(sigma) = ((T' - sigma)^-1)_ll, the Schur complement on the last node
-    gives (Haynsworth, Linear Algebra Appl. 1, 1968)
+    MIN_FACTOR_DIM, and b its coupling to one more node.  ``operator(c)``
+    returns A(c); every operator of one block shares its bands and terms.
+    With g(sigma) = ((T' - sigma)^-1)_ll, the Schur complement on the last
+    node gives (Haynsworth, Linear Algebra Appl. 1, 1968)
 
         neg(A(c) - sigma) = neg(T' - sigma) + [c - sigma - b^2 g(sigma) < 0],
         det(A(c) + i) = det(T' + i) s(c),   s(c) = c + i - b^2 ((T' + i)^-1)_ll,
 
     where neg(T' - sigma) = 0 for both shifts the flow reads, sigma = 0 and
-    sigma = -radius (radius >= 0), so each count is one sign.  Im s = 1 +
+    sigma = -radius (radius > 0), so each count is one sign.  Im s = 1 +
     b^2 sum_j q_j^2 / (mu_j^2 + 1) >= 1 over T''s eigenpairs, so arg s lies in
     (0, pi) and Psi(A(c)) = Psi(T') - 2 arg s(c) as real numbers, continuous
-    in c.  Each operator then answers ``flow_terms`` in O(1).
+    in c.  Each operator then answers ``flow_terms`` in O(1).  Here
+    g(sigma) = 1 / D_l off one LAPACK ``pttrf`` of T' - sigma = L D L^T,
+    since L is unit lower bidiagonal, so L e_l = e_l; the factor at sigma = 0
+    proves T' positive definite.  The block is built with b^2 g(0),
+    b^2 ((T' + i)^-1)_ll (``inner.resolvent()``) and Psi(T'), and keeps
+    b^2 g(-radius) for the last radius asked: a flow asks one.
     """
 
-    __slots__ = ("inner", "coupling", "_e", "_lock", "_terms")
+    __slots__ = ("inner", "coupling", "_e", "_last")
 
     def __init__(self, inner: HermOp, coupling: float):
         if inner.bands is None or inner.dim < MIN_FACTOR_DIM:
             raise ValidationError(f"a corner block needs banded storage of dim >= {MIN_FACTOR_DIM}")
         if not math.isfinite(coupling * coupling):
             raise ValidationError(f"coupling {coupling:g} is not finite when squared")
-        *_, info = _lapack().dpttrf(*inner.bands)
-        if info != 0:
-            raise ValidationError(f"a corner block needs a positive definite T' of dim {inner.dim}: "
-                                  f"pttrf info = {info}")
         self.inner, self.coupling = inner, float(coupling)
-        self._e = np.append(inner.bands[1], self.coupling)
-        self._e.setflags(write=False)
-        self._lock = threading.Lock()
-        self._terms: dict[float, tuple] = {}
+        schur0 = self._schur(0.0)
+        factor = inner.resolvent()
+        unit = np.append(np.zeros(inner.dim - 1, dtype=complex), 1.0)  # e_l
+        psi = factor.exact_lift()
+        # (radius, terms), read and replaced whole, so a race can only solve again; a NaN
+        # radius matches none, so the first call to terms solves
+        self._last = (math.nan, (schur0, math.nan, self.coupling ** 2 * complex(factor.solve(unit)[-1]),
+                                 _lift(inner.eigenvalues) if psi is None else psi))
+        self._e = _frozen(np.append(inner.bands[1], self.coupling))
 
     def operator(self, corner: float) -> "BorderedOp":
         """A(corner): a banded ``HermOp`` whose block's bands are not checked again."""
         if not math.isfinite(corner):
             raise ValidationError(f"corner entry {corner} is not finite")
-        d = np.append(self.inner.bands[0], corner)
-        d.setflags(write=False)
         op = BorderedOp.__new__(BorderedOp)
-        op._store(None, (d, self._e))
+        op._store(None, (_frozen(np.append(self.inner.bands[0], corner)), self._e))
         op.block, op.corner = self, float(corner)
         return op
 
     def terms(self, radius: float) -> tuple[float, float, complex, float]:
-        """(b^2 g(0), b^2 g(-radius), b^2 ((T' + i)^-1)_ll, Psi(T')), solved once per radius."""
-        with self._lock:
-            if radius not in self._terms:
-                factor = self.inner.resolvent()
-                unit = np.zeros(self.inner.dim, dtype=complex)
-                unit[-1] = 1.0
-                psi = factor.exact_lift()
-                self._terms[radius] = (self._schur(0.0), self._schur(-radius),
-                                       self.coupling ** 2 * complex(factor.solve(unit)[-1]),
-                                       _lift(self.inner.eigenvalues) if psi is None else psi)
-            return self._terms[radius]
+        """(b^2 g(0), b^2 g(-radius), b^2 ((T' + i)^-1)_ll, Psi(T')); a new radius is checked, then one ``pttrf``."""
+        last, terms = self._last
+        if radius != last:
+            if not 0.0 < radius < math.inf:
+                raise ValidationError(f"flow radius {radius} is not finite and positive")
+            terms = (terms[0], self._schur(-radius), *terms[2:])
+            self._last = (radius, terms)
+        return terms
 
     def _schur(self, sigma: float) -> float:
-        """b^2 g(sigma), from one ``gtsv`` solve with T' - sigma."""
+        """b^2 g(sigma) = b^2 / D_l from one ``pttrf`` of T' - sigma; a factor that fails raises."""
         d, e = self.inner.bands
-        unit = np.zeros(self.inner.dim)
-        unit[-1] = 1.0
-        *_, x, info = _lapack().dgtsv(e, d - sigma, e, unit)
-        if info != 0:  # an exactly zero pivot, as LAPACK reports it
-            raise DegeneracyError(f"T' - sigma of dim {self.inner.dim} is singular at sigma = {sigma:g}: "
-                                  f"gtsv info = {info}")
-        return self.coupling ** 2 * float(x[-1])
+        D, _, info = _lapack().dpttrf(d - sigma, e)
+        if info != 0:
+            shifted = "T'" if sigma == 0.0 else f"T' + {-sigma:g}"
+            raise ValidationError(f"a corner block needs a positive definite {shifted} of dim {self.inner.dim}: "
+                                  f"pttrf info = {info}")
+        return self.coupling ** 2 * (1.0 / float(D[-1]))
 
 
 class BorderedOp(HermOp):
@@ -610,9 +607,7 @@ MatrixLike = Union[np.ndarray, HermOp]
 
 def as_hermop(M: MatrixLike) -> HermOp:
     """Pass through a HermOp, or validate-and-wrap an ndarray."""
-    if isinstance(M, HermOp):
-        return M
-    return HermOp(M)
+    return M if isinstance(M, HermOp) else HermOp(M)
 
 
 def matrix_of(M: MatrixLike) -> np.ndarray:

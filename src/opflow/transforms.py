@@ -38,6 +38,7 @@ from .linalg import (
     HermOp,
     MatrixLike,
     adjoint,
+    as_hermop,
     as_matrix,
     func_calc,
     herm_eig,
@@ -155,7 +156,7 @@ def bounded_transform(A: MatrixLike) -> np.ndarray:
     require_finite(A)
     n = A.shape[0]
     zero = np.zeros_like(A)
-    w, Q = np.linalg.eigh(np.block([[zero, A], [adjoint(A), zero]]))
+    w, Q = np.linalg.eigh(_blocks(zero, A, adjoint(A), zero))
     return (Q[:n] * (w / np.hypot(1.0, w))) @ adjoint(Q[n:])
 
 
@@ -212,7 +213,7 @@ def cayley_ball(a: MatrixLike) -> np.ndarray:
     Factors the Cayley transform through the bounded transform and extends it
     continuously to the whole closed ball of Hermitian operators.
     """
-    op = a if isinstance(a, HermOp) else HermOp(a)
+    op = as_hermop(a)
     w, _ = herm_eig(op)
     _require_ball(np.max(np.abs(w), initial=0.0))
     s = _sqrt_clamped(1.0 - w * w)

@@ -96,6 +96,25 @@ class TestHermEig:
             results = list(pool.map(lambda _: op.eigenvalues, range(16)))
         assert all(r is results[0] for r in results)
 
+    def test_concurrent_factors_are_one_object(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        op = HermOp.tridiagonal(np.arange(40.0), np.ones(39))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda _: op.resolvent(), range(16)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r is results[0] for r in results)
+
+    @pytest.mark.parametrize("op", [HermOp.tridiagonal(np.arange(8.0), np.ones(7)),  # gttrf
+                                    HermOp.tridiagonal([1.0, 2.0], [0.5]),  # getrf on a band of dim 2
+                                    HermOp(np.diag([1.0, 2.0, 3.0]))], ids=["banded", "small", "dense"])
+    def test_the_resolvent_is_factored_once(self, op):
+        assert op.resolvent() is op.resolvent()
+
 
 class TestFuncCalc:
     def test_identity_function(self):
@@ -911,22 +930,58 @@ class TestCornerBlock:
             assert abs(math.remainder(phase - plain.cayley_phase(), 2.0 * math.pi)) <= 1e-10
             assert lift == pytest.approx(-2.0 * float(np.sum(np.arctan2(1.0, w))), abs=1e-10)
 
-    def test_operators_share_the_block_and_keep_full_bands(self):
+    def test_operators_share_the_block_and_keep_full_bands(self, monkeypatch):
         block = linalg.CornerBlock(dirichlet_block(5), -2.0)
         a, b = block.operator(1.0), block.operator(-7.0)
         assert a.block is b.block is block and a.bands[1] is b.bands[1]
         np.testing.assert_array_equal(b.bands[0], [50.0] * 5 + [-7.0])
         np.testing.assert_array_equal(b.bands[1], [-25.0] * 4 + [-2.0])
         assert not b.bands[0].flags.writeable and b.matrix.shape == (6, 6)
-        assert block.terms(2.0) is block.terms(2.0)  # solved once per radius
-
-    def test_a_flow_reads_one_proof_and_two_shifted_solves_and_no_count(self, monkeypatch):
         calls = TestBandedKernelCost.record_calls(monkeypatch)
-        block = linalg.CornerBlock(dirichlet_block(5), -2.0)
-        assert calls == ["dpttrf"]
-        for c in (1.0, 60.0, -70.0):
-            block.operator(c).flow_terms(2.0)
-        assert calls == ["dpttrf", "zgttrf", "dgtsv", "dgtsv", "zgttrs"]
+        assert block.terms(2.0) == block.terms(2.0) and calls == ["dpttrf"]  # a new radius: one pttrf
+        a.flow_terms(2.0), b.flow_terms(2.0)
+        assert calls == ["dpttrf"]  # a repeated radius: none
+        block.terms(3.0)
+        assert calls == ["dpttrf", "dpttrf"]
+
+    def test_a_robin_flow_reads_two_pttrf_and_one_shifted_solve_and_no_count(self, monkeypatch):
+        from opflow.specflow import OperatorPath, spectral_flow
+        from opflow.sturm import robin_generator
+
+        calls = TestBandedKernelCost.record_calls(monkeypatch)
+        generator = robin_generator(64)  # the block: the proof pttrf, one gttrf and gttrs of T' + i
+        assert calls == ["dpttrf", "zgttrf", "zgttrs"]
+        assert spectral_flow(OperatorPath.sample(generator, 0.0, math.pi, 16, closed=True)).flow == 1
+        assert calls == ["dpttrf", "zgttrf", "zgttrs", "dpttrf"]  # and the radius shift's pttrf
+
+    def test_concurrent_radii_each_read_their_own_term(self):
+        # the one-entry memo has no lock: a race may solve again, never answer another radius
+        from concurrent.futures import ThreadPoolExecutor
+
+        block = linalg.CornerBlock(dirichlet_block(40), -2.0)
+        expected = {r: block.terms(r) for r in (2.0, 3.0)}
+        radii = [2.0, 3.0] * 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(block.terms, radii))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(terms == expected[r] for r, terms in zip(radii, results))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(16, 2000), radius=st.sampled_from([2.0, 20.0, 2e5, 2e6]))
+    def test_schur_terms_off_pttrf_pivots_are_the_gtsv_solves_bit_for_bit(self, n, radius):
+        # on the Robin block gtsv makes no row swap, and then runs pttrf's operations
+        h = 1.0 / n
+        d, e, b = np.full(n - 1, 2.0 / h**2), np.full(n - 2, -1.0 / h**2), -math.sqrt(2.0) / h**2
+        unit = np.zeros(n - 1)
+        unit[-1] = 1.0
+        schur0, schur_r = linalg.CornerBlock(HermOp.tridiagonal(d, e), b).terms(radius)[:2]
+        for sigma, value in ((0.0, schur0), (-radius, schur_r)):
+            *_, x, info = scipy.linalg.lapack.dgtsv(e, d - sigma, e, unit)
+            assert info == 0 and value == b**2 * float(x[-1])
 
     @pytest.mark.parametrize("m", [15, 63, 799, 1599])
     def test_exact_lift_of_the_dirichlet_block_is_its_eigenvalue_sum(self, m):
@@ -973,10 +1028,19 @@ class TestCornerBlock:
 
     @pytest.mark.parametrize("sigma", [0.0, -2.0])
     def test_a_singular_shifted_solve_names_its_shift(self, monkeypatch, sigma):
-        TestBandedKernelCost.fail(monkeypatch, "dgtsv", 2, when=lambda args: args[1][0] == 50.0 - sigma)
+        # sigma = 0 is the proof when the block is built, sigma = -2 the radius shift of the flow
+        TestBandedKernelCost.fail(monkeypatch, "dpttrf", 2, when=lambda args: args[0][0] == 50.0 - sigma)
+        shifted = "T'" if sigma == 0.0 else r"T' \+ 2"
+        with pytest.raises(ValidationError, match=rf"positive definite {shifted} of dim 5: pttrf info = 2$"):
+            linalg.CornerBlock(dirichlet_block(5), -2.0).operator(3.0).flow_terms(2.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, -100.0, 0.0, math.inf])
+    def test_both_routes_refuse_a_radius_that_is_not_finite_and_positive(self, radius):
         op = linalg.CornerBlock(dirichlet_block(5), -2.0).operator(3.0)
-        with pytest.raises(DegeneracyError, match=rf"dim 5 is singular at sigma = {sigma:g}: gtsv info = 2$"):
-            op.flow_terms(2.0)
+        op.flow_terms(2.0)  # the block's memo holds radius 2, so each bad radius misses it
+        for route in (op.flow_terms, op.block.terms, HermOp.tridiagonal(*op.bands).flow_terms):
+            with pytest.raises(ValidationError, match=rf"^flow radius {radius} is not finite and positive$"):
+                route(radius)
 
     def test_a_dense_factor_has_no_exact_lift(self):
         assert HermOp(np.diag([1.0, 2.0, 3.0])).resolvent().exact_lift() is None

@@ -147,7 +147,7 @@ class TestSpectralFlowBasics:
     @pytest.mark.parametrize("window0", [math.inf, math.nan])
     def test_window_must_be_finite(self, window0):
         path = OperatorPath.sample(CROSS, 0.0, 1.0, 4)
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError, match="window0 must be positive and finite"):
             spectral_flow(path, window0=window0)
 
     def test_max_depth_must_be_non_negative(self):
@@ -377,6 +377,13 @@ class TestRobinLoop:
         assert report.flow == 1
         (c,) = report.crossings
         assert c.theta_lo <= math.pi / 4 <= c.theta_hi and c.direction == 1
+
+    def test_the_passage_at_the_dirichlet_point_needs_no_bisection(self):
+        # the step across theta = pi passes one eigenvalue through infinity with a phase
+        # turn and residual well inside the passage test; only the crossing at pi/4 bisects
+        path = OperatorPath.sample(robin_generator(64), 0.0, math.pi, 16, closed=True)
+        report = spectral_flow(path, window0=1.0)
+        assert report.partition.tolist() == sorted([*path.thetas.tolist(), math.pi / 4])
 
     def test_smoke_size_bracket_starts_on_the_null_vector(self):
         # the midpoint of the sample step around pi/4 is pi/4 itself, where [1:1]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from opflow import sturm
 from opflow.errors import DomainError, ValidationError
+from opflow.linalg import _lapack
 from opflow.sturm import (
     SCHEME_DIRICHLET,
     SCHEME_GHOST,
@@ -406,6 +407,19 @@ class TestDichotomy:
         assert dichotomy_sweep(x1s, 64) == rows
         assert built == [64]
         assert len(lowest) == 4 and len({id(op) for op in lowest}) == 4  # the Dirichlet op once
+
+    def test_sweep_factors_the_dirichlet_operator_once(self, monkeypatch):
+        """Nine rows at n = 400: one T' + i factor for the block, one for Dirichlet, one per Robin row."""
+        lapack, calls = _lapack(), []
+        factor = lapack.zgttrf
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "zgttrf", counted)
+        dichotomy_sweep(np.geomspace(1e-4, 0.9, 9), 400)
+        assert 0 < len(calls) <= 11
 
     def test_transform_eigenvalue_signs(self):
         robin = assemble_robin_operator(ProjectivePoint(1.0, 1e-3), 400)
