@@ -44,12 +44,13 @@ scipy loads on first use, not at import, and only its LAPACK extension
 ``scipy.linalg`` takes 0.11-0.16 s and 23 MB on a 2-vCPU host, and dense work
 needs only ``numpy.linalg``.  Every banded solve and ``resolvent`` factor
 calls LAPACK raw (``dstevd``, ``dstebz``, ``dstein``, ``zgttrf``/``zgttrs``,
-``zgetrf``/``zgetrs``; for a ``CornerBlock``, ``dpttrf`` of T' and of
-T' + radius, whose pivots give its Schur terms) on the one module
-``_lapack()`` returns, so a routine patched there is the one called and no
-wrapper re-checks bands checked at construction.  A nonzero ``info`` raises an
-error naming the routine.  The f2py wrappers reject the empty off-diagonal of
-dim 1; ``_lapack_bands`` passes one zero, unread there.
+``zgetrf``/``zgetrs``; a ``CornerBlock`` reads its terms off the pivots of
+``dpttrf`` of T' and of T' + radius and of one ``zgttrf`` of T' + i, with no
+``zgttrs``) on the one module ``_lapack()`` returns, so a routine patched
+there is the one called and no wrapper re-checks bands checked at
+construction.  A nonzero ``info`` raises an error naming the routine.  The
+f2py wrappers reject the empty off-diagonal of dim 1; ``_lapack_bands``
+passes one zero, unread there.
 Dense work stays on ``numpy.linalg`` even once scipy is loaded: numpy and
 scipy each bundle OpenBLAS with its own thread pool, and a call into one
 straight after a BLAS call in the other can run twice as slow.
@@ -261,19 +262,17 @@ class ShiftedFactor:
         u = self._lu[1] if banded else np.diagonal(self._lu[0])
         return float(np.sum(np.angle(u)))
 
-    def exact_lift(self) -> float | None:
-        """Psi(T) = -2 sum_k atan2(1, lambda_k) as a real number, read off a banded factor, or None.
+    def pivots(self) -> np.ndarray | None:
+        """U's diagonal if the factor is banded and ``gttrf`` made no row swap, else None.
 
-        With no row swap, U_kk = det(T_k + i) / det(T_{k-1} + i) for the
-        leading blocks T_k, whose eigenvalues interlace, so arg U_kk lies in
-        (0, pi) and -2 sum arg U_kk is Psi(T) itself, not Psi modulo 2 pi.
-        A swap at step k puts the real off-diagonal entry e_k on U's diagonal,
-        so a banded factor is read only where every computed Im U_kk is at
-        least 1, as it is exactly without swaps; any other gives None.
+        With no swap, U_kk = det(T_k + i) / det(T_{k-1} + i) for the leading
+        blocks T_k, whose eigenvalues interlace, so arg U_kk lies in (0, pi)
+        and -2 sum arg U_kk is Psi(T) itself, not Psi modulo 2 pi; and L is
+        unit lower bidiagonal, so ((T + i)^-1)_ll = 1 / U_ll.  A swap at step k
+        puts the real e_k on U's diagonal, so the diagonal is handed out only
+        where every computed Im U_kk is at least 1, as it is exactly without swaps.
         """
-        if self._trans[0] != "N" or not np.all(self._lu[1].imag >= 1.0):
-            return None
-        return -2.0 * self.diagonal_phase()
+        return self._lu[1] if self._trans[0] == "N" and np.all(self._lu[1].imag >= 1.0) else None
 
 
 class HermOp:
@@ -532,9 +531,11 @@ class CornerBlock:
     in c.  Each operator then answers ``flow_terms`` in O(1).  Here
     g(sigma) = 1 / D_l off one LAPACK ``pttrf`` of T' - sigma = L D L^T,
     since L is unit lower bidiagonal, so L e_l = e_l; the factor at sigma = 0
-    proves T' positive definite.  The block is built with b^2 g(0),
-    b^2 ((T' + i)^-1)_ll (``inner.resolvent()``) and Psi(T'), and keeps
-    b^2 g(-radius) for the last radius asked: a flow asks one.
+    proves T' positive definite.  b^2 ((T' + i)^-1)_ll = b^2 / U_ll and
+    Psi(T') = -2 sum arg U_kk come off U's diagonal in one ``gttrf`` of T' + i
+    (``pivots()``), which must make no row swap, as on the Robin T' at every
+    grid tried; a T' + i that swaps is refused.  The block keeps b^2 g(-radius)
+    for the last radius asked: a flow asks one.
     """
 
     __slots__ = ("inner", "coupling", "_e", "_last")
@@ -546,13 +547,14 @@ class CornerBlock:
             raise ValidationError(f"coupling {coupling:g} is not finite when squared")
         self.inner, self.coupling = inner, float(coupling)
         schur0 = self._schur(0.0)
-        factor = inner.resolvent()
-        unit = np.append(np.zeros(inner.dim - 1, dtype=complex), 1.0)  # e_l
-        psi = factor.exact_lift()
+        u = inner.resolvent().pivots()
+        if u is None:
+            raise ValidationError(f"gttrf swapped rows of T' + i of dim {inner.dim}: a corner block needs none")
         # (radius, terms), read and replaced whole, so a race can only solve again; a NaN
-        # radius matches none, so the first call to terms solves
-        self._last = (math.nan, (schur0, math.nan, self.coupling ** 2 * complex(factor.solve(unit)[-1]),
-                                 _lift(inner.eigenvalues) if psi is None else psi))
+        # radius matches none, so the first call to terms solves.  Python's complex 1 / U_ll
+        # is the gttrs solve of e_l bit for bit (numpy's quotient is not)
+        self._last = (math.nan, (schur0, math.nan, self.coupling ** 2 * (1.0 / complex(u[-1])),
+                                 -2.0 * float(np.sum(np.angle(u)))))
         self._e = _frozen(np.append(inner.bands[1], self.coupling))
 
     def operator(self, corner: float) -> "BorderedOp":
@@ -588,7 +590,7 @@ class CornerBlock:
 class BorderedOp(HermOp):
     """A(c) = [[T', b e_l], [b e_l^T, c]] of a ``CornerBlock``: a banded ``HermOp`` for every reader.
 
-    Only ``flow_terms`` differs: it reads the block's solves and the corner
+    Only ``flow_terms`` differs: it reads the block's terms and the corner
     in closed form, and returns the exact Psi, not Psi_r, as its lift.
     """
 

@@ -151,12 +151,13 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
         raise ValidationError(f"max_depth must be non-negative, got {max_depth}")
     a, b = path.domain
     start = path.generator(a)
+    dim, radius = start.dim, max(2.0 * window0, RADIUS_MIN)
 
     def operator(theta: float) -> HermOp:
         op = path.generator(theta)
-        if op.dim != start.dim:
+        if op.dim != dim:
             raise ValidationError(f"the operator at theta={theta} has dimension {op.dim}, "
-                                  f"the one at theta={a} has {start.dim}")
+                                  f"the one at theta={a} has {dim}")
         return op
 
     end = start if path.closed else operator(b)
@@ -167,15 +168,11 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
                 raise ValidationError(f"open-path endpoint at theta={t} has an eigenvalue "
                                       f"within {ZERO_ATOL:g} of 0")
         end_lift = _lift(end.eigenvalues) - _lift(start.eigenvalues)
-    radius = max(2.0 * window0, RADIUS_MIN)
-
-    def evaluate(op: HermOp) -> tuple[int, int, float, float]:  # (neg, first, phase, lift)
-        return op.flow_terms(radius)
-
-    inner = [float(t) for t in path.thetas[1:-1]]
-    ops = [start, *map(operator, inner)]  # built before any is solved: interleaving is ~4% slower
-    points = dict(zip([a, *inner], map(evaluate, ops)))
-    points[b] = points[a] if path.closed else evaluate(end)
+    points = {a: start.flow_terms(radius)}  # theta -> (neg, first, phase, lift)
+    points[b] = points[a] if path.closed else end.flow_terms(radius)
+    start = end = op = None  # from here the flow holds terms, and each operator only while it is read
+    for theta in path.thetas[1:-1]:
+        points[float(theta)] = operator(float(theta)).flow_terms(radius)
     segments, lifted = [], 0.0  # segments: (lo, hi, contribution, residual)
     stack = [(float(lo), float(hi), 0) for lo, hi in zip(path.thetas[:-1], path.thetas[1:])]
     while stack:
@@ -195,7 +192,7 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
                     f"{RESIDUAL_MAX:g}), {passages} passages against {moved} in the count below -r")
             mid = 0.5 * (lo + hi)
             if mid not in points:
-                points[mid] = evaluate(operator(mid))
+                points[mid] = operator(mid).flow_terms(radius)
             stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
             continue
         lifted += step

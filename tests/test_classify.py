@@ -250,6 +250,25 @@ class TestDensitySurgery:
         assert records and all(r["holds"] for r in records)
         assert all(r["arc_radius"] < r["eps"] / 2 for r in records)
 
+    def test_instances_are_drawn_as_documented(self, monkeypatch):
+        # c from [1.01, 2) times the c whose arc radius is eps / 2; dim 4..12; window
+        # eigenvalues across (-0.9 c, 0.9 c), the others at 1.05 c .. 4 c from 0
+        drawn, real = [], classify.density_surgery
+
+        def record(A, c, B):
+            drawn.append((A.eigenvalues, c))
+            return real(A, c, B)
+
+        monkeypatch.setattr(classify, "density_surgery", record)
+        records = surgery_bound_trials([3.9, 0.5], instances=20, seed=5)
+        inside = []
+        for r, (w, c) in zip(records, drawn):
+            assert 1.01 <= c / np.sqrt(16.0 / r["eps"] ** 2 - 1.0) < 2.0 and 4 <= r["dim"] <= 12
+            w = w / c
+            assert np.all((np.abs(w) <= 0.9 + 1e-9) | ((np.abs(w) >= 1.05 - 1e-9) & (np.abs(w) <= 4.0 + 1e-9)))
+            inside += list(w[np.abs(w) < 1.0])
+        assert min(inside) < -0.45 and max(inside) > 0.45
+
     @pytest.mark.parametrize("eps", [4.0, 10.0, float("inf"), float("nan"), 0.0, -0.5,
                                      1e-15, 1e-300])
     def test_eps_outside_the_range_rejected(self, eps):

@@ -944,15 +944,15 @@ class TestCornerBlock:
         block.terms(3.0)
         assert calls == ["dpttrf", "dpttrf"]
 
-    def test_a_robin_flow_reads_two_pttrf_and_one_shifted_solve_and_no_count(self, monkeypatch):
+    def test_a_robin_flow_reads_two_pttrf_and_one_gttrf_and_no_solve(self, monkeypatch):
         from opflow.specflow import OperatorPath, spectral_flow
         from opflow.sturm import robin_generator
 
-        calls = TestBandedKernelCost.record_calls(monkeypatch)
-        generator = robin_generator(64)  # the block: the proof pttrf, one gttrf and gttrs of T' + i
-        assert calls == ["dpttrf", "zgttrf", "zgttrs"]
+        calls = TestBandedKernelCost.record_calls(monkeypatch)  # zgttrs is recorded too: it must not show
+        generator = robin_generator(64)  # the block: the proof pttrf and one gttrf of T' + i
+        assert calls == ["dpttrf", "zgttrf"]
         assert spectral_flow(OperatorPath.sample(generator, 0.0, math.pi, 16, closed=True)).flow == 1
-        assert calls == ["dpttrf", "zgttrf", "zgttrs", "dpttrf"]  # and the radius shift's pttrf
+        assert calls == ["dpttrf", "zgttrf", "dpttrf"]  # and the radius shift's pttrf
 
     def test_concurrent_radii_each_read_their_own_term(self):
         # the one-entry memo has no lock: a race may solve again, never answer another radius
@@ -986,20 +986,33 @@ class TestCornerBlock:
     @pytest.mark.parametrize("m", [15, 63, 799, 1599])
     def test_exact_lift_of_the_dirichlet_block_is_its_eigenvalue_sum(self, m):
         factor = dirichlet_block(m).resolvent()
-        u, ipiv = factor._lu[1], factor._lu[4]
-        assert np.array_equal(ipiv, np.arange(1, m + 1)) and u.imag.min() >= 1.0
+        assert factor.pivots() is not None and np.array_equal(factor._lu[4], np.arange(1, m + 1))
         w = dirichlet_block(m).eigenvalues
-        assert factor.exact_lift() == pytest.approx(-2.0 * float(np.sum(np.arctan2(1.0, w))),
-                                                    abs=m * np.finfo(float).eps * w.max())
+        psi = linalg.CornerBlock(dirichlet_block(m), -2.0).terms(2.0)[3]
+        assert psi == pytest.approx(-2.0 * float(np.sum(np.arctan2(1.0, w))),
+                                    abs=m * np.finfo(float).eps * w.max())
 
-    def test_a_row_swap_reads_the_eigenvalue_sum(self):
+    def test_a_block_whose_shifted_factor_swaps_rows_is_rejected(self):
         inner = HermOp.tridiagonal([0.1, 300.0, 300.0], [5.0, 5.0])  # positive definite, |d_0 + i| < |e_0|
         factor = inner.resolvent()
         assert list(factor._lu[4]) == [2, 2, 3] and factor._lu[1][0] == 5.0  # zgttrf put e_0 on U's diagonal
-        assert factor.exact_lift() is None
-        op = linalg.CornerBlock(inner, 1.0).operator(0.5)
-        w = HermOp.tridiagonal(*op.bands).eigenvalues
-        assert op.flow_terms(2.0)[3] == pytest.approx(-2.0 * float(np.sum(np.arctan2(1.0, w))), abs=1e-12)
+        assert factor.pivots() is None
+        with pytest.raises(ValidationError, match=r"^gttrf swapped rows of T' \+ i of dim 3: a corner block"):
+            linalg.CornerBlock(inner, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(16, 5000))
+    def test_the_shifted_term_off_gttrf_pivots_is_the_gttrs_solve_bit_for_bit(self, n):
+        # on the Robin block gttrf makes no row swap, so L e_l = e_l and the solve of e_l ends in 1 / U_ll
+        h = 1.0 / n
+        d, e, b = np.full(n - 1, 2.0 / h**2), np.full(n - 2, -1.0 / h**2), -math.sqrt(2.0) / h**2
+        inner = HermOp.tridiagonal(d, e)
+        factor = inner.resolvent()
+        assert factor.pivots() is not None
+        unit = np.zeros(n - 1, dtype=complex)
+        unit[-1] = 1.0
+        expected = b**2 * complex(factor.solve(unit)[-1])
+        assert linalg.CornerBlock(inner, b).terms(2.0)[2] == expected
 
     @pytest.mark.parametrize("d0, e0, info", [
         (0.0, 0.0, 1), (-2.0, 0.0, 1), (-2.0 + 1e-13, 0.0, 1),  # an eigenvalue at or near a shift
@@ -1042,8 +1055,8 @@ class TestCornerBlock:
             with pytest.raises(ValidationError, match=rf"^flow radius {radius} is not finite and positive$"):
                 route(radius)
 
-    def test_a_dense_factor_has_no_exact_lift(self):
-        assert HermOp(np.diag([1.0, 2.0, 3.0])).resolvent().exact_lift() is None
+    def test_a_dense_factor_has_no_pivots(self):
+        assert HermOp(np.diag([1.0, 2.0, 3.0])).resolvent().pivots() is None
 
     @pytest.mark.parametrize("inner, coupling, corner, match", [
         (HermOp.tridiagonal([1.0, 2.0], [0.5]), 1.0, 0.0, "dim >= 3"),

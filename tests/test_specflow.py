@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -402,6 +403,37 @@ def banded_twin(path: OperatorPath) -> OperatorPath:
     """The same path with every operator re-wrapped as plain bands, so the window route reads it."""
     return OperatorPath(path.thetas, lambda t: HermOp.tridiagonal(*path.generator(t).bands),
                         closed=path.closed)
+
+
+class WeakOp(HermOp):
+    """A ``HermOp`` that takes weak references, so a test can count the live ones."""
+
+
+def live_counting(generator, wrap):
+    """generator, each operator re-wrapped as a ``WeakOp`` by ``wrap``; and the live count at each call."""
+    refs, live = [], []
+
+    def gen(theta: float) -> HermOp:
+        live.append(sum(ref() is not None for ref in refs))
+        op = wrap(generator(theta))
+        refs.append(weakref.ref(op))
+        return op
+
+    return gen, live
+
+
+class TestFlowHoldsTerms:
+    """The flow keeps each parameter's terms, not its operator: a generic banded flow holds a T + i factor per op."""
+
+    def test_a_closed_banded_loop_holds_at_most_one_operator(self):
+        gen, live = live_counting(robin_generator(64), lambda op: WeakOp.tridiagonal(*op.bands))
+        assert spectral_flow(OperatorPath.sample(gen, 0.0, math.pi, 16, closed=True)).flow == 1
+        assert len(live) > 16 and max(live) <= 1
+
+    def test_an_open_dense_path_holds_at_most_its_two_ends(self):
+        gen, live = live_counting(lambda t: np.diag([t - 0.5, 2.0]), WeakOp)
+        assert spectral_flow(OperatorPath.sample(gen, 0.0, 1.0, 8)).flow == 1
+        assert len(live) >= 9 and max(live) <= 2
 
 
 def banded_diag_gen(*funcs):
