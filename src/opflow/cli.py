@@ -1,7 +1,8 @@
 """Command-line surface: spectral sweeps, flow, dichotomy, and identity suites.
 
 Every command writes its data files (CSV/JSON) plus a ``manifest.json`` into
-the output directory and is deterministic given its flags and ``--seed``.
+the output directory, through ``manifest.write_lines`` and in ``manifest.json_text``'s
+JSON form, and is deterministic given its flags and ``--seed``.
 Exit codes: 0 success, 1 threshold failure, 2 usage error.  Only ``main`` maps package
 errors to them (``ValidationError`` 2; ``NonConvergenceError``, ``ConditioningError`` 1, one
 stderr line; others are bugs and keep their traceback).  Argument domains are the library's.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import itertools
 import math
 import os
 import sys
@@ -41,7 +42,7 @@ from .homotopy import (
     zk_injectivity_margin,
 )
 from .linalg import HermOp
-from .manifest import RunManifest, open_in_place
+from .manifest import RunManifest, json_text, write_lines
 from .specflow import OperatorPath, spectral_flow
 from .sturm import dichotomy_sweep, robin_generator, spectral_graph
 from .transforms import identity_suite
@@ -100,21 +101,18 @@ _NOT_PARAMETERS = ("command", "func", "out", "config")
 
 
 def _emit(args: argparse.Namespace, filename: str, payload) -> Path:
-    """Write one data file plus ``manifest.json`` into ``--out``.
+    """Write one data file plus ``manifest.json`` into ``--out``, both by ``write_lines``.
 
-    A dict is written as sorted JSON, a ``(header, rows)`` pair as CSV.
+    A dict is written as ``json_text``, a ``(header, rows)`` pair as CSV lines, streamed.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / filename
-    with open_in_place(path) as handle:
-        if isinstance(payload, dict):
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        else:
-            header, rows = payload
-            handle.write(header + "\n")
-            handle.writelines(",".join(row) + "\n" for row in rows)
+    if isinstance(payload, dict):
+        write_lines(path, [json_text(payload)])
+    else:
+        header, rows = payload
+        write_lines(path, itertools.chain([header + "\n"], (",".join(row) + "\n" for row in rows)))
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     config = _config_path(args)
     manifest = RunManifest.create(args.command, params, __version__,

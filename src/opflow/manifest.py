@@ -1,8 +1,7 @@
-"""Run manifests: reproducibility records attached to every emitted artifact."""
+"""Run manifests, and the one writer (``write_lines``) and JSON form (``json_text``) of every output."""
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -14,9 +13,8 @@ from pathlib import Path
 from .errors import ValidationError
 
 
-@contextlib.contextmanager
-def open_in_place(path: Path | str) -> typing.Iterator[typing.TextIO]:
-    """A UTF-8 text handle on ``path``, created if missing, cut at what was written when the block ends.
+def write_lines(path: Path | str, lines: typing.Iterable[str]) -> None:
+    """Write ``lines`` in order as UTF-8 to ``path``, created if missing and cut at their end.
 
     ``open(path, "w")`` without its truncation on open (``O_WRONLY |
     O_CREAT``; through a symlink, and raising where that raises): on ext4,
@@ -25,8 +23,13 @@ def open_in_place(path: Path | str) -> typing.Iterator[typing.TextIO]:
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
               newline="\n") as handle:
-        yield handle
+        handle.writelines(lines)
         handle.truncate()
+
+
+def json_text(payload) -> str:
+    """The JSON form of every JSON file written: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def sha256_file(path: Path | str) -> str:
@@ -70,9 +73,7 @@ class RunManifest:
     def write(self, path: Path | str) -> None:
         payload = self.to_dict()
         validate_manifest(payload)
-        with open_in_place(path) as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_lines(path, [json_text(payload)])
 
 
 MANIFEST_SCHEMA = typing.get_type_hints(RunManifest)  # required keys and their types

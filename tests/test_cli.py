@@ -170,6 +170,16 @@ class TestHomotopyDemo:
         # an odd last grid takes the odd retraction on the next even size
         assert payload["odd_unitary_retraction_defect"] == homotopy.odd_retraction_defect(18, seed=0)
 
+    @pytest.mark.parametrize("name, value, rc", [
+        ("discretization_tolerance", 0.25, 1),  # equal deltas do not decrease
+        ("zk_injectivity_margin", 1e-8, 1),  # the margin must exceed 1e-8
+        ("odd_retraction_defect", 1e-9, 0),  # a defect of 1e-9 passes
+    ])
+    def test_each_check_at_its_edge(self, tmp_path, capsys, monkeypatch, name, value, rc):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: value)
+        assert main(["homotopy-demo", "--grids", "16,32", "--modes", "4", "--out", str(tmp_path)]) == rc
+        assert f"homotopy checks {'FAILED' if rc else 'passed'}" in capsys.readouterr().out
+
 
 class TestSurgery:
     def test_bound_holds(self, tmp_path):

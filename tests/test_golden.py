@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from opflow.cli import main
+from opflow.manifest import json_text
 
 GOLDEN = Path(__file__).with_name("golden.json")
 RTOL = 1e-12
@@ -77,6 +78,21 @@ def test_command_matches_golden(name, tmp_path):
         assert max(actual["deviations"].values()) <= actual["tolerance"]
     else:
         assert_matches(actual, expected, name)
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_every_file_is_written_in_the_one_byte_format(name, tmp_path):
+    """The comparison above parses, so this pins the bytes: JSON form, encoding and line ends."""
+    argv, filename = RUNS[name]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for path in (tmp_path / filename, tmp_path / "manifest.json"):
+        text = path.read_bytes().decode("utf-8")
+        if path.suffix == ".json":
+            assert text == json_text(json.loads(text)), path.name
+        else:
+            header = ",".join(json.loads(GOLDEN.read_text(encoding="utf-8"))[name]["header"])
+            assert "\r" not in text and text.startswith(header + "\n") and text.endswith("\n")
+            assert all(text.split("\n")[:-1]), "every line, the last included, ends with one \\n"
 
 
 if __name__ == "__main__":

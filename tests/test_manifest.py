@@ -5,7 +5,7 @@ import stat
 import pytest
 
 from opflow.errors import ValidationError
-from opflow.manifest import RunManifest, validate_manifest, verify_outputs, open_in_place
+from opflow.manifest import RunManifest, json_text, validate_manifest, verify_outputs, write_lines
 
 
 def written_manifest(tmp_path):
@@ -76,9 +76,17 @@ def test_write_validates_before_writing(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_the_json_form_is_sorted_two_space_indented_and_ends_in_one_newline():
+    assert json_text({"b": [1, 2.5], "a": {}}) == '{\n  "a": {},\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+
+
+def test_lines_are_written_in_order_from_any_iterable(tmp_path):
+    write_lines(tmp_path / "out.csv", (f"{k}\n" for k in range(3)))
+    assert (tmp_path / "out.csv").read_bytes() == b"0\n1\n2\n"
+
+
 def write_text(path, text):
-    with open_in_place(path) as handle:
-        handle.write(text)
+    write_lines(path, [text])
 
 
 def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(tmp_path):
