@@ -512,6 +512,12 @@ class HermOp:
         return f"HermOp(dim={self.dim})"
 
 
+def _finite_corner(corner: float) -> float:
+    if not math.isfinite(corner):
+        raise ValidationError(f"corner entry {corner} is not finite")
+    return float(corner)
+
+
 class CornerBlock:
     """The fixed part of a family A(c) = [[T', b e_l], [b e_l^T, c]] whose one moving entry is the corner c.
 
@@ -559,12 +565,18 @@ class CornerBlock:
 
     def operator(self, corner: float) -> "BorderedOp":
         """A(corner): a banded ``HermOp`` whose block's bands are not checked again."""
-        if not math.isfinite(corner):
-            raise ValidationError(f"corner entry {corner} is not finite")
         op = BorderedOp.__new__(BorderedOp)
-        op._store(None, (_frozen(np.append(self.inner.bands[0], corner)), self._e))
-        op.block, op.corner = self, float(corner)
+        op.block, op.corner = self, _finite_corner(corner)
+        op._store(None, (_frozen(np.append(self.inner.bands[0], op.corner)), self._e))
         return op
+
+    def flow_terms(self, corner: float, radius: float) -> tuple[int, int, float, float]:
+        """``operator(corner).flow_terms(radius)`` in closed form, with no operator built."""
+        corner = _finite_corner(corner)
+        schur0, schur_r, schur_i, psi = self.terms(radius)
+        lift = psi - 2.0 * math.atan2(1.0 - schur_i.imag, corner - schur_i.real)
+        return (int(corner - schur0 < 0.0), int(corner + radius - schur_r < 0.0),
+                math.remainder(lift, 2.0 * math.pi), lift)
 
     def terms(self, radius: float) -> tuple[float, float, complex, float]:
         """(b^2 g(0), b^2 g(-radius), b^2 ((T' + i)^-1)_ll, Psi(T')); a new radius is checked, then one ``pttrf``."""
@@ -597,11 +609,7 @@ class BorderedOp(HermOp):
     __slots__ = ("block", "corner")
 
     def flow_terms(self, radius: float) -> tuple[int, int, float, float]:
-        schur0, schur_r, schur_i, psi = self.block.terms(radius)
-        c = self.corner
-        lift = psi - 2.0 * math.atan2(1.0 - schur_i.imag, c - schur_i.real)
-        return (int(c - schur0 < 0.0), int(c + radius - schur_r < 0.0),
-                math.remainder(lift, 2.0 * math.pi), lift)
+        return self.block.flow_terms(self.corner, radius)
 
 
 MatrixLike = Union[np.ndarray, HermOp]

@@ -28,8 +28,44 @@ def write_lines(path: Path | str, lines: typing.Iterable[str]) -> None:
 
 
 def json_text(payload) -> str:
-    """The JSON form of every JSON file written: sorted keys, two-space indent, final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The JSON form of every JSON file written: sorted keys, two-space indent, final newline.
+
+    It equals ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``
+    (``tests/test_manifest.py::test_json_text_is_json_dumps`` draws the trees).
+    ``json.dumps`` with an indent runs CPython's pure-Python encoder; here
+    each container whose items are all scalars is one call of the C encoder,
+    with the indented line break in its item separator, and only a container
+    holding containers is walked in Python.
+    """
+    return _indented(payload, "\n") + "\n"
+
+
+_CONTAINERS = (list, tuple, dict)
+_UNSERIALIZABLE = json.JSONEncoder().default  # raises the TypeError json.dumps raises
+
+
+def _indented(value, newline: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it where ``newline`` starts its lines."""
+    inner = newline + "  "
+    if isinstance(value, dict) and any(isinstance(v, _CONTAINERS) for v in value.values()):
+        items = (_key(k) + ": " + _indented(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and any(isinstance(v, _CONTAINERS) for v in value):
+        return "[" + inner + ("," + inner).join(_indented(v, inner) for v in value) + newline + "]"
+    text = "".join(json.encoder.c_make_encoder(None, _UNSERIALIZABLE, json.encoder.encode_basestring_ascii, None,
+                                               ": ", "," + inner, True, False, True)(value, 0))
+    if len(text) > 2 and text[0] in "[{":  # a container of scalars: its first item and its end on their lines
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    return text
+
+
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a str, or an int, float, bool or None as its JSON text, quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        key = _indented(key, "")
+    return json.encoder.encode_basestring_ascii(key)
 
 
 def sha256_file(path: Path | str) -> str:
@@ -71,7 +107,8 @@ class RunManifest:
         return asdict(self)
 
     def write(self, path: Path | str) -> None:
-        payload = self.to_dict()
+        """Validate the fields and write them as ``json_text``; unlike ``to_dict``, no copy is made."""
+        payload = vars(self)
         validate_manifest(payload)
         write_lines(path, [json_text(payload)])
 

@@ -14,17 +14,21 @@ where W counts passages through infinity from +inf to -inf, less those the
 other way: 0 on a norm-continuous path, 1 on the Robin loop (the Dirichlet
 point).  On a closed path neg and Psi cancel, and SF is the winding of det kappa.
 
-Each parameter asks its operator for ``flow_terms(r)``, r = max(2 window0,
-RADIUS_MIN): neg, the count ``first`` of eigenvalues below -r, the phase of
-det kappa and a lift L of Psi.  L is the windowed lift Psi_r, which stretches
-[-r, r] onto R by w -> w / (1 - (w / r)^2) and puts the eigenvalues outside at
-+-inf (a ``HermOp`` reads one spectrum on [-r, r] and one ``cayley_phase``), or
-Psi itself (a ``linalg.BorderedOp`` answers in closed form from the block its
-path shares); each is exact for passages and continuous where eigenvalues
-cross +-r, and they differ by < 2 atan(1/r) per eigenvalue, so a step may mix
-them.  On a step [lo, hi], x = (wrap(phase(hi) - phase(lo)) - L(hi) + L(lo)) / 2 pi
-counts passages, and the step contributes neg(lo) - neg(hi) + round(x), a
-crossing bracket if nonzero.  L's error can move a bracket but not the flow,
+Each parameter has four terms at r = max(2 window0, RADIUS_MIN): neg, the
+count ``first`` of eigenvalues below -r, the phase of det kappa and a lift L
+of Psi.  A generator with a method ``flow_terms(theta, r)`` answers a
+parameter's terms itself (the Robin loop of ``sturm.robin_generator`` does,
+with no operator built); of every other generator the operator is asked, as
+``generator(theta).flow_terms(r)``.  L is the windowed lift Psi_r, which
+stretches [-r, r] onto R by w -> w / (1 - (w / r)^2) and puts the eigenvalues
+outside at +-inf (a ``HermOp`` reads one spectrum on [-r, r] and one
+``cayley_phase``), or Psi itself (a ``linalg.CornerBlock`` answers in closed
+form for its ``BorderedOp``s and for the Robin loop); each is exact for
+passages and continuous where eigenvalues cross +-r, and they differ by
+< 2 atan(1/r) per eigenvalue, so a step may mix them.  On a step [lo, hi],
+x = (wrap(phase(hi) - phase(lo)) - L(hi) + L(lo)) / 2 pi counts passages,
+and the step contributes neg(lo) - neg(hi) + round(x), a crossing bracket if
+nonzero.  L's error can move a bracket but not the flow,
 which takes Psi from the endpoints' full spectra and must equal the brackets'
 sum.  A step is bisected while its phase turns by more
 than PHASE_STEP_MAX, x is more than RESIDUAL_MAX from an integer, or it claims
@@ -62,8 +66,11 @@ class OperatorPath:
 
     The generator is the path: it is called at the sample parameters and at
     refinement midpoints, and every operator it returns there must have the
-    dimension of the first.  A closed path's generator is (b - a)-periodic;
-    its ends are identified, so the end parameter is never evaluated.
+    dimension of the first.  One with a ``flow_terms(theta, radius)`` method
+    is called only at the start (and an open path's end), and answers the
+    other parameters' terms itself.  A closed path's generator is
+    (b - a)-periodic; its ends are identified, so the end parameter is never
+    evaluated.
     """
 
     thetas: np.ndarray
@@ -131,7 +138,7 @@ class SpecFlowReport:
         """The wire form: flow, partition, and crossing brackets."""
         return {
             "flow": self.flow,
-            "partition": [float(t) for t in self.partition],
+            "partition": self.partition.tolist(),
             "crossings": [asdict(c) for c in self.crossings],
         }
 
@@ -160,6 +167,11 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
                                   f"the one at theta={a} has {dim}")
         return op
 
+    answer = getattr(path.generator, "flow_terms", None)
+
+    def terms(theta: float) -> tuple[int, int, float, float]:
+        return answer(theta, radius) if answer is not None else operator(theta).flow_terms(radius)
+
     end = start if path.closed else operator(b)
     end_lift = 0.0
     if not path.closed:
@@ -171,10 +183,11 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
     points = {a: start.flow_terms(radius)}  # theta -> (neg, first, phase, lift)
     points[b] = points[a] if path.closed else end.flow_terms(radius)
     start = end = op = None  # from here the flow holds terms, and each operator only while it is read
-    for theta in path.thetas[1:-1]:
-        points[float(theta)] = operator(float(theta)).flow_terms(radius)
+    thetas = path.thetas.tolist()
+    for theta in thetas[1:-1]:
+        points[theta] = terms(theta)
     segments, lifted = [], 0.0  # segments: (lo, hi, contribution, residual)
-    stack = [(float(lo), float(hi), 0) for lo, hi in zip(path.thetas[:-1], path.thetas[1:])]
+    stack = [(lo, hi, 0) for lo, hi in zip(thetas[:-1], thetas[1:])]
     while stack:
         lo, hi, depth = stack.pop()
         neg_lo, first_lo, phase_lo, lift_lo = points[lo]
@@ -192,7 +205,7 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
                     f"{RESIDUAL_MAX:g}), {passages} passages against {moved} in the count below -r")
             mid = 0.5 * (lo + hi)
             if mid not in points:
-                points[mid] = operator(mid).flow_terms(radius)
+                points[mid] = terms(mid)
             stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
             continue
         lifted += step

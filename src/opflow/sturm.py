@@ -18,8 +18,8 @@ as the standard n-point Dirichlet matrix on the shifted grid i/(n+1).
 Off that point the matrices differ only in the corner
 c = 2/h^2 - 2 (x0/x1)/h.  One family per grid builds the rest once, as one
 ``linalg.CornerBlock`` (the positive definite Dirichlet block on nodes 1..n-1
-and its coupling -sqrt(2)/h^2 to node n), and the Dirichlet matrix; every
-operator that ``assemble_robin_operator``, ``robin_generator``,
+and its coupling -sqrt(2)/h^2 to node n), and the Dirichlet matrix when first
+read; every operator that ``assemble_robin_operator``, ``robin_generator``,
 ``spectral_graph`` and ``dichotomy_sweep`` read comes from such a family, so
 the operators of one call share that block and what it solves for the flow.
 
@@ -49,6 +49,19 @@ MIN_GRID = 16
 BISECTION_RTOL = 1e-12
 
 
+def _normalized(x0: float, x1: float) -> tuple[float, float]:
+    """The sign-normalized representative of [x0 : x1]: x0^2 + x1^2 = 1 with x0 > 0, or (0, 1)."""
+    r = math.hypot(x0, x1)
+    if r == 0.0 or not math.isfinite(r):
+        raise ValidationError("projective point needs a finite nonzero representative")
+    x0, x1 = x0 / r, x1 / r
+    if x0 < 0.0:
+        x0, x1 = -x0, -x1
+    if abs(x0) < 1e-15:
+        x0, x1 = 0.0, 1.0
+    return x0, x1
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A point [x0 : x1] of the projective line, in sign-normalized form.
@@ -60,14 +73,7 @@ class ProjectivePoint:
     x1: float
 
     def __post_init__(self):
-        r = math.hypot(self.x0, self.x1)
-        if r == 0.0 or not math.isfinite(r):
-            raise ValidationError("projective point needs a finite nonzero representative")
-        x0, x1 = self.x0 / r, self.x1 / r
-        if x0 < 0.0:
-            x0, x1 = -x0, -x1
-        if abs(x0) < 1e-15:
-            x0, x1 = 0.0, 1.0
+        x0, x1 = _normalized(self.x0, self.x1)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "x1", x1)
 
@@ -106,34 +112,72 @@ class RobinOperator:
         return V
 
 
-def _robin_corner(x: ProjectivePoint, n: int) -> float:
-    """The one entry that moves with a Robin parameter x: c = 2/h^2 - 2 (x0/x1)/h, h = 1/n."""
+def _robin_corner(x0: float, x1: float, n: int) -> float:
+    """The one entry that moves with a Robin parameter [x0 : x1]: c = 2/h^2 - 2 (x0/x1)/h, h = 1/n."""
     h = 1.0 / n
-    c = 2.0 / h**2 - 2.0 * (x.x0 / x.x1) / h
+    c = 2.0 / h**2 - 2.0 * (x0 / x1) / h
     if not math.isfinite(c):
-        raise ValidationError(f"boundary entry d[-1] = {c} overflows at [{x.x0} : {x.x1}], n = {n}")
+        raise ValidationError(f"boundary entry d[-1] = {c} overflows at [{x0} : {x1}], n = {n}")
     return c
 
 
-def _robin_family(n: int):
+class _RobinFamily:
     """x -> the operator at parameter x on n nodes: the Dirichlet matrix, or the block's A(corner).
 
-    Both are built once per family: the Dirichlet matrix on the grid
-    i/(n+1), and a ``CornerBlock`` of T' = tridiag(-1, 2, -1)/h^2 on nodes
-    1..n-1 (h = 1/n) with the coupling -sqrt(2)/h^2 to node n.
+    The ``CornerBlock`` of T' = tridiag(-1, 2, -1)/h^2 on nodes 1..n-1
+    (h = 1/n), with the coupling -sqrt(2)/h^2 to node n, is built with the
+    family; the Dirichlet matrix on the grid i/(n+1) on its first read, since
+    only the Dirichlet point reads it.  A race on that read only builds it again.
     """
-    if n < MIN_GRID:
-        raise ValidationError(f"grid must have at least {MIN_GRID} points, got {n}")
-    h, g = 1.0 / n, 1.0 / (n + 1)
-    block = CornerBlock(HermOp.tridiagonal(np.full(n - 1, 2.0 / h**2), np.full(n - 2, -1.0 / h**2)),
-                        -math.sqrt(2.0) / h**2)
-    dirichlet = HermOp.tridiagonal(np.full(n, 2.0 / g**2), np.full(n - 1, -1.0 / g**2))
-    return lambda x: dirichlet if x.is_dirichlet else block.operator(_robin_corner(x, n))
+
+    __slots__ = ("n", "block", "_dirichlet")
+
+    def __init__(self, n: int):
+        if n < MIN_GRID:
+            raise ValidationError(f"grid must have at least {MIN_GRID} points, got {n}")
+        h = 1.0 / n
+        self.n, self._dirichlet = n, None
+        self.block = CornerBlock(HermOp.tridiagonal(np.full(n - 1, 2.0 / h**2), np.full(n - 2, -1.0 / h**2)),
+                                 -math.sqrt(2.0) / h**2)
+
+    @property
+    def dirichlet(self) -> HermOp:
+        if self._dirichlet is None:
+            g = 1.0 / (self.n + 1)
+            self._dirichlet = HermOp.tridiagonal(np.full(self.n, 2.0 / g**2), np.full(self.n - 1, -1.0 / g**2))
+        return self._dirichlet
+
+    def __call__(self, x: ProjectivePoint) -> HermOp:
+        return self.dirichlet if x.is_dirichlet else self.block.operator(_robin_corner(x.x0, x.x1, self.n))
+
+
+class _RobinLoop:
+    """The generator ``robin_generator`` returns: theta -> the family's operator at [cos theta : sin theta].
+
+    ``flow_terms`` reads the terms with no operator and no ``ProjectivePoint``:
+    off the Dirichlet point from the block and the corner, at theta = 0
+    (mod pi) from the Dirichlet matrix.
+    """
+
+    __slots__ = ("family",)
+
+    def __init__(self, n: int):
+        self.family = _RobinFamily(n)
+
+    def __call__(self, theta: float) -> HermOp:
+        return self.family(ProjectivePoint.from_angle(theta % math.pi))
+
+    def flow_terms(self, theta: float, radius: float) -> tuple[int, int, float, float]:
+        t = theta % math.pi
+        x0, x1 = _normalized(math.cos(t), math.sin(t))
+        if x1 == 0.0:
+            return self.family.dirichlet.flow_terms(radius)
+        return self.family.block.flow_terms(_robin_corner(x0, x1, self.family.n), radius)
 
 
 def assemble_robin_operator(x: ProjectivePoint, n: int) -> RobinOperator:
     """Finite-difference operator of the boundary family at parameter x, as tridiagonal bands."""
-    op = _robin_family(n)(x)
+    op = _RobinFamily(n)(x)
     h = 1.0 / (n + 1) if x.is_dirichlet else 1.0 / n
     nodes = h * np.arange(1, n + 1)
     weights = np.full(n, h)
@@ -231,7 +275,7 @@ def spectral_graph(
     if not window > 0:  # also catches a NaN window
         raise ValidationError(f"window must be positive, got window = {window!r}")
     thetas = [j * math.pi / loop_samples for j in range(loop_samples)]
-    family = _robin_family(n)
+    family = _RobinFamily(n)
 
     def solve(theta: float) -> tuple[float, np.ndarray, np.ndarray]:
         first, values = family(ProjectivePoint.from_angle(theta)).spectrum(-window, window)
@@ -274,8 +318,8 @@ def dichotomy_sweep(x1s, n: int) -> list[tuple[float, float]]:
     index-selected bisection (``stebz``).  The gap ||(A + i)^-1 (B - A) (B + i)^-1|| runs
     Lanczos on one tridiagonal factor per operand (see ``metrics``).
     """
-    family = _robin_family(n)
-    dirichlet = family(ProjectivePoint(1.0, 0.0))
+    family = _RobinFamily(n)
+    dirichlet = family.dirichlet
     if dirichlet.lowest_eigenvalue() <= 0.0:  # pragma: no cover
         raise ValidationError("Dirichlet comparison operator is not positive")
     rows = []
@@ -287,12 +331,13 @@ def dichotomy_sweep(x1s, n: int) -> list[tuple[float, float]]:
 
 
 def robin_generator(n: int):
-    """theta -> assembled operator matrix, periodic over the projective line.
+    """A pi-periodic callable theta -> the family's ``HermOp`` at [cos theta : sin theta] on n nodes.
 
     The operators come from one family, built here: off the Dirichlet point
-    they share one ``CornerBlock``, so a path solves the block once and each
-    parameter only sets its corner; at theta = 0 (mod pi) it is the family's
-    Dirichlet matrix.
+    they are ``BorderedOp``s of one ``CornerBlock``, so a path solves the
+    block once and each parameter only sets its corner; at theta = 0 (mod pi)
+    it is the family's Dirichlet matrix.  Its ``flow_terms(theta, radius)``
+    equals ``generator(theta).flow_terms(radius)`` and builds no operator,
+    so ``spectral_flow`` reads each parameter's terms from the loop itself.
     """
-    family = _robin_family(n)
-    return lambda theta: family(ProjectivePoint.from_angle(theta % math.pi))
+    return _RobinLoop(n)

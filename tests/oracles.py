@@ -1,6 +1,6 @@
 """Reference values in double precision with no LAPACK call, for the library's factor routes.
 
-The Robin T' that ``sturm._robin_family(n)`` builds is tridiag(-1, 2, -1)/h^2
+The Robin T' that ``sturm._RobinFamily(n)`` builds is tridiag(-1, 2, -1)/h^2
 on nodes 1..n-1, h = 1/n, coupled to node n by b = -sqrt(2)/h^2, so b^2 =
 2/h^4.  Its eigenpairs are known in closed form: for j = 1..n-1 the eigenvalue
 is mu_j = (4/h^2) sin^2(j pi / (2n)), and the unit eigenvector sqrt(2/n)

@@ -924,6 +924,7 @@ class TestCornerBlock:
         for c in corners:
             op = block.operator(c)
             neg, first, phase, lift = op.flow_terms(radius)
+            assert block.flow_terms(c, radius) == (neg, first, phase, lift)
             plain = HermOp.tridiagonal(*op.bands)
             w = plain.eigenvalues
             if np.min(np.abs(w)) > 1e-9 and np.min(np.abs(w + radius)) > 1e-9:
@@ -993,7 +994,7 @@ class TestCornerBlock:
         # of every n in [16, 5000] at these four radii put the worst relative error at 29.8,
         # 22.2 and 39.5 eps for the three Schur terms and at 7.9 n eps for Psi; the bounds
         # give 1.6x and 2x that, for a libm sin or a LAPACK build that rounds otherwise
-        *schur, psi = sturm._robin_family(n)(sturm.ProjectivePoint.from_angle(1.0)).block.terms(radius)
+        *schur, psi = sturm._RobinFamily(n).block.terms(radius)
         *reference, reference_psi = robin_corner_terms(n, radius)
         eps = np.finfo(float).eps
         for term, exact in zip(schur, reference):
@@ -1085,6 +1086,11 @@ class TestCornerBlock:
     def test_rejects(self, inner, coupling, corner, match):
         with pytest.raises(ValidationError, match=match):
             linalg.CornerBlock(inner, coupling).operator(corner)
+
+    @pytest.mark.parametrize("corner", [math.inf, -math.inf, math.nan])
+    def test_terms_without_an_operator_refuse_a_corner_that_is_not_finite(self, corner):
+        with pytest.raises(ValidationError, match=rf"^corner entry {corner} is not finite$"):
+            linalg.CornerBlock(dirichlet_block(5), -2.0).flow_terms(corner, 2.0)
 
 
 class TestBandedKernelCost:

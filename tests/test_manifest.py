@@ -1,8 +1,12 @@
 import hashlib
+import json
+import math
 import os
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opflow.errors import ValidationError
 from opflow.manifest import RunManifest, json_text, validate_manifest, verify_outputs, write_lines
@@ -78,6 +82,42 @@ def test_write_validates_before_writing(tmp_path):
 
 def test_the_json_form_is_sorted_two_space_indented_and_ends_in_one_newline():
     assert json_text({"b": [1, 2.5], "a": {}}) == '{\n  "a": {},\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**80).map(lambda k: -k)
+                | st.integers(2**63, 2**80) | st.floats() | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+                | st.text(st.characters(codec="utf-8"), max_size=8))
+JSON_TREES = st.recursive(JSON_SCALARS, lambda children: (
+    st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=6), children, max_size=5)), max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=JSON_TREES)
+def test_json_text_is_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {1: [2], 2.5: {"a": 1}, True: [], -0.0: [[]]}, {None: [1]}, {math.nan: [1]}, {-math.inf: {"b": [1]}},
+    {(1, 2): [1]}, {1: [1], "a": [2]}])
+def test_keys_that_are_not_str_are_written_or_refused_as_json_dumps_does(payload):
+    def outcome(render):
+        try:
+            return render(payload)
+        except TypeError as exc:
+            return str(exc)
+
+    assert outcome(json_text) == outcome(lambda p: json.dumps(p, indent=2, sort_keys=True) + "\n")
+
+
+def test_to_dict_is_a_copy_and_write_writes_the_fields(tmp_path):
+    manifest = RunManifest.create("specgraph", {"grid": 40}, "0.1.0")
+    copy = manifest.to_dict()
+    copy["parameters"]["grid"] = 0
+    manifest.write(tmp_path / "manifest.json")
+    written = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert written == manifest.to_dict() and written["parameters"] == {"grid": 40}
 
 
 def test_lines_are_written_in_order_from_any_iterable(tmp_path):

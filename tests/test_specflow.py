@@ -436,6 +436,80 @@ class TestFlowHoldsTerms:
         assert len(live) >= 9 and max(live) <= 2
 
 
+class TestGeneratorAnswersItsTerms:
+    """A generator with ``flow_terms(theta, radius)`` answers each parameter; no operator is built for it."""
+
+    @pytest.mark.parametrize("grid, samples, window0", [(16, 8, 1.0), (64, 16, 1e5), (800, 64, 1.0)])
+    def test_the_robin_loop_flows_as_its_operators_do(self, grid, samples, window0):
+        loop = robin_generator(grid)
+        path = OperatorPath.sample(loop, 0.0, math.pi, samples, closed=True)
+        by_operator = OperatorPath(path.thetas, lambda t: loop(t), closed=True)
+        report, reference = spectral_flow(path, window0), spectral_flow(by_operator, window0)
+        assert report.partition.tolist() == reference.partition.tolist()
+        assert report.crossings == reference.crossings and report.flow == 1
+
+    def test_an_overflowing_corner_raises_on_both_routes(self):
+        loop = robin_generator(400)
+        errors = []
+        for generator in (loop, lambda t: loop(t)):
+            with pytest.raises(ValidationError, match=r"d\[-1\] = -inf overflows") as error:
+                spectral_flow(OperatorPath(np.array([-0.5, 1e-310, 0.5]), generator))
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
+
+    def test_a_generator_that_answers_is_called_only_at_the_start(self):
+        calls, answered = [], []
+
+        class Answering:
+            def __call__(self, theta):
+                calls.append(theta)
+                return HermOp(np.diag([theta - 0.5, 2.0]))
+
+            def flow_terms(self, theta, radius):
+                answered.append(theta)
+                return HermOp(np.diag([theta - 0.5, 2.0])).flow_terms(radius)
+
+        report = spectral_flow(OperatorPath.sample(Answering(), 0.0, 1.0, 8))
+        assert report.flow == 1 and calls == [0.0, 1.0]  # the start, and the open path's end
+        assert sorted(answered) == sorted(set(report.partition.tolist()) - {0.0, 1.0})
+
+    def test_one_cli_op_builds_one_operator_one_point_and_no_dirichlet_matrix(self, monkeypatch, tmp_path):
+        from opflow import cli, linalg, sturm
+
+        built = {"BorderedOp": 0, "ProjectivePoint": 0, "dirichlet": 0, "lapack": []}
+
+        def bordered(cls, *args, **kwargs):
+            built["BorderedOp"] += 1
+            return HermOp.__new__(cls)
+
+        post_init = sturm.ProjectivePoint.__post_init__
+
+        def point(self):
+            built["ProjectivePoint"] += 1
+            post_init(self)
+
+        dirichlet = sturm._RobinFamily.dirichlet.fget
+
+        def read(self):
+            built["dirichlet"] += 1
+            return dirichlet(self)
+
+        lapack = linalg._lapack()
+        for name in ("dpttrf", "zgttrf", "zgttrs", "dstebz", "dstevd"):
+            def counted(*args, _name=name, _real=getattr(lapack, name), **kwargs):
+                built["lapack"].append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(lapack, name, counted)
+        monkeypatch.setattr(linalg.BorderedOp, "__new__", bordered)
+        monkeypatch.setattr(sturm.ProjectivePoint, "__post_init__", point)
+        monkeypatch.setattr(sturm._RobinFamily, "dirichlet", property(read))
+        assert cli.main(["specflow", "--path", "robin", "--grid", "800", "--samples", "64",
+                         "--out", str(tmp_path)]) == 0
+        assert built == {"BorderedOp": 1, "ProjectivePoint": 1, "dirichlet": 0,
+                         "lapack": ["dpttrf", "zgttrf", "dpttrf"]}
+
+
 def banded_diag_gen(*funcs):
     return lambda t: HermOp.tridiagonal([f(t) for f in funcs], [0.0] * (len(funcs) - 1))
 

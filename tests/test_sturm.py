@@ -93,7 +93,7 @@ class TestAssembly:
             d, e = np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)
             d[-1], e[-1] = 2.0 / h**2 - 2.0 * (x.x0 / x.x1) / h, -math.sqrt(2.0) / h**2
             assume(math.isfinite(d[-1]))  # an overflowing corner raises; see the overflow test
-        bands = sturm._robin_family(n)(x).bands
+        bands = sturm._RobinFamily(n)(x).bands
         assert np.array_equal(bands[0], d) and np.array_equal(bands[1], e)
         assert bands[0].dtype == bands[1].dtype == np.float64
 
@@ -392,7 +392,7 @@ class TestDichotomy:
         x1s = [1e-4, 1e-2, 0.9]
         rows = [dichotomy_sweep([x1], 64)[0] for x1 in x1s]
         built, lowest = [], []
-        family, read = sturm._robin_family, sturm.HermOp.lowest_eigenvalue
+        family, read = sturm._RobinFamily, sturm.HermOp.lowest_eigenvalue
 
         def counted_family(n):
             built.append(n)
@@ -402,7 +402,7 @@ class TestDichotomy:
             lowest.append(op)
             return read(op)
 
-        monkeypatch.setattr(sturm, "_robin_family", counted_family)
+        monkeypatch.setattr(sturm, "_RobinFamily", counted_family)
         monkeypatch.setattr(sturm.HermOp, "lowest_eigenvalue", counted_read)
         assert dichotomy_sweep(x1s, 64) == rows
         assert built == [64]
@@ -434,3 +434,80 @@ def test_generator_is_projectively_periodic():
     A = gen(0.4)
     B = gen(0.4 + math.pi)
     assert np.max(np.abs(A.matrix - B.matrix)) < 1e-6 * np.max(np.abs(A.matrix))
+
+
+def outcome(read):
+    """What a route answers: its terms, or the ValidationError it raises, as (type, message)."""
+    try:
+        return read()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+class TestRobinLoopTerms:
+    """The loop answers each parameter's terms itself, bit for bit as its operator would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(16, 2000), theta=st.floats(-10.0, 10.0), radius=st.sampled_from([2.0, 20.0, 2e5]))
+    @example(n=64, theta=0.0, radius=2.0)  # the Dirichlet point: the Dirichlet matrix's terms
+    @example(n=64, theta=math.pi, radius=20.0)
+    @example(n=800, theta=3.0 * math.pi, radius=2.0)
+    @example(n=800, theta=math.pi / 2, radius=2.0)  # Neumann
+    @example(n=800, theta=math.pi / 2 + 1e-16, radius=2e5)
+    @example(n=800, theta=math.pi / 2 - 1e-16, radius=2.0)
+    @example(n=800, theta=5e-16, radius=2.0)
+    @example(n=2000, theta=math.pi - 1e-15, radius=2.0)
+    @example(n=16, theta=1e-300, radius=2.0)
+    @example(n=800, theta=math.pi / 4, radius=2.0)  # [1:1]: the exact discrete null vector
+    def test_terms_equal_the_operator_route(self, n, theta, radius):
+        loop = robin_generator(n)
+        assert outcome(lambda: loop.flow_terms(theta, radius)) == outcome(lambda: loop(theta).flow_terms(radius))
+
+    @pytest.mark.parametrize("theta", [1e-310, 5e-324])
+    def test_an_overflowing_corner_raises_the_same_error_on_both_routes(self, theta):
+        loop = robin_generator(400)
+        with pytest.raises(ValidationError, match=r"d\[-1\] = -inf overflows at \[1\.0 : .*\], n = 400$") as terms:
+            loop.flow_terms(theta, 2.0)
+        with pytest.raises(ValidationError) as operator:
+            loop(theta)
+        assert str(terms.value) == str(operator.value)
+
+
+class TestDirichletOnFirstRead:
+    @staticmethod
+    def spy(monkeypatch):
+        """Every family built from here on records each read of its Dirichlet matrix: True where it built it."""
+        reads = []
+
+        class Spy(sturm._RobinFamily):
+            __slots__ = ()
+
+            @property
+            def dirichlet(self):
+                reads.append(self._dirichlet is None)
+                return super().dirichlet
+
+        monkeypatch.setattr(sturm, "_RobinFamily", Spy)
+        return reads
+
+    def test_a_robin_operator_off_the_dirichlet_point_builds_none(self, monkeypatch):
+        reads = self.spy(monkeypatch)
+        assert assemble_robin_operator(ProjectivePoint(1.0, 0.3), 400).scheme == SCHEME_GHOST
+        assert reads == []
+        assert assemble_robin_operator(DIRICHLET, 400).scheme == SCHEME_DIRICHLET
+        assert reads == [True]
+
+    def test_a_dichotomy_sweep_builds_it_once(self, monkeypatch):
+        reads = self.spy(monkeypatch)
+        dichotomy_sweep([1e-4, 1e-2, 0.9], 64)
+        assert reads == [True]
+
+    def test_a_robin_flow_builds_none_and_the_dirichlet_point_one(self):
+        from opflow.specflow import OperatorPath, spectral_flow
+
+        loop = robin_generator(64)
+        assert spectral_flow(OperatorPath.sample(loop, 0.0, math.pi, 16, closed=True)).flow == 1
+        assert loop.family._dirichlet is None
+        dirichlet = loop(math.pi)
+        assert loop.flow_terms(0.0, 2.0) == dirichlet.flow_terms(2.0)
+        assert loop.family.dirichlet is dirichlet and loop(3.0 * math.pi) is dirichlet
