@@ -17,27 +17,25 @@ point).  On a closed path neg and Psi cancel, and SF is the winding of det kappa
 Each parameter has four terms at r = max(2 window0, RADIUS_MIN): neg, the
 count ``first`` of eigenvalues below -r, the phase of det kappa and a lift L
 of Psi.  A generator with a method ``flow_terms(theta, r)`` answers a
-parameter's terms itself (the Robin loop of ``sturm.robin_generator`` does,
-with no operator built); of every other generator the operator is asked, as
-``generator(theta).flow_terms(r)``.  L is the windowed lift Psi_r, which
-stretches [-r, r] onto R by w -> w / (1 - (w / r)^2) and puts the eigenvalues
-outside at +-inf (a ``HermOp`` reads one spectrum on [-r, r] and one
-``cayley_phase``), or Psi itself (a ``linalg.CornerBlock`` answers in closed
-form for its ``BorderedOp``s and for the Robin loop); each is exact for
-passages and continuous where eigenvalues cross +-r, and they differ by
-< 2 atan(1/r) per eigenvalue, so a step may mix them.  On a step [lo, hi],
-x = (wrap(phase(hi) - phase(lo)) - L(hi) + L(lo)) / 2 pi counts passages,
-and the step contributes neg(lo) - neg(hi) + round(x), a crossing bracket if
-nonzero.  L's error can move a bracket but not the flow,
-which takes Psi from the endpoints' full spectra and must equal the brackets'
-sum.  A step is bisected while its phase turns by more
-than PHASE_STEP_MAX, x is more than RESIDUAL_MAX from an integer, or it claims
-a passage that ``first`` does not show or that turns the phase or misses an
-integer by more than PASSAGE_TURN_MAX of a turn: a passing eigenvalue sits near
-kappa = 1 at both ends, a wrapped phase or a run across the window does not.
-The sampling must resolve det kappa, whose phase is read modulo a turn.  A
-path is a pure generator on a partition; every operator read must have the
-first's dimension, and a closed path (periodic, ends identified) skips its end.
+parameter's terms itself, with no operator built, and is called only at the
+start and at an open path's end; of every other generator the operator is
+asked, as ``generator(theta).flow_terms(r)``.  L is the windowed lift Psi_r,
+which stretches [-r, r] onto R by w -> w / (1 - (w / r)^2) and puts the
+eigenvalues outside at +-inf, or Psi itself where it is known in closed form;
+each is exact for passages and continuous where eigenvalues cross +-r, and
+they differ by < 2 atan(1/r) per eigenvalue, so a step may mix them.  On a
+step [lo, hi], x = (wrap(phase(hi) - phase(lo)) - L(hi) + L(lo)) / 2 pi counts
+passages, and the step contributes neg(lo) - neg(hi) + round(x), a crossing
+bracket if nonzero.  L's error can move a bracket but not the flow, which
+takes Psi from the endpoints' full spectra and must equal the brackets' sum.
+A step is bisected while its phase turns by more than PHASE_STEP_MAX, x is
+more than RESIDUAL_MAX from an integer, or it claims a passage that ``first``
+does not show or that turns the phase or misses an integer by more than
+PASSAGE_TURN_MAX of a turn: a passing eigenvalue sits near kappa = 1 at both
+ends, a wrapped phase or a run across the window does not.  The sampling must
+resolve det kappa, whose phase is read modulo a turn.  A path is a pure
+generator on a partition; every operator read must have the first's dimension,
+and a closed path (periodic, ends identified) skips its end.
 """
 
 from __future__ import annotations
@@ -66,11 +64,9 @@ class OperatorPath:
 
     The generator is the path: it is called at the sample parameters and at
     refinement midpoints, and every operator it returns there must have the
-    dimension of the first.  One with a ``flow_terms(theta, radius)`` method
-    is called only at the start (and an open path's end), and answers the
-    other parameters' terms itself.  A closed path's generator is
-    (b - a)-periodic; its ends are identified, so the end parameter is never
-    evaluated.
+    dimension of the first; one that answers its own terms is called less
+    (see the module docstring).  A closed path's generator is (b - a)-periodic;
+    its ends are identified, so the end parameter is never evaluated.
     """
 
     thetas: np.ndarray
@@ -167,11 +163,7 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
                                   f"the one at theta={a} has {dim}")
         return op
 
-    answer = getattr(path.generator, "flow_terms", None)
-
-    def terms(theta: float) -> tuple[int, int, float, float]:
-        return answer(theta, radius) if answer is not None else operator(theta).flow_terms(radius)
-
+    terms = getattr(path.generator, "flow_terms", None) or (lambda theta, r: operator(theta).flow_terms(r))
     end = start if path.closed else operator(b)
     end_lift = 0.0
     if not path.closed:
@@ -185,7 +177,7 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
     start = end = op = None  # from here the flow holds terms, and each operator only while it is read
     thetas = path.thetas.tolist()
     for theta in thetas[1:-1]:
-        points[theta] = terms(theta)
+        points[theta] = terms(theta, radius)
     segments, lifted = [], 0.0  # segments: (lo, hi, contribution, residual)
     stack = [(lo, hi, 0) for lo, hi in zip(thetas[:-1], thetas[1:])]
     while stack:
@@ -205,7 +197,7 @@ def spectral_flow(path: OperatorPath, window0: float = 1.0, max_depth: int = 24)
                     f"{RESIDUAL_MAX:g}), {passages} passages against {moved} in the count below -r")
             mid = 0.5 * (lo + hi)
             if mid not in points:
-                points[mid] = terms(mid)
+                points[mid] = terms(mid, radius)
             stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
             continue
         lifted += step

@@ -14,14 +14,8 @@ grid-perturbed secular equations, so eigenvalues converge at second order
 uniformly over the parameter circle, and for [1:1] the linear function t is
 an exact discrete null vector.  The Dirichlet point [1:0] cannot be reached
 by ghost elimination (the elimination coefficient diverges); it is assembled
-as the standard n-point Dirichlet matrix on the shifted grid i/(n+1).
-Off that point the matrices differ only in the corner
-c = 2/h^2 - 2 (x0/x1)/h.  One family per grid builds the rest once, as one
-``linalg.CornerBlock`` (the positive definite Dirichlet block on nodes 1..n-1
-and its coupling -sqrt(2)/h^2 to node n), and the Dirichlet matrix when first
-read; every operator that ``assemble_robin_operator``, ``robin_generator``,
-``spectral_graph`` and ``dichotomy_sweep`` read comes from such a family, so
-the operators of one call share that block and what it solves for the flow.
+as the standard n-point Dirichlet matrix on the shifted grid i/(n+1).  Every
+operator here comes from one ``_RobinFamily`` per grid, described there.
 
 The independent oracle solves the secular equations by bisection on brackets
 known in closed form, so it holds up to the Dirichlet point:
@@ -122,12 +116,19 @@ def _robin_corner(x0: float, x1: float, n: int) -> float:
 
 
 class _RobinFamily:
-    """x -> the operator at parameter x on n nodes: the Dirichlet matrix, or the block's A(corner).
+    """The boundary family on n nodes, as the pi-periodic generator theta -> A([cos theta : sin theta]).
 
-    The ``CornerBlock`` of T' = tridiag(-1, 2, -1)/h^2 on nodes 1..n-1
-    (h = 1/n), with the coupling -sqrt(2)/h^2 to node n, is built with the
-    family; the Dirichlet matrix on the grid i/(n+1) on its first read, since
-    only the Dirichlet point reads it.  A race on that read only builds it again.
+    Off the Dirichlet point the matrices differ only in the corner
+    c = 2/h^2 - 2 (x0/x1)/h, h = 1/n.  So the family builds the rest once, as
+    the ``CornerBlock`` of T' = tridiag(-1, 2, -1)/h^2 on nodes 1..n-1 with the
+    coupling -sqrt(2)/h^2 to node n, and every reader holds one family per call:
+    its operators share the block and what the block solves for the flow.  At
+    x1 = 0 the operator is the Dirichlet matrix on the grid i/(n+1), built on
+    first read, since only the Dirichlet point reads it; a race on that read
+    only builds it again.  One rule takes theta to the normalized pair of
+    [cos : sin] at theta mod pi.  ``__call__`` builds that pair's operator by
+    ``at``, and ``flow_terms(theta, radius)`` equals
+    ``family(theta).flow_terms(radius)`` with no operator built.
     """
 
     __slots__ = ("n", "block", "_dirichlet")
@@ -147,44 +148,32 @@ class _RobinFamily:
             self._dirichlet = HermOp.tridiagonal(np.full(self.n, 2.0 / g**2), np.full(self.n - 1, -1.0 / g**2))
         return self._dirichlet
 
-    def __call__(self, x: ProjectivePoint) -> HermOp:
-        return self.dirichlet if x.is_dirichlet else self.block.operator(_robin_corner(x.x0, x.x1, self.n))
+    def at(self, x0: float, x1: float) -> HermOp:
+        """The operator at the sign-normalized pair (x0, x1) of a point [x0 : x1]."""
+        return self.dirichlet if x1 == 0.0 else self.block.operator(_robin_corner(x0, x1, self.n))
 
-
-class _RobinLoop:
-    """The generator ``robin_generator`` returns: theta -> the family's operator at [cos theta : sin theta].
-
-    ``flow_terms`` reads the terms with no operator and no ``ProjectivePoint``:
-    off the Dirichlet point from the block and the corner, at theta = 0
-    (mod pi) from the Dirichlet matrix.
-    """
-
-    __slots__ = ("family",)
-
-    def __init__(self, n: int):
-        self.family = _RobinFamily(n)
+    @staticmethod
+    def _pair(theta: float) -> tuple[float, float]:
+        t = theta % math.pi
+        return _normalized(math.cos(t), math.sin(t))
 
     def __call__(self, theta: float) -> HermOp:
-        return self.family(ProjectivePoint.from_angle(theta % math.pi))
+        return self.at(*self._pair(theta))
 
     def flow_terms(self, theta: float, radius: float) -> tuple[int, int, float, float]:
-        t = theta % math.pi
-        x0, x1 = _normalized(math.cos(t), math.sin(t))
+        x0, x1 = self._pair(theta)
         if x1 == 0.0:
-            return self.family.dirichlet.flow_terms(radius)
-        return self.family.block.flow_terms(_robin_corner(x0, x1, self.family.n), radius)
+            return self.dirichlet.flow_terms(radius)
+        return self.block.flow_terms(_robin_corner(x0, x1, self.n), radius)
 
 
 def assemble_robin_operator(x: ProjectivePoint, n: int) -> RobinOperator:
     """Finite-difference operator of the boundary family at parameter x, as tridiagonal bands."""
-    op = _RobinFamily(n)(x)
-    h = 1.0 / (n + 1) if x.is_dirichlet else 1.0 / n
-    nodes = h * np.arange(1, n + 1)
+    op = _RobinFamily(n).at(x.x0, x.x1)
+    h, scheme = (1.0 / (n + 1), SCHEME_DIRICHLET) if x.is_dirichlet else (1.0 / n, SCHEME_GHOST)
     weights = np.full(n, h)
-    if x.is_dirichlet:
-        return RobinOperator(x, n, op, SCHEME_DIRICHLET, nodes, weights)
-    weights[-1] = h / 2.0
-    return RobinOperator(x, n, op, SCHEME_GHOST, nodes, weights)
+    weights[-1] = h if x.is_dirichlet else h / 2.0  # the ghost scheme's half-weight last cell
+    return RobinOperator(x, n, op, scheme, h * np.arange(1, n + 1), weights)
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -278,7 +267,7 @@ def spectral_graph(
     family = _RobinFamily(n)
 
     def solve(theta: float) -> tuple[float, np.ndarray, np.ndarray]:
-        first, values = family(ProjectivePoint.from_angle(theta)).spectrum(-window, window)
+        first, values = family(theta).spectrum(-window, window)
         return theta, first + np.arange(values.size), values
 
     return [solve(theta) for theta in thetas]
@@ -324,20 +313,12 @@ def dichotomy_sweep(x1s, n: int) -> list[tuple[float, float]]:
         raise ValidationError("Dirichlet comparison operator is not positive")
     rows = []
     for x1 in x1s:
-        robin = family(ProjectivePoint(1.0, x1))
+        robin = family.at(*_normalized(1.0, x1))
         lam0 = robin.lowest_eigenvalue()
         rows.append((max(0.0, -lam0 / math.hypot(1.0, lam0)), gap_dist(robin, dirichlet)))
     return rows
 
 
 def robin_generator(n: int):
-    """A pi-periodic callable theta -> the family's ``HermOp`` at [cos theta : sin theta] on n nodes.
-
-    The operators come from one family, built here: off the Dirichlet point
-    they are ``BorderedOp``s of one ``CornerBlock``, so a path solves the
-    block once and each parameter only sets its corner; at theta = 0 (mod pi)
-    it is the family's Dirichlet matrix.  Its ``flow_terms(theta, radius)``
-    equals ``generator(theta).flow_terms(radius)`` and builds no operator,
-    so ``spectral_flow`` reads each parameter's terms from the loop itself.
-    """
-    return _RobinLoop(n)
+    """The boundary family on n nodes as a closed path's generator: see ``_RobinFamily``."""
+    return _RobinFamily(n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -59,6 +60,7 @@ class TestIsometries:
     def test_smooth_band_needs_a_mode(self):
         with pytest.raises(ValidationError, match="modes = 0"):
             smooth_band(GridSpace(16), 0)
+        assert smooth_band(GridSpace(16), 1).shape == (16, 1)
 
     def test_band_defect_small_at_half(self):
         g = GridSpace(512)
@@ -301,8 +303,9 @@ class TestCompactify:
 
     def test_parameter_validation(self):
         A = HermOp(np.diag([1.0, 2.0]))
-        with pytest.raises(ValidationError, match="positive"):
-            compactify_homotopy(0.5, A, HermOp(np.diag([0.5, -0.1])))
+        for lowest in (-0.1, 0.0):
+            with pytest.raises(ValidationError, match="positive"):
+                compactify_homotopy(0.5, A, HermOp(np.diag([0.5, lowest])))
         with pytest.raises(ValidationError, match="norm"):
             compactify_homotopy(0.5, A, HermOp(np.diag([0.5, 1.0])))
 
@@ -486,6 +489,20 @@ class TestIsometryBuilder:
             S = homotopy._isometry(start, length, n)
             assert np.array_equal(S.toarray(), _loop_isometry(start, length, n))
             assert np.max(np.diff(S.indptr)) <= math.ceil(1.0 / length) + 1
+
+    @pytest.mark.parametrize("t", [0.3, 0.5])
+    def test_only_cells_that_can_overlap_are_candidates(self, t):
+        """Each row tries the cells its preimage meets, not every cell from 0: memory O(n), not O(n^2)."""
+        n = 512
+        homotopy._isometry(0.0, 0.5, 16)  # scipy.sparse loads outside the measurement
+        for start, length in ((0.0, t), (t, 1.0 - t)):
+            tracemalloc.start()
+            try:
+                homotopy._isometry(start, length, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 8 * n  # about 24 arrays of n floats; all-cells candidates take over 900
 
     @pytest.mark.parametrize("t", [0.25, 0.5])
     def test_csr_map_stores_no_zeros(self, t):

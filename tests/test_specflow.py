@@ -473,7 +473,20 @@ class TestGeneratorAnswersItsTerms:
         assert report.flow == 1 and calls == [0.0, 1.0]  # the start, and the open path's end
         assert sorted(answered) == sorted(set(report.partition.tolist()) - {0.0, 1.0})
 
-    def test_one_cli_op_builds_one_operator_one_point_and_no_dirichlet_matrix(self, monkeypatch, tmp_path):
+    @staticmethod
+    def count_points(monkeypatch, built):
+        """Count each ``ProjectivePoint`` built from here on in built["ProjectivePoint"]."""
+        from opflow import sturm
+
+        post_init = sturm.ProjectivePoint.__post_init__
+
+        def point(self):
+            built["ProjectivePoint"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(sturm.ProjectivePoint, "__post_init__", point)
+
+    def test_a_cli_op_builds_one_op_no_point_no_dirichlet(self, monkeypatch, tmp_path):
         from opflow import cli, linalg, sturm
 
         built = {"BorderedOp": 0, "ProjectivePoint": 0, "dirichlet": 0, "lapack": []}
@@ -481,12 +494,6 @@ class TestGeneratorAnswersItsTerms:
         def bordered(cls, *args, **kwargs):
             built["BorderedOp"] += 1
             return HermOp.__new__(cls)
-
-        post_init = sturm.ProjectivePoint.__post_init__
-
-        def point(self):
-            built["ProjectivePoint"] += 1
-            post_init(self)
 
         dirichlet = sturm._RobinFamily.dirichlet.fget
 
@@ -502,12 +509,20 @@ class TestGeneratorAnswersItsTerms:
 
             monkeypatch.setattr(lapack, name, counted)
         monkeypatch.setattr(linalg.BorderedOp, "__new__", bordered)
-        monkeypatch.setattr(sturm.ProjectivePoint, "__post_init__", point)
+        self.count_points(monkeypatch, built)
         monkeypatch.setattr(sturm._RobinFamily, "dirichlet", property(read))
         assert cli.main(["specflow", "--path", "robin", "--grid", "800", "--samples", "64",
                          "--out", str(tmp_path)]) == 0
-        assert built == {"BorderedOp": 1, "ProjectivePoint": 1, "dirichlet": 0,
+        assert built == {"BorderedOp": 1, "ProjectivePoint": 0, "dirichlet": 0,
                          "lapack": ["dpttrf", "zgttrf", "dpttrf"]}
+
+    def test_a_specgraph_op_builds_no_point(self, monkeypatch, tmp_path):
+        from opflow import cli
+
+        built = {"ProjectivePoint": 0}
+        self.count_points(monkeypatch, built)
+        assert cli.main(["specgraph", "--out", str(tmp_path)]) == 0
+        assert built == {"ProjectivePoint": 0}
 
 
 def banded_diag_gen(*funcs):

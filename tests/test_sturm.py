@@ -93,7 +93,7 @@ class TestAssembly:
             d, e = np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)
             d[-1], e[-1] = 2.0 / h**2 - 2.0 * (x.x0 / x.x1) / h, -math.sqrt(2.0) / h**2
             assume(math.isfinite(d[-1]))  # an overflowing corner raises; see the overflow test
-        bands = sturm._RobinFamily(n)(x).bands
+        bands = sturm._RobinFamily(n).at(x.x0, x.x1).bands
         assert np.array_equal(bands[0], d) and np.array_equal(bands[1], e)
         assert bands[0].dtype == bands[1].dtype == np.float64
 
@@ -444,13 +444,19 @@ def outcome(read):
         return type(exc), str(exc)
 
 
+def bits(op: sturm.HermOp) -> tuple[bytes, bytes]:
+    """An operator's bands, bit for bit."""
+    return tuple(band.tobytes() for band in op.bands)
+
+
 class TestRobinLoopTerms:
-    """The loop answers each parameter's terms itself, bit for bit as its operator would."""
+    """The family answers each parameter's terms itself, bit for bit as its operator would."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(16, 2000), theta=st.floats(-10.0, 10.0), radius=st.sampled_from([2.0, 20.0, 2e5]))
     @example(n=64, theta=0.0, radius=2.0)  # the Dirichlet point: the Dirichlet matrix's terms
     @example(n=64, theta=math.pi, radius=20.0)
+    @example(n=64, theta=-math.pi, radius=2.0)
     @example(n=800, theta=3.0 * math.pi, radius=2.0)
     @example(n=800, theta=math.pi / 2, radius=2.0)  # Neumann
     @example(n=800, theta=math.pi / 2 + 1e-16, radius=2e5)
@@ -459,17 +465,22 @@ class TestRobinLoopTerms:
     @example(n=2000, theta=math.pi - 1e-15, radius=2.0)
     @example(n=16, theta=1e-300, radius=2.0)
     @example(n=800, theta=math.pi / 4, radius=2.0)  # [1:1]: the exact discrete null vector
+    @example(n=400, theta=1e300, radius=2.0)
     def test_terms_equal_the_operator_route(self, n, theta, radius):
-        loop = robin_generator(n)
-        assert outcome(lambda: loop.flow_terms(theta, radius)) == outcome(lambda: loop(theta).flow_terms(radius))
+        """family(theta) is the operator at the point of theta mod pi, and flow_terms its terms, as one tuple."""
+        family = robin_generator(n)
+        terms = outcome(lambda: family.flow_terms(theta, radius))
+        assert type(terms) is tuple and terms == outcome(lambda: family(theta).flow_terms(radius))
+        p = ProjectivePoint.from_angle(theta % math.pi)
+        assert outcome(lambda: bits(family(theta))) == outcome(lambda: bits(family.at(p.x0, p.x1)))
 
     @pytest.mark.parametrize("theta", [1e-310, 5e-324])
     def test_an_overflowing_corner_raises_the_same_error_on_both_routes(self, theta):
-        loop = robin_generator(400)
+        family = robin_generator(400)
         with pytest.raises(ValidationError, match=r"d\[-1\] = -inf overflows at \[1\.0 : .*\], n = 400$") as terms:
-            loop.flow_terms(theta, 2.0)
+            family.flow_terms(theta, 2.0)
         with pytest.raises(ValidationError) as operator:
-            loop(theta)
+            family(theta)
         assert str(terms.value) == str(operator.value)
 
 
@@ -505,9 +516,9 @@ class TestDirichletOnFirstRead:
     def test_a_robin_flow_builds_none_and_the_dirichlet_point_one(self):
         from opflow.specflow import OperatorPath, spectral_flow
 
-        loop = robin_generator(64)
-        assert spectral_flow(OperatorPath.sample(loop, 0.0, math.pi, 16, closed=True)).flow == 1
-        assert loop.family._dirichlet is None
-        dirichlet = loop(math.pi)
-        assert loop.flow_terms(0.0, 2.0) == dirichlet.flow_terms(2.0)
-        assert loop.family.dirichlet is dirichlet and loop(3.0 * math.pi) is dirichlet
+        family = robin_generator(64)
+        assert spectral_flow(OperatorPath.sample(family, 0.0, math.pi, 16, closed=True)).flow == 1
+        assert family._dirichlet is None
+        dirichlet = family(math.pi)
+        assert family.flow_terms(0.0, 2.0) == dirichlet.flow_terms(2.0)
+        assert family.dirichlet is dirichlet and family(3.0 * math.pi) is dirichlet

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -128,6 +129,12 @@ class TestInverseBoundedTransform:
         with pytest.raises(OutOfBallError):
             inverse_bounded_transform(np.eye(3))
 
+    def test_norm_one_less_the_strictness_tolerance_is_refused(self):
+        edge = 1.0 - transforms.STRICTNESS_ATOL  # a diagonal's SVD reads its norm exactly
+        with pytest.raises(OutOfBallError):
+            inverse_bounded_transform(np.diag([edge, 0.5]))
+        assert np.all(np.isfinite(inverse_bounded_transform(np.diag([np.nextafter(edge, 0.0), 0.5]))))
+
     def test_round_trips_both_ways(self):
         rng = np.random.default_rng(2)
         A = random_matrix(rng, 6, scale=2.0)
@@ -209,6 +216,20 @@ class TestBallProjection:
     def test_out_of_ball_rejected(self):
         with pytest.raises(OutOfBallError):
             ball_projection(2.0 * np.eye(2))
+
+    def test_norm_one_plus_the_ball_tolerance_is_accepted(self):
+        edge = 1.0 + transforms.BALL_ATOL  # a diagonal's SVD reads its norm exactly
+        assert ball_projection(np.diag([edge, 0.5])).rank() == 2
+        with pytest.raises(OutOfBallError):
+            ball_projection(np.diag([np.nextafter(edge, 2.0), 0.5]))
+
+    def test_the_sqrt_dead_band_is_closed(self):
+        """Values at +-SQRT_CLAMP snap to 0; the next float out is refused below, kept above."""
+        clamp = transforms.SQRT_CLAMP
+        above = np.nextafter(clamp, 1.0)
+        assert transforms._sqrt_clamped(np.array([-clamp, clamp, above])).tolist() == [0.0, 0.0, math.sqrt(above)]
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            transforms._sqrt_clamped(np.array([np.nextafter(-clamp, -1.0)]))
 
 
 class TestCayley:
